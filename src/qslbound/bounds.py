@@ -23,7 +23,8 @@ Two perpendicular-state constructions are supported:
   for arbitrary pairs and states.
 
 Bound curves integrate |d<O>/dt| / (dO * eta) with eta = 1 - r by
-cumulative composite Simpson.  Samples where dO or eta degenerate sit on
+cumulative composite Simpson.  They take r as a float array, NaN where no
+correction is defined.  Samples where dO or eta degenerate sit on
 measure-zero sets of the case studies; they are excluded and replaced by
 the nearest healthy sample, and recorded as warnings.
 """
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .dynamics import OperatorTrajectory, TimeGrid
 from .linalg import spectral_norm
 from .quadrature import (
     RICHARDSON_FACTOR,
@@ -51,6 +51,9 @@ from .states import (
     perpendicular_state,
     require_state,
 )
+
+if TYPE_CHECKING:  # dynamics imports this module at run time
+    from .dynamics import OperatorTrajectory, TimeGrid
 
 # eta at or below this is treated as a singular sample of the SQSLO integrand.
 ETA_FLOOR = 1e-9
@@ -178,6 +181,48 @@ def correction_r(a, b, psi, perp: str = "observable") -> CorrectionSample:
     return CorrectionSample(r=r, eta=1.0 - r, sign_branch=name, saturated=saturated)
 
 
+def _row_moments(psi, a_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, deviation (A - <A>) psi and variance of A for rows of psi, A psi."""
+    mean = np.sum(psi.conj() * a_psi, axis=1).real
+    dev = a_psi - mean[:, None] * psi
+    return mean, dev, np.sum((dev.conj() * dev).real, axis=1)
+
+
+def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``correction_r`` (perp="observable") for rows of psi, A psi and B psi.
+
+    Returns the mean and spread of A and r per row, selected by the branch
+    rule of ``correction_r``; r is NaN where that raises
+    DegenerateObservableError.  Rows come from the sampler, unvalidated.
+    """
+    mean_a, dev_a, var_a = _row_moments(psi, a_psi)
+    _, _, var_b = _row_moments(psi, b_psi)
+    std_a, std_b = np.sqrt(var_a), np.sqrt(var_b)
+    rhs = np.abs(np.sum(a_psi.conj() * b_psi, axis=1).imag)
+    # <psi_perp| A/dA -+ i B/dB |psi> with psi_perp = (A - <A>) psi / dA.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = np.sum(dev_a.conj() * a_psi, axis=1) / var_a
+        across = 1j * np.sum(dev_a.conj() * b_psi, axis=1) / (std_a * std_b)
+    r_minus, r_plus = 0.5 * np.abs(along - across) ** 2, 0.5 * np.abs(along + across) ** 2
+
+    def rank(r):  # correction_r's sort key: out of range, then unsaturated
+        in_range = (r >= -R_RANGE_ATOL) & (r <= 1.0 + R_RANGE_ATOL)
+        saturated = np.abs(std_a * std_b * (1.0 - r) - rhs) <= SATURATION_ATOL
+        return 2 * ~in_range + ~saturated
+
+    rank_minus, rank_plus = rank(r_minus), rank(r_plus)
+    plus = (rank_plus < rank_minus) | ((rank_plus == rank_minus) & (r_plus < r_minus))
+    r = np.where(plus, r_plus, r_minus)
+    r[(var_a <= VARIANCE_FLOOR) | (var_b <= VARIANCE_FLOOR)] = np.nan
+    overshoot = np.maximum(-r, r - 1.0)
+    if np.any(overshoot > R_RANGE_HARD):
+        raise ArithmeticError(
+            "both correction branches out of range by up to "
+            f"{float(np.nanmax(overshoot))!r}"
+        )
+    return mean_a, std_a, np.clip(r, 0.0, 1.0)
+
+
 def uncertainty_check(a, b, psi, perp: str = "observable") -> UncertaintyCheck:
     """lhs = dA dB (1 - r) on the selected branch against rhs = |<[A,B]>|/2."""
     ma = moments(a, psi)
@@ -217,35 +262,27 @@ def optimal_perpendicular_state(a, b, psi, sign_branch: str = "minus") -> np.nda
 def _fill_nearest(values: np.ndarray) -> np.ndarray:
     """Replace NaN samples by the nearest preceding healthy one (one-sided);
     a leading NaN run copies the first healthy sample from the right."""
-    out = values.copy()
-    last = np.nan
-    for k in range(out.size):
-        if np.isnan(out[k]):
-            out[k] = last
-        else:
-            last = out[k]
-    healthy = out[~np.isnan(out)]
-    if healthy.size == 0:
-        return out
-    first = healthy[0]
-    for k in range(out.size):
-        if np.isnan(out[k]):
-            out[k] = first
-        else:
-            break
-    return out
+    healthy = ~np.isnan(values)
+    if not np.any(healthy):
+        return values.copy()
+    source = np.maximum.accumulate(np.where(healthy, np.arange(values.size), 0))
+    source[: np.argmax(healthy)] = np.argmax(healthy)
+    return values[source]
 
 
-def _r_array(
-    corrections: Optional[Sequence[Optional[CorrectionSample]]], n: int
-) -> np.ndarray:
-    if corrections is None:
-        return np.zeros(n)
-    if len(corrections) != n:
-        raise ValueError("need one correction sample (or None) per grid point")
-    return np.array(
-        [np.nan if c is None else c.r for c in corrections], dtype=float
-    )
+def _r_samples(r, n: int) -> np.ndarray:
+    arr = np.asarray(r, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError("need one correction factor (or NaN) per grid point")
+    return arr
+
+
+_REASONS = (None, "zero-variance sample", "degenerate correction", "correction saturates r=1")
+
+
+def _warnings(grid: TimeGrid, codes: np.ndarray) -> tuple[tuple[float, str], ...]:
+    """(time, reason) for every excluded sample, by its code in _REASONS."""
+    return tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in np.flatnonzero(codes))
 
 
 def _running_average(r_filled: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -257,15 +294,16 @@ def _running_average(r_filled: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 def qsl_integral(
     traj: OperatorTrajectory,
-    corrections: Optional[Sequence[Optional[CorrectionSample]]],
+    r: Optional[np.ndarray],
     delta_h: float,
 ) -> BoundCurve:
     """Cumulative bound integrals (1/2 dH) int |d<O>/dt| / (dO [eta]) dt.
 
-    With ``corrections`` the strengthened bound divides by eta = 1 - r as
-    well; without them t_sqslo coincides with t_qslo.  Singular samples
-    (vanishing spread, missing correction, eta at the floor) are replaced by
-    the nearest healthy sample and reported in the curve's warnings.
+    With ``r`` (one correction factor per sample, NaN where none is defined)
+    the strengthened bound divides by eta = 1 - r as well; with None t_sqslo
+    coincides with t_qslo.  Singular samples (vanishing spread, missing
+    correction, eta at the floor) are replaced by the nearest healthy sample
+    and reported in the curve's warnings.
     """
     if not (delta_h > 0.0 and math.isfinite(delta_h)):
         raise ValueError(f"delta_h must be positive, got {delta_h!r}")
@@ -273,28 +311,15 @@ def qsl_integral(
     n = grid.points.size
     stds = traj.std_devs
     derivs = np.abs(traj.derivatives)
-    r_raw = _r_array(corrections, n)
-
-    f_q = np.empty(n)
-    f_s = np.empty(n)
-    warnings: list[tuple[float, str]] = []
-    for k in range(n):
-        spread_ok = stds[k] * stds[k] > VARIANCE_FLOOR
-        if not spread_ok:
-            f_q[k] = f_s[k] = np.nan
-            warnings.append((float(grid.points[k]), "zero-variance sample"))
-            continue
-        f_q[k] = derivs[k] / stds[k]
-        if corrections is None:
-            f_s[k] = f_q[k]
-        elif np.isnan(r_raw[k]):
-            f_s[k] = np.nan
-            warnings.append((float(grid.points[k]), "degenerate correction"))
-        elif 1.0 - r_raw[k] <= ETA_FLOOR:
-            f_s[k] = np.nan
-            warnings.append((float(grid.points[k]), "correction saturates r=1"))
-        else:
-            f_s[k] = derivs[k] / (stds[k] * (1.0 - r_raw[k]))
+    r_raw = np.zeros(n) if r is None else _r_samples(r, n)
+    eta = 1.0 - r_raw
+    codes = np.select(
+        [~(stds * stds > VARIANCE_FLOOR), np.isnan(r_raw), eta <= ETA_FLOOR], [1, 2, 3], 0
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_q = np.where(codes == 1, np.nan, derivs / stds)
+        f_s = np.where(codes == 0, derivs / (stds * eta), np.nan)
+    warnings = _warnings(grid, codes)
 
     if np.all(np.isnan(f_q)):
         if np.max(derivs) <= 1e-12 * max(1.0, float(np.max(np.abs(traj.means)))):
@@ -302,13 +327,13 @@ def qsl_integral(
             zeros = np.zeros(n)
             return BoundCurve(
                 grid, zeros, zeros.copy(), traj.means.copy(), np.zeros(n),
-                tuple(warnings), 0.0,
+                warnings, 0.0,
             )
         raise ValueError("all integrand samples are degenerate")
 
     f_q = _fill_nearest(f_q)
     f_s = _fill_nearest(f_s)
-    r_filled = _fill_nearest(r_raw) if corrections is not None else r_raw
+    r_filled = _fill_nearest(r_raw)
     prefactor = 0.5 / delta_h
     t_qslo = prefactor * cumulative_simpson(f_q, grid.dx)
     t_sqslo = prefactor * cumulative_simpson(f_s, grid.dx)
@@ -322,7 +347,7 @@ def qsl_integral(
         t_sqslo=t_sqslo,
         mean_values=traj.means.copy(),
         r_bar=_running_average(r_filled, grid),
-        warnings=tuple(warnings),
+        warnings=warnings,
         quad_error=float(quad_error),
     )
 
@@ -331,7 +356,7 @@ def ratio_form_curve(
     grid: TimeGrid,
     mean_values,
     spreads,
-    corrections: Sequence[Optional[CorrectionSample]],
+    r: np.ndarray,
     delta_h: float,
 ) -> BoundCurve:
     """Bound from net change over time-averaged spread.
@@ -339,7 +364,7 @@ def ratio_form_curve(
     t_bound(T) = T |<O>(T) - <O>(0)| / (2 dH int_0^T dO(t) [eta(t)] dt).
     Used where the tracked mean itself is the target quantity (entropy) and
     only its endpoint change is constrained.  eta multiplies rather than
-    divides, so only missing correction samples need filling.
+    divides, so only missing correction samples (NaN in ``r``) need filling.
     """
     if not (delta_h > 0.0 and math.isfinite(delta_h)):
         raise ValueError(f"delta_h must be positive, got {delta_h!r}")
@@ -348,12 +373,8 @@ def ratio_form_curve(
     f_q = np.asarray(spreads, dtype=float)
     if means.shape != (n,) or f_q.shape != (n,):
         raise ValueError("need one mean and spread per grid point")
-    r_raw = _r_array(corrections, n)
-    warnings = [
-        (float(grid.points[k]), "degenerate correction")
-        for k in range(n)
-        if np.isnan(r_raw[k])
-    ]
+    r_raw = _r_samples(r, n)
+    warnings = _warnings(grid, np.where(np.isnan(r_raw), 2, 0))
     if np.all(np.isnan(r_raw)):
         raise ValueError("all correction samples are degenerate")
     r_filled = _fill_nearest(r_raw)
@@ -387,16 +408,12 @@ def ratio_form_curve(
         t_sqslo=t_sqslo,
         mean_values=means.copy(),
         r_bar=_running_average(r_filled, grid),
-        warnings=tuple(warnings),
+        warnings=warnings,
         quad_error=quad_error,
     )
 
 
-def lambda_form_bound(
-    traj: OperatorTrajectory,
-    corrections: Sequence[Optional[CorrectionSample]],
-    delta_h: float,
-) -> float:
+def lambda_form_bound(traj: OperatorTrajectory, r: np.ndarray, delta_h: float) -> float:
     """Alternative full-window bound Lambda(T) * (1/2 dH) int |d<O>|/dO.
 
     Lambda(T) = 1 / (1 - r_bar) with r_bar the time average of r over the
@@ -404,8 +421,7 @@ def lambda_form_bound(
     when r_bar reaches 1.
     """
     base_curve = qsl_integral(traj, None, delta_h)
-    n = traj.grid.points.size
-    r_raw = _r_array(corrections, n)
+    r_raw = _r_samples(r, traj.grid.points.size)
     if np.all(np.isnan(r_raw)):
         raise ValueError("all correction samples are degenerate")
     r_filled = _fill_nearest(r_raw)

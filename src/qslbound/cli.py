@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Optional
 from .bounds import BoundCurve
 from .dynamics import TimeGrid
 from .emit import fmt, render_csv, render_svg
-from .presets import PRESETS, build_scenario, run_scenario
+from .presets import PRESETS, build_preset_curves, build_scenario, run_scenario
 
 MIN_STEPS = 16
 
@@ -110,6 +111,16 @@ def _load_config_file(path: str) -> dict:
     return {str(k).replace("-", "_"): v for k, v in doc.items()}
 
 
+def _finite(flag: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"flag --{flag} needs a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise UsageError(f"flag --{flag} must be finite, got {value!r}")
+    return number
+
+
 def parse_config(argv) -> RunConfig:
     """Parse flags (and an optional JSON config file; flags win) into a
     validated RunConfig.  Raises UsageError on any violation."""
@@ -143,14 +154,12 @@ def parse_config(argv) -> RunConfig:
                 value = "parallel" if float(params.get("J", 1.0)) == 0.0 else "collective"
             params[name] = str(value)
         else:
-            try:
-                params[name] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"flag --{name} needs a number, got {value!r}") from exc
+            params[name] = _finite(name, value)
 
-    t_max = float(pick("t_max", args.t_max))
+    t_max = _finite("t-max", pick("t_max", args.t_max))
     steps = pick("steps", args.steps)
-    steps = int(steps) if steps is not None else None
+    if steps is not None and (isinstance(steps, bool) or not isinstance(steps, int)):
+        raise UsageError(f"--steps needs an integer, got {steps!r}")
     out_format = str(pick("format", args.format))
     out = args.out or file_values.get("out") or f"{kind}.csv"
     preset = args.preset or file_values.get("preset")
@@ -220,23 +229,13 @@ def emit_curves(curve: BoundCurve, cfg: RunConfig, label: Optional[str] = None) 
 
 
 def _run_scenarios(cfg: RunConfig) -> list[Path]:
-    written = []
-    if cfg.preset is not None:
-        preset = PRESETS[cfg.preset]
-        for run in preset.runs:
-            grid = (
-                TimeGrid(run.t_max, cfg.steps)
-                if cfg.steps is not None
-                else TimeGrid.with_resolution(run.t_max)
-            )
-            run_cfg = replace(cfg, params=dict(run.params), t_max=run.t_max)
-            scenario = build_scenario(cfg.kind, run.params, grid)
-            curve = run_scenario(cfg.kind, scenario)
-            written.extend(emit_curves(curve, run_cfg, label=run.label))
-    else:
+    if cfg.preset is None:
         scenario = build_scenario(cfg.kind, cfg.params, cfg.grid)
-        curve = run_scenario(cfg.kind, scenario)
-        written.extend(emit_curves(curve, cfg))
+        return emit_curves(run_scenario(cfg.kind, scenario), cfg)
+    written = []
+    for label, params, curve in build_preset_curves(cfg.preset, n_steps=cfg.steps):
+        run_cfg = replace(cfg, params=params, t_max=curve.grid.t_max)
+        written.extend(emit_curves(curve, run_cfg, label=label))
     return written
 
 

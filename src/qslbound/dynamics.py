@@ -1,9 +1,18 @@
-"""Unitary propagation in both pictures and exact expectation derivatives.
+"""Unitary dynamics on time grids, sampled in the Hamiltonian's eigenbasis.
 
-Propagators are built from a single eigendecomposition of the Hamiltonian
-(diagonalize once, exponentiate phases per sample), and derivatives of
-expectation values come from the commutator identity, never from finite
-differences, so quadrature is the only discretization error downstream.
+One sampler serves every curve.  It diagonalizes H = V diag(E) V^dag once and
+evolves the amplitudes c_t = exp(-iEt) * V^dag psi0 in blocks of SAMPLE_BLOCK
+times, holding (block, d) arrays and never a d x d matrix per sample.  From
+the rows psi_t, O psi_t and H psi_t it returns the mean and spread of O, the
+exact d<O>/dt and the correction factor r (``bounds.correction_rows``).
+``sample_heisenberg`` evolves a fixed O, with d<O>/dt =
+<c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
+``sample_entanglement`` rebuilds -log rho_A(t) (x) I_B of the evolving state
+from one stacked eigendecomposition (Schroedinger picture).  Derivatives come
+from the commutator identity, never from finite differences, so quadrature
+is the only discretization error downstream.  H, O and psi0 are validated
+once, on entry; the scalar ``expectation_derivative``, ``states.moments`` and
+``bounds.correction_r`` are the references the sampler is tested against.
 hbar = 1 throughout.
 """
 
@@ -11,18 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import correction_rows
 from .linalg import as_complex_matrix, commutator, hermitian_eig, require_hermitian
-from .states import moments, require_state
+from .measures import _clamped_log
+from .states import require_state
 
 UNITARITY_ATOL = 1e-10
 
 # Default sampling density for bound integrals.
 STEPS_PER_UNIT_TIME = 2000
 MIN_GRID_STEPS = 16
+
+# Sample times per block of the sampler; bounds its working memory.
+SAMPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -56,18 +70,28 @@ class TimeGrid:
         return cls(t_max, n + n % 2)
 
 
+class Samples(NamedTuple):
+    """Per-time mean, spread and d<O>/dt of O, and r (NaN where undefined)."""
+
+    means: np.ndarray
+    std_devs: np.ndarray
+    derivatives: np.ndarray
+    r: np.ndarray
+
+
 @dataclass(frozen=True)
 class OperatorTrajectory:
-    """Sampled mean, spread and exact time derivative of one observable."""
+    """``Samples`` of one observable on a time grid."""
 
     grid: TimeGrid
     means: np.ndarray
     std_devs: np.ndarray
     derivatives: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
         n = self.grid.points.size
-        for name in ("means", "std_devs", "derivatives"):
+        for name in ("means", "std_devs", "derivatives", "r"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per grid point")
@@ -133,23 +157,70 @@ def expectation_derivative(h, obs_t, psi) -> float:
     return float((1j * np.vdot(v, commutator(hm, o) @ v)).real)
 
 
+def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (E, V, V^dag psi0) of the Hamiltonian and initial state."""
+    vals, vecs = hermitian_eig(h)
+    v = require_state(psi0)
+    if vals.size != v.size:
+        raise ValueError("dimension mismatch between Hamiltonian and state")
+    return vals, vecs, vecs.conj().T @ v
+
+
+def _sample(times, vals, c0, rows) -> Samples:
+    """Run ``rows`` over blocks of eigen-amplitudes c_t.
+
+    ``rows(c)`` returns (psi, O psi, H psi, d<O>/dt) for a block of c_t.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError("sample times must be a finite 1-D array")
+    out = np.empty((4, t.size))
+    for start in range(0, t.size, SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        c = np.exp(-1j * np.outer(t[block], vals)) * c0
+        psi, o_psi, h_psi, derivs = rows(c)
+        means, stds, r = correction_rows(psi, o_psi, h_psi)
+        out[:, block] = means, stds, derivs, r
+    return Samples(*out)
+
+
+def sample_heisenberg(h, obs0, psi0, times) -> Samples:
+    """Samples of the Heisenberg-evolved observable U^dag O U in psi0."""
+    vals, vecs, c0 = _eigen_start(h, psi0)
+    o = require_hermitian(obs0)
+    if o.shape[0] != vals.size:
+        raise ValueError("dimension mismatch between Hamiltonian and observable")
+    o_eig = vecs.conj().T @ o @ vecs
+    rate = 1j * commutator(np.diag(vals), o_eig)
+
+    def rows(c):
+        return c, c @ o_eig.T, c * vals, np.sum(c.conj() * (c @ rate.T), axis=1).real
+
+    return _sample(times, vals, c0, rows)
+
+
+def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
+    """Samples of the modular Hamiltonian O = -log rho_A(t) (x) I_B of the
+    evolved bipartite state (Schroedinger picture): the means are entanglement
+    entropies, the variances capacities of entanglement, and the derivatives
+    i<[H, O]> = 2 Im <O psi_t|H psi_t> with O frozen at each sample."""
+    vals, vecs, c0 = _eigen_start(h, psi0)
+    d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:
+        raise ValueError(f"dims {dims} inconsistent with state size {vals.size}")
+
+    def rows(c):
+        psi = c @ vecs.T
+        h_psi = (c * vals) @ vecs.T
+        amps = psi.reshape(-1, d_a, d_b)
+        weights, basis = np.linalg.eigh(amps @ amps.conj().transpose(0, 2, 1))
+        modular = (basis * -_clamped_log(weights)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        k_psi = (modular @ amps).reshape(psi.shape)
+        return psi, k_psi, h_psi, 2.0 * np.sum(k_psi.conj() * h_psi, axis=1).imag
+
+    return _sample(times, vals, c0, rows)
+
+
 def track_observable(h, obs0, psi, grid: TimeGrid) -> OperatorTrajectory:
-    """Sample mean, spread and derivative of a Heisenberg-evolved observable."""
-    hm = require_hermitian(h)
-    o0 = require_hermitian(obs0)
-    v = require_state(psi)
-    if hm.shape != o0.shape or hm.shape[0] != v.size:
-        raise ValueError("dimension mismatch in track_observable")
-    u_of_t = propagator_family(hm)
-    n = grid.points.size
-    means = np.empty(n)
-    stds = np.empty(n)
-    derivs = np.empty(n)
-    for k, t in enumerate(grid.points):
-        u = u_of_t(t)
-        o_t = u.conj().T @ o0 @ u
-        m = moments(o_t, v)
-        means[k] = m.mean
-        stds[k] = m.std_dev
-        derivs[k] = expectation_derivative(hm, o_t, v)
-    return OperatorTrajectory(grid, means, stds, derivs)
+    """Heisenberg-picture samples of one observable on a time grid."""
+    return OperatorTrajectory(grid, *sample_heisenberg(h, obs0, psi, grid.points))

@@ -19,27 +19,20 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundCurve, CorrectionSample, correction_r, qsl_integral, ratio_form_curve
+from .bounds import BoundCurve, qsl_integral, ratio_form_curve
 from .dynamics import (
     OperatorTrajectory,
     TimeGrid,
-    expectation_derivative,
-    propagator_family,
+    sample_entanglement,
     track_observable,
 )
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 from .measures import modular_hamiltonian
-from .states import (
-    DegenerateObservableError,
-    moments,
-    reduced_state,
-    require_state,
-)
+from .states import moments, reduced_state
 
 # Schmidt weights this close to {0, 1/2, 1} make the bound curves degenerate
 # (zero energy spread or identically flat capacity) and are rejected.
@@ -76,7 +69,8 @@ class BatteryScenario:
 
     ``mode`` is a label only; the physics is fixed by the numbers.  ``angles``
     parametrize the general product initial state; the default is the empty
-    battery (both cells down).
+    battery (both cells down).  A state that is an eigenstate of the total
+    Hamiltonian has no charging dynamics and is rejected.
     """
 
     omega: float
@@ -98,6 +92,12 @@ class BatteryScenario:
             raise ValueError("polar angles must lie in [0, pi]")
         if not (0.0 <= p1 <= 2.0 * math.pi and 0.0 <= p2 <= 2.0 * math.pi):
             raise ValueError("azimuthal angles must lie in [0, 2 pi]")
+        _, _, _, h_t = battery_hamiltonians(self.omega, self.big_omega, self.j)
+        if moments(h_t, general_product_state(*self.angles)).variance <= 1e-12:
+            raise ValueError(
+                "initial state is an eigenstate of the total Hamiltonian; "
+                "no charging dynamics to bound"
+            )
 
 
 @dataclass(frozen=True)
@@ -247,18 +247,8 @@ def ergotropy_closed_form(omega: float, big_omega: float, t: float) -> float:
 def ergotropy_trajectory(scn: BatteryScenario) -> OperatorTrajectory:
     """Stored energy E(t) = <H_B(t)> - <H_B(0)> with spread and derivative."""
     h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    psi0 = general_product_state(*scn.angles)
-    traj = track_observable(h_t, h_b, psi0, scn.grid)
-    return OperatorTrajectory(
-        scn.grid, traj.means - traj.means[0], traj.std_devs, traj.derivatives
-    )
-
-
-def _try_correction(a, b, psi) -> Optional[CorrectionSample]:
-    try:
-        return correction_r(a, b, psi)
-    except DegenerateObservableError:
-        return None
+    traj = track_observable(h_t, h_b, general_product_state(*scn.angles), scn.grid)
+    return replace(traj, means=traj.means - traj.means[0])
 
 
 def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
@@ -270,21 +260,10 @@ def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     """
     psi0 = initial_schmidt_state(scn.p)
     h = canonical_hamiltonian(scn.theta + abs(scn.mu3), abs(scn.mu3), scn.mu3)
-    delta_h = moments(h, psi0).std_dev
-    u_of_t = propagator_family(h)
-    n = scn.grid.points.size
-    entropies = np.empty(n)
-    spreads = np.empty(n)
-    corrections: list[Optional[CorrectionSample]] = []
-    for k, t in enumerate(scn.grid.points):
-        psi_t = require_state(u_of_t(t) @ psi0)
-        rho_a = reduced_state(psi_t, (2, 2), "A")
-        k_ab = tensor_product(modular_hamiltonian(rho_a), IDENTITY_2)
-        m = moments(k_ab, psi_t)
-        entropies[k] = m.mean
-        spreads[k] = m.std_dev
-        corrections.append(_try_correction(k_ab, h, psi_t))
-    return ratio_form_curve(scn.grid, entropies, spreads, corrections, delta_h)
+    samples = sample_entanglement(h, psi0, (2, 2), scn.grid.points)
+    return ratio_form_curve(
+        scn.grid, samples.means, samples.std_devs, samples.r, moments(h, psi0).std_dev
+    )
 
 
 def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
@@ -297,71 +276,32 @@ def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
     h = canonical_hamiltonian(scn.theta + abs(scn.mu3), abs(scn.mu3), scn.mu3)
     delta_h = moments(h, psi0).std_dev
     k0 = tensor_product(modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2)
-    traj, corrections = _heisenberg_samples(h, k0, psi0, scn.grid)
-    return qsl_integral(traj, corrections, delta_h)
+    traj = track_observable(h, k0, psi0, scn.grid)
+    return qsl_integral(traj, traj.r, delta_h)
 
 
 def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
     """Direct-integral bound on the battery charging time."""
-    h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    psi0 = general_product_state(*scn.angles)
-    m_total = moments(h_t, psi0)
-    if m_total.variance <= 1e-12:
-        raise ValueError(
-            "initial state is an eigenstate of the total Hamiltonian; "
-            "no charging dynamics to bound"
-        )
-    traj, corrections = _heisenberg_samples(h_t, h_b, psi0, scn.grid)
-    shifted = OperatorTrajectory(
-        scn.grid, traj.means - traj.means[0], traj.std_devs, traj.derivatives
+    _, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
+    traj = ergotropy_trajectory(scn)
+    return qsl_integral(
+        traj, traj.r, moments(h_t, general_product_state(*scn.angles)).std_dev
     )
-    return qsl_integral(shifted, corrections, m_total.std_dev)
-
-
-def _heisenberg_samples(
-    h, obs0, psi0, grid: TimeGrid
-) -> tuple[OperatorTrajectory, list[Optional[CorrectionSample]]]:
-    """One pass over the grid: trajectory plus per-sample corrections."""
-    u_of_t = propagator_family(h)
-    n = grid.points.size
-    means = np.empty(n)
-    stds = np.empty(n)
-    derivs = np.empty(n)
-    corrections: list[Optional[CorrectionSample]] = []
-    for k, t in enumerate(grid.points):
-        u = u_of_t(t)
-        o_t = u.conj().T @ obs0 @ u
-        m = moments(o_t, psi0)
-        means[k] = m.mean
-        stds[k] = m.std_dev
-        derivs[k] = expectation_derivative(h, o_t, psi0)
-        corrections.append(_try_correction(o_t, h, psi0))
-    return OperatorTrajectory(grid, means, stds, derivs), corrections
 
 
 def entanglement_closed_form_reports(
     p: float, theta: float, grid: TimeGrid
 ) -> tuple[ClosedFormReport, ClosedFormReport]:
     """Capacity and entropy closed forms against the numeric pipeline."""
-    psi0 = initial_schmidt_state(p)
-    h = canonical_hamiltonian(theta, 0.0, 0.0)
-    u_of_t = propagator_family(h)
-    n = grid.points.size
-    analytic_c = np.empty(n)
-    analytic_s = np.empty(n)
-    numeric_c = np.empty(n)
-    numeric_s = np.empty(n)
-    for k, t in enumerate(grid.points):
-        analytic_c[k], analytic_s[k] = ce_see_closed_form(p, theta, t)
-        psi_t = u_of_t(t) @ psi0
-        rho_a = reduced_state(psi_t, (2, 2), "A")
-        k_ab = tensor_product(modular_hamiltonian(rho_a), IDENTITY_2)
-        m = moments(k_ab, require_state(psi_t))
-        numeric_c[k] = m.variance
-        numeric_s[k] = m.mean
+    samples = sample_entanglement(
+        canonical_hamiltonian(theta, 0.0, 0.0), initial_schmidt_state(p), (2, 2), grid.points
+    )
+    analytic = np.array([ce_see_closed_form(p, theta, t) for t in grid.points])
     return (
-        ClosedFormReport("capacity_of_entanglement", grid.points, analytic_c, numeric_c),
-        ClosedFormReport("entanglement_entropy", grid.points, analytic_s, numeric_s),
+        ClosedFormReport(
+            "capacity_of_entanglement", grid.points, analytic[:, 0], samples.std_devs**2
+        ),
+        ClosedFormReport("entanglement_entropy", grid.points, analytic[:, 1], samples.means),
     )
 
 

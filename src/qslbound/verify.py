@@ -23,7 +23,13 @@ from .bounds import (
     uncertainty_check,
 )
 from .emit import render_csv
-from .dynamics import TimeGrid, propagator_family, track_observable
+from .dynamics import (
+    TimeGrid,
+    propagator_family,
+    sample_entanglement,
+    sample_heisenberg,
+    track_observable,
+)
 from .linalg import (
     IDENTITY_2,
     SIGMA_X,
@@ -331,16 +337,7 @@ def run_verify(n_steps: Optional[int] = None, seed: int = DEFAULT_SEED) -> list[
         grid = _grid_for(math.pi / 4.0, n_steps)
         psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
         traj = track_observable(SIGMA_Z, SIGMA_X, psi, grid)
-        u_of_t = propagator_family(SIGMA_Z)
-        corrections = []
-        for t in grid.points:
-            u = u_of_t(t)
-            o_t = u.conj().T @ SIGMA_X @ u
-            try:
-                corrections.append(correction_r(o_t, SIGMA_Z, psi))
-            except DegenerateObservableError:
-                corrections.append(None)
-        curve = qsl_integral(traj, corrections, moments(SIGMA_Z, psi).std_dev)
+        curve = qsl_integral(traj, traj.r, moments(SIGMA_Z, psi).std_dev)
         worst = float(np.max(np.abs(curve.t_qslo[1:] - grid.points[1:])))
         worst_s = float(np.max(np.abs(curve.t_sqslo[1:] - grid.points[1:])))
         return max(worst, worst_s) <= 1e-6, f"max |bound - T| = {max(worst, worst_s):.2e}"
@@ -469,39 +466,28 @@ def run_verify(n_steps: Optional[int] = None, seed: int = DEFAULT_SEED) -> list[
         grid = _grid_for(1.0, n_steps)
         psi0 = initial_schmidt_state(p)
         h = theta * tensor_product(SIGMA_X, SIGMA_X)
-        u_of_t = propagator_family(h)
         delta_h = moments(h, psi0).std_dev
         cap = norm_rate_comparison(h, 2)
-        worst_violation = -math.inf
-        worst_norm = -math.inf
-        from .dynamics import expectation_derivative
-
-        for t in grid.points:
-            psi_t = require_state(u_of_t(t) @ psi0)
-            rho_a = reduced_state(psi_t, (2, 2), "A")
-            k_ab = tensor_product(modular_hamiltonian(rho_a), IDENTITY_2)
-            m = moments(k_ab, psi_t)
-            gamma = expectation_derivative(h, k_ab, psi_t)
-            worst_norm = max(worst_norm, abs(gamma) - 2.0 * cap)
-            if m.variance <= 1e-12:
-                continue
-            try:
-                sample = correction_r(k_ab, h, psi_t)
-            except DegenerateObservableError:
-                continue
-            bound = entanglement_rate_bound(m.variance, delta_h, sample.r)
-            worst_violation = max(worst_violation, abs(gamma) - bound)
+        samples = sample_entanglement(h, psi0, (2, 2), grid.points)
+        gamma = np.abs(samples.derivatives)
+        worst_norm = float(np.max(gamma - 2.0 * cap))
+        healthy = ~np.isnan(samples.r)
+        limits = np.array([
+            entanglement_rate_bound(std * std, delta_h, r)
+            for std, r in zip(samples.std_devs[healthy], samples.r[healthy])
+        ])
+        worst_violation = float(np.max(gamma[healthy] - limits, initial=-math.inf))
         ok = worst_violation <= 1e-9 and worst_norm <= 1e-9
         return ok, f"worst rate excess {worst_violation:.2e}"
 
     add(_check("scenarios/entanglement-rate-bound", entanglement_rate))
 
     def determinism():
-        curves = preset_curves.get("fig2") or build_preset_curves("fig2", n_steps=n_steps)
-        _, _, curve = curves[0]
         meta = [("scenario", "entanglement"), ("p", "0.1"), ("theta", "1.0")]
-        first = render_csv(curve, meta)
-        second = render_csv(curve, meta)
+        first, second = (
+            render_csv(build_preset_curves("fig2", n_steps=n_steps)[0][2], meta)
+            for _ in range(2)
+        )
         ok = first == second
         return ok, "byte-identical render" if ok else "renders differ"
 
@@ -511,19 +497,17 @@ def run_verify(n_steps: Optional[int] = None, seed: int = DEFAULT_SEED) -> list[
     return results
 
 
-def _battery_pipeline_r(omega, big_omega, j, times) -> np.ndarray:
+def _battery_r_gaps(omega, big_omega, j, times, branches) -> np.ndarray:
+    """Distance from the pipeline's r of the empty battery to the nearest
+    in-range recorded branch value per sample; NaN where either is missing."""
     h_b, _, _, h_t = battery_hamiltonians(omega, big_omega, j)
-    psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
-    u_of_t = propagator_family(h_t)
-    out = np.full(len(times), np.nan)
+    pipeline = sample_heisenberg(h_t, h_b, general_product_state(0.0, 0.0, 0.0, 0.0), times).r
+    gaps = np.full(len(times), np.nan)
     for k, t in enumerate(times):
-        u = u_of_t(t)
-        o_t = u.conj().T @ h_b @ u
-        try:
-            out[k] = correction_r(o_t, h_t, psi0).r
-        except DegenerateObservableError:
-            pass
-    return out
+        values = [v for v in branches(t) if ref.in_range(v)]
+        if values and not np.isnan(pipeline[k]):
+            gaps[k] = min(abs(pipeline[k] - v) for v in values)
+    return gaps
 
 
 def _fixture_checks(n_steps: Optional[int]) -> list[CheckResult]:
@@ -535,17 +519,9 @@ def _fixture_checks(n_steps: Optional[int]) -> list[CheckResult]:
     results = []
     times = np.linspace(0.03, 1.9, 61)
 
-    pipeline = _battery_pipeline_r(2.0, 1.0, 1.0, times)
-    devs, used = [], 0
-    for t, r_pipe in zip(times, pipeline):
-        if np.isnan(r_pipe):
-            continue
-        candidates = [v for v in ref.r_battery_coupled_branches(t) if ref.in_range(v)]
-        if not candidates:
-            continue
-        devs.append(min(abs(r_pipe - v) for v in candidates))
-        used += 1
-    worst = max(devs) if devs else math.inf
+    gaps = _battery_r_gaps(2.0, 1.0, 1.0, times, ref.r_battery_coupled_branches)
+    used = int(np.sum(~np.isnan(gaps)))
+    worst = float(np.nanmax(gaps)) if used else math.inf
     results.append(
         CheckResult(
             "fixtures/battery-coupled-r",
@@ -554,17 +530,10 @@ def _fixture_checks(n_steps: Optional[int]) -> list[CheckResult]:
         )
     )
 
-    pipeline = _battery_pipeline_r(2.0, 4.0, 1.0, times)
-    pipeline_22 = _battery_pipeline_r(2.0, 2.0, 1.0, times)
-    dev_recorded, dev_22 = 0.0, 0.0
-    for t, r4, r2 in zip(times, pipeline, pipeline_22):
-        candidates = [v for v in ref.r_battery_decoupled_printed(t) if ref.in_range(v)]
-        if not candidates:
-            continue
-        if not np.isnan(r4):
-            dev_recorded = max(dev_recorded, min(abs(r4 - v) for v in candidates))
-        if not np.isnan(r2):
-            dev_22 = max(dev_22, min(abs(r2 - v) for v in candidates))
+    recorded = ref.r_battery_decoupled_printed
+    gaps, gaps_22 = (_battery_r_gaps(2.0, w, 1.0, times, recorded) for w in (4.0, 2.0))
+    dev_recorded = float(np.nanmax(gaps, initial=0.0))
+    dev_22 = float(np.nanmax(gaps_22, initial=0.0))
     if dev_recorded > 1e-6 and dev_22 <= 1e-6:
         results.append(
             CheckResult(
@@ -582,16 +551,11 @@ def _fixture_checks(n_steps: Optional[int]) -> list[CheckResult]:
             )
         )
 
-    pipeline = _battery_pipeline_r(2.0, 1.0, 0.0, times)
-    devs, used = [], 0
-    for t, r_pipe in zip(times, pipeline):
-        if np.isnan(r_pipe):
-            continue
-        v = ref.r_battery_parallel_printed(t)
-        if not math.isnan(v) and ref.in_range(v):
-            devs.append(abs(r_pipe - v))
-            used += 1
-    worst = max(devs) if devs else math.inf
+    gaps = _battery_r_gaps(
+        2.0, 1.0, 0.0, times, lambda t: (ref.r_battery_parallel_printed(t),)
+    )
+    used = int(np.sum(~np.isnan(gaps)))
+    worst = float(np.nanmax(gaps)) if used else math.inf
     results.append(
         CheckResult(
             "fixtures/battery-parallel-r",

@@ -6,7 +6,6 @@ from conftest import random_hermitian, random_state
 
 from qslbound.bounds import (
     BoundCurve,
-    CorrectionSample,
     correction_r,
     entanglement_rate_bound,
     lambda_form_bound,
@@ -148,10 +147,10 @@ class TestQslIntegral:
             u = u_of_t(t)
             o_t = u.conj().T @ SIGMA_X @ u
             try:
-                corrections.append(correction_r(o_t, SIGMA_Z, PLUS))
+                corrections.append(correction_r(o_t, SIGMA_Z, PLUS).r)
             except DegenerateObservableError:
-                corrections.append(None)
-        return traj, corrections
+                corrections.append(np.nan)
+        return traj, np.array(corrections)
 
     def test_single_qubit_saturates(self):
         traj, corrections = self.single_qubit_inputs()
@@ -182,10 +181,10 @@ class TestQslIntegral:
             u = u_of_t(t)
             o_t = u.conj().T @ obs @ u
             try:
-                corrections.append(correction_r(o_t, h, psi))
+                corrections.append(correction_r(o_t, h, psi).r)
             except DegenerateObservableError:
-                corrections.append(None)
-        curve = qsl_integral(traj, corrections, moments(h, psi).std_dev)
+                corrections.append(np.nan)
+        curve = qsl_integral(traj, np.array(corrections), moments(h, psi).std_dev)
         tol = max(1e-6, 2.0 * curve.quad_error)
         assert np.all(curve.t_sqslo <= grid.points + tol)
         assert np.all(curve.t_sqslo >= curve.t_qslo - 1e-9)
@@ -213,7 +212,7 @@ class TestQslIntegral:
 
 class TestLambdaFormBound:
     def fixed_r_corrections(self, n, r):
-        return [CorrectionSample(r, 1.0 - r, "plus", False) for _ in range(n)]
+        return np.full(n, r)
 
     def test_zero_r_matches_uncorrected(self):
         grid = TimeGrid(np.pi / 4.0, 300)
@@ -254,12 +253,12 @@ class TestLambdaFormBound:
         for t in grid.points:
             u = u_of_t(t)
             try:
-                corrections.append(correction_r(u.conj().T @ k0 @ u, h, psi0))
+                corrections.append(correction_r(u.conj().T @ k0 @ u, h, psi0).r)
             except DegenerateObservableError:
-                corrections.append(None)
+                corrections.append(np.nan)
         delta_h = moments(h, psi0).std_dev
         plain = qsl_integral(traj, None, delta_h).t_qslo[-1]
-        averaged = lambda_form_bound(traj, corrections, delta_h)
+        averaged = lambda_form_bound(traj, np.array(corrections), delta_h)
         assert plain - 1e-9 <= averaged <= t_max + 1e-6
 
 

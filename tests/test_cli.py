@@ -82,6 +82,30 @@ class TestMainExitCodes:
         assert out.exists()
         assert str(out) in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ("entanglement --t-max inf", "finite"),
+            ("entanglement --t-max nan", "finite"),
+            ("modular --theta inf", "finite"),
+            ("battery --Omega nan", "finite"),
+            ("battery --Omega 0", "eigenstate"),
+        ],
+    )
+    def test_bad_value_exits_1_at_parse_time(self, argv, reason, tmp_path, capsys):
+        assert run_cli(argv.split() + ["--out", str(tmp_path / "curve.csv")]) == 1
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("steps", [20.9, True])
+    def test_non_integer_config_steps_exit_1(self, steps, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"steps": steps}))
+        out = tmp_path / "curve.csv"
+        assert run_cli(["modular", "--config", str(path), "--out", str(out)]) == 1
+        assert "integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path_exits_2(self, tmp_path):
         target = tmp_path / "no-such-dir" / "curve.csv"
         code = run_cli(
@@ -173,3 +197,23 @@ class TestVerifyCommand:
         assert any(
             name.startswith(("speed-limits", "scenarios", "dynamics")) for name in failed
         )
+
+    def test_determinism_check_catches_a_drifting_runner(self, monkeypatch):
+        import dataclasses
+        import itertools
+
+        import qslbound.presets as presets
+        from qslbound.verify import run_verify
+
+        real = presets.run_scenario
+        calls = itertools.count()
+
+        def drifting(kind, scenario):
+            curve = real(kind, scenario)
+            return dataclasses.replace(
+                curve, mean_values=curve.mean_values + 1e-12 * next(calls)
+            )
+
+        monkeypatch.setattr(presets, "run_scenario", drifting)
+        statuses = {r.name: r.status for r in run_verify(n_steps=64)}
+        assert statuses["cli/determinism"] == "fail"

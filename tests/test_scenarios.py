@@ -313,9 +313,8 @@ class TestScenarioValidation:
 
     def test_battery_eigenstate_rejected(self):
         # With no drive the empty state is stationary under H_T.
-        scn = BatteryScenario(omega=2.0, big_omega=0.0, j=0.0, grid=small_grid(2.0))
         with pytest.raises(ValueError, match="eigenstate"):
-            run_battery_scenario(scn)
+            BatteryScenario(omega=2.0, big_omega=0.0, j=0.0, grid=small_grid(2.0))
 
 
 class TestRunEntanglement:
