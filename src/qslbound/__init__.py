@@ -3,151 +3,30 @@
 Dense linear algebra for small Hilbert spaces, entropy-like measures,
 unitary dynamics, the bounds engine, and three two-qubit case studies
 (entanglement generation, modular energy, quantum-battery charging) with
-closed-form oracles and a CLI front end.
+closed-form oracles and a CLI front end.  The package namespace carries the
+case-study surface; the building blocks live in their modules.
 """
 
-from .bounds import (
-    BoundCurve,
-    CorrectionSample,
-    UncertaintyCheck,
-    correction_r,
-    entanglement_rate_bound,
-    lambda_form_bound,
-    norm_rate_comparison,
-    optimal_perpendicular_state,
-    projector_speed_limit,
-    qsl_integral,
-    ratio_form_curve,
-    uncertainty_check,
-)
-from .dynamics import (
-    OperatorTrajectory,
-    TimeGrid,
-    evolve_state,
-    expectation_derivative,
-    heisenberg_evolve,
-    propagator,
-    propagator_family,
-    track_observable,
-)
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    EigenSystem,
-    commutator,
-    hermitian_eig,
-    matrix_function,
-    partial_trace,
-    require_hermitian,
-    spectral_norm,
-    tensor_product,
-)
-from .measures import (
-    EntanglementReport,
-    capacity_of_entanglement,
-    entanglement_entropy,
-    entanglement_report,
-    ergotropy_max,
-    modular_hamiltonian,
-    relative_surprisal_variance,
-)
+from .bounds import BoundCurve
+from .dynamics import TimeGrid
 from .scenarios import (
     BatteryScenario,
-    ClosedFormReport,
     EntanglementScenario,
-    battery_hamiltonians,
-    canonical_hamiltonian,
-    ce_see_closed_form,
-    delta_h_entanglement,
-    ergotropy_closed_form,
-    ergotropy_trajectory,
-    evolved_amplitudes,
-    general_product_state,
-    initial_schmidt_state,
-    modular_closed_form,
     run_battery_scenario,
     run_entanglement_scenario,
     run_modular_scenario,
 )
-from .states import (
-    DegenerateObservableError,
-    ObservableMoments,
-    density_from_pure,
-    moments,
-    overlap_up_to_phase,
-    perpendicular_state,
-    reduced_state,
-    require_density,
-    require_state,
-)
+from .states import DegenerateObservableError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BatteryScenario",
     "BoundCurve",
-    "ClosedFormReport",
-    "CorrectionSample",
     "DegenerateObservableError",
-    "EigenSystem",
-    "EntanglementReport",
     "EntanglementScenario",
-    "IDENTITY_2",
-    "ObservableMoments",
-    "OperatorTrajectory",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "TimeGrid",
-    "UncertaintyCheck",
-    "battery_hamiltonians",
-    "canonical_hamiltonian",
-    "capacity_of_entanglement",
-    "ce_see_closed_form",
-    "commutator",
-    "correction_r",
-    "delta_h_entanglement",
-    "density_from_pure",
-    "entanglement_entropy",
-    "entanglement_rate_bound",
-    "entanglement_report",
-    "ergotropy_closed_form",
-    "ergotropy_max",
-    "ergotropy_trajectory",
-    "evolve_state",
-    "evolved_amplitudes",
-    "expectation_derivative",
-    "general_product_state",
-    "heisenberg_evolve",
-    "hermitian_eig",
-    "initial_schmidt_state",
-    "lambda_form_bound",
-    "matrix_function",
-    "modular_closed_form",
-    "modular_hamiltonian",
-    "moments",
-    "norm_rate_comparison",
-    "optimal_perpendicular_state",
-    "overlap_up_to_phase",
-    "partial_trace",
-    "perpendicular_state",
-    "projector_speed_limit",
-    "propagator",
-    "propagator_family",
-    "qsl_integral",
-    "ratio_form_curve",
-    "reduced_state",
-    "relative_surprisal_variance",
-    "require_density",
-    "require_hermitian",
-    "require_state",
     "run_battery_scenario",
     "run_entanglement_scenario",
     "run_modular_scenario",
-    "spectral_norm",
-    "tensor_product",
-    "track_observable",
-    "uncertainty_check",
 ]

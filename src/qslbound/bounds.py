@@ -191,27 +191,26 @@ def _row_moments(psi, a_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``correction_r`` (perp="observable") for rows of psi, A psi and B psi.
 
-    Returns the mean and spread of A and r per row, selected by the branch
-    rule of ``correction_r``; r is NaN where that raises
+    Returns the mean and spread of A and r per row, from the same branch as
+    ``correction_r``; r is NaN where that raises
     DegenerateObservableError.  Rows come from the sampler, unvalidated.
     """
     mean_a, dev_a, var_a = _row_moments(psi, a_psi)
     _, _, var_b = _row_moments(psi, b_psi)
     std_a, std_b = np.sqrt(var_a), np.sqrt(var_b)
-    rhs = np.abs(np.sum(a_psi.conj() * b_psi, axis=1).imag)
     # <psi_perp| A/dA -+ i B/dB |psi> with psi_perp = (A - <A>) psi / dA.
     with np.errstate(divide="ignore", invalid="ignore"):
         along = np.sum(dev_a.conj() * a_psi, axis=1) / var_a
         across = 1j * np.sum(dev_a.conj() * b_psi, axis=1) / (std_a * std_b)
     r_minus, r_plus = 0.5 * np.abs(along - across) ** 2, 0.5 * np.abs(along + across) ** 2
 
-    def rank(r):  # correction_r's sort key: out of range, then unsaturated
-        in_range = (r >= -R_RANGE_ATOL) & (r <= 1.0 + R_RANGE_ATOL)
-        saturated = np.abs(std_a * std_b * (1.0 - r) - rhs) <= SATURATION_ATOL
-        return 2 * ~in_range + ~saturated
-
-    rank_minus, rank_plus = rank(r_minus), rank(r_plus)
-    plus = (rank_plus < rank_minus) | ((rank_plus == rank_minus) & (r_plus < r_minus))
+    # The in-range branch, else the smaller r.  correction_r ranks saturated
+    # branches next, but with this psi_perp a saturated branch always has
+    # the smaller r, so that rank never decides.
+    in_minus, in_plus = (
+        (r >= -R_RANGE_ATOL) & (r <= 1.0 + R_RANGE_ATOL) for r in (r_minus, r_plus)
+    )
+    plus = np.where(in_plus == in_minus, r_plus < r_minus, in_plus)
     r = np.where(plus, r_plus, r_minus)
     r[(var_a <= VARIANCE_FLOOR) | (var_b <= VARIANCE_FLOOR)] = np.nan
     overshoot = np.maximum(-r, r - 1.0)
@@ -239,24 +238,6 @@ def uncertainty_check(a, b, psi, perp: str = "observable") -> UncertaintyCheck:
         holds=bool(lhs >= rhs - 1e-9),
         saturated=sample.saturated,
     )
-
-
-def optimal_perpendicular_state(a, b, psi, sign_branch: str = "minus") -> np.ndarray:
-    """Projection of (A/dA -+ i B/dB)|psi> orthogonal to |psi>, normalized."""
-    ma = moments(a, psi)
-    mb = moments(b, psi)
-    if ma.variance <= VARIANCE_FLOOR or mb.variance <= VARIANCE_FLOOR:
-        raise DegenerateObservableError("degenerate variance in optimal psi_perp")
-    sign = {"minus": -1.0, "plus": 1.0}[sign_branch]
-    v = require_state(psi)
-    vec = (a @ v) / ma.std_dev + 1j * sign * (b @ v) / mb.std_dev
-    vec = vec - np.vdot(v, vec) * v
-    norm = np.linalg.norm(vec)
-    if norm * norm <= VARIANCE_FLOOR:
-        raise DegenerateObservableError(
-            f"projected pair vector vanishes on branch {sign_branch!r}"
-        )
-    return vec / norm
 
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:
@@ -410,40 +391,6 @@ def ratio_form_curve(
         r_bar=_running_average(r_filled, grid),
         warnings=warnings,
         quad_error=quad_error,
-    )
-
-
-def lambda_form_bound(traj: OperatorTrajectory, r: np.ndarray, delta_h: float) -> float:
-    """Alternative full-window bound Lambda(T) * (1/2 dH) int |d<O>|/dO.
-
-    Lambda(T) = 1 / (1 - r_bar) with r_bar the time average of r over the
-    window; a window-averaged rather than pointwise correction.  Returns inf
-    when r_bar reaches 1.
-    """
-    base_curve = qsl_integral(traj, None, delta_h)
-    r_raw = _r_samples(r, traj.grid.points.size)
-    if np.all(np.isnan(r_raw)):
-        raise ValueError("all correction samples are degenerate")
-    r_filled = _fill_nearest(r_raw)
-    r_bar = float(
-        cumulative_simpson(r_filled, traj.grid.dx)[-1] / traj.grid.points[-1]
-    )
-    if r_bar >= 1.0 - 1e-12:
-        return math.inf
-    return float(base_curve.t_qslo[-1] / (1.0 - r_bar))
-
-
-def projector_speed_limit(p0: float, p_t: float, delta_h: float, lam: float) -> float:
-    """(Lambda / dH) |arcsin(sqrt p(T)) - arcsin(sqrt p(0))|, hbar = 1."""
-    for name, val in (("p0", p0), ("p_t", p_t)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
-    if not delta_h > 0.0:
-        raise ValueError(f"delta_h must be positive, got {delta_h!r}")
-    if not lam >= 1.0:
-        raise ValueError(f"lambda factor must be >= 1, got {lam!r}")
-    return float(
-        lam / delta_h * abs(math.asin(math.sqrt(p_t)) - math.asin(math.sqrt(p0)))
     )
 
 

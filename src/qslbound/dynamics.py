@@ -25,11 +25,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import correction_rows
-from .linalg import as_complex_matrix, commutator, hermitian_eig, require_hermitian
+from .linalg import commutator, hermitian_eig, require_hermitian
 from .measures import _clamped_log
 from .states import require_state
-
-UNITARITY_ATOL = 1e-10
 
 # Default sampling density for bound integrals.
 STEPS_PER_UNIT_TIME = 2000
@@ -66,6 +64,8 @@ class TimeGrid:
         cls, t_max: float, steps_per_unit: int = STEPS_PER_UNIT_TIME
     ) -> "TimeGrid":
         """Grid with ~steps_per_unit intervals per unit time, even count."""
+        if not (t_max > 0.0 and math.isfinite(t_max)):
+            raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
         n = max(MIN_GRID_STEPS, math.ceil(t_max * steps_per_unit))
         return cls(t_max, n + n % 2)
 
@@ -107,39 +107,6 @@ def propagator_family(h) -> Callable[[float], np.ndarray]:
         return (vecs * np.exp(-1j * vals * t)) @ vecs_h
 
     return u_of_t
-
-
-def propagator(h, t: float) -> np.ndarray:
-    """Unitary exp(-iHt)."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    return propagator_family(h)(t)
-
-
-def _require_unitary(u) -> np.ndarray:
-    a = as_complex_matrix(u)
-    defect = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
-    if defect > UNITARITY_ATOL:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    return a
-
-
-def evolve_state(u, psi) -> np.ndarray:
-    """Schroedinger step |psi> -> U|psi> (norm preserved)."""
-    a = _require_unitary(u)
-    v = require_state(psi)
-    if a.shape[0] != v.size:
-        raise ValueError("dimension mismatch between propagator and state")
-    return a @ v
-
-
-def heisenberg_evolve(u, obs) -> np.ndarray:
-    """Heisenberg step O -> U^dag O U (spectrum preserved)."""
-    a = _require_unitary(u)
-    o = require_hermitian(obs)
-    if a.shape != o.shape:
-        raise ValueError("dimension mismatch between propagator and observable")
-    return a.conj().T @ o @ a
 
 
 def expectation_derivative(h, obs_t, psi) -> float:

@@ -1,29 +1,21 @@
 """Entropy-like functionals of density operators.
 
 Entanglement entropy, modular Hamiltonian (-log rho), capacity of
-entanglement (its variance), relative-surprisal variance, and ergotropy.
+entanglement (its variance), and ergotropy.
 All entropic quantities are in nats.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     ENTROPY_WEIGHT_CUTOFF,
     LOG_EIG_FLOOR,
-    hermitian_eig,
     matrix_function,
     require_hermitian,
 )
 from .states import require_density
-
-# A directions of sigma with weight below this is treated as outside its
-# support when checking supp(rho) subseteq supp(sigma).
-SUPPORT_EIG_FLOOR = 1e-12
-SUPPORT_WEIGHT_ATOL = 1e-10
 
 
 def _clamped_log(vals: np.ndarray) -> np.ndarray:
@@ -58,51 +50,6 @@ def capacity_of_entanglement(rho) -> float:
     s = float(np.where(keep, -lam * logs, 0.0).sum())
     second = float(np.where(keep, lam * logs * logs, 0.0).sum())
     return max(second - s * s, 0.0)
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Entropy (nats), capacity (nats^2) and modular spectrum of one state."""
-
-    entropy: float
-    capacity: float
-    modular_spectrum: np.ndarray
-
-
-def entanglement_report(rho) -> EntanglementReport:
-    lam = _spectrum(rho)
-    return EntanglementReport(
-        entropy=entanglement_entropy(rho),
-        capacity=capacity_of_entanglement(rho),
-        modular_spectrum=-_clamped_log(lam),
-    )
-
-
-def relative_surprisal_variance(rho, sigma) -> float:
-    """Variance of log(rho) - log(sigma) in rho, minus nothing extra.
-
-    V(rho||sigma) = tr(rho (log rho - log sigma)^2) - D(rho||sigma)^2.
-    Requires supp(rho) within supp(sigma); for sigma = I/d this reduces to
-    the capacity of entanglement of rho.
-    """
-    r = require_density(rho)
-    s = require_density(sigma)
-    if r.shape != s.shape:
-        raise ValueError("density operators must share one Hilbert space")
-    svals, svecs = hermitian_eig(s)
-    null = svals < SUPPORT_EIG_FLOOR
-    if np.any(null):
-        weight = float(
-            np.einsum("ij,jk,ki->", svecs[:, null].conj().T, r, svecs[:, null]).real
-        )
-        if weight > SUPPORT_WEIGHT_ATOL:
-            raise ValueError(
-                f"support violation: rho carries weight {weight:.3e} outside sigma"
-            )
-    delta = matrix_function(r, _clamped_log) - matrix_function(s, _clamped_log)
-    d_mean = np.trace(r @ delta).real
-    second = np.trace(r @ delta @ delta).real
-    return max(float(second - d_mean * d_mean), 0.0)
 
 
 def ergotropy_max(rho, h) -> float:

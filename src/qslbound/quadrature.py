@@ -36,11 +36,6 @@ def cumulative_simpson(values, dx: float) -> np.ndarray:
     return out
 
 
-def simpson(values, dx: float) -> float:
-    """Composite-Simpson integral over the full sampled window."""
-    return float(cumulative_simpson(values, dx)[-1])
-
-
 # Divisor for turning the grid-halving gap |I_h - I_2h| into an error
 # estimate.  A smooth integrand would justify 15 (fourth order); isolated
 # |.|-kinks and neighbor-filled samples degrade the rule to second order

@@ -41,6 +41,12 @@ DEGENERATE_P_ATOL = 1e-9
 BATTERY_MODES = ("parallel", "collective", "coupled", "decoupled")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EntanglementScenario:
     """Two-qubit run: Schmidt weight p, coupling theta, optional mu3 term."""
@@ -51,6 +57,7 @@ class EntanglementScenario:
     grid: TimeGrid = field(default_factory=lambda: TimeGrid.with_resolution(1.0))
 
     def __post_init__(self):
+        _require_finite(p=self.p, theta=self.theta, mu3=self.mu3)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         for bad in (0.0, 0.5, 1.0):
@@ -81,6 +88,7 @@ class BatteryScenario:
     grid: TimeGrid = field(default_factory=lambda: TimeGrid.with_resolution(2.0))
 
     def __post_init__(self):
+        _require_finite(omega=self.omega, Omega=self.big_omega, J=self.j)
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if self.big_omega < 0.0:
@@ -118,20 +126,17 @@ class ClosedFormReport:
         return float(np.max(self.abs_errors))
 
 
-def canonical_hamiltonian(mu1: float, mu2: float, mu3: float, sign: str = "plus") -> np.ndarray:
-    """mu1 XX [+-] mu2 YY + mu3 ZZ, the canonical two-qubit interaction."""
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+def canonical_hamiltonian(mu1: float, mu2: float, mu3: float) -> np.ndarray:
+    """mu1 XX + mu2 YY + mu3 ZZ, the canonical two-qubit interaction."""
     if not (mu1 >= mu2 >= mu3 >= 0.0):
         _warnings.warn(
             f"couplings ({mu1}, {mu2}, {mu3}) violate the singular-value "
             "ordering mu1 >= mu2 >= mu3 >= 0 of the canonical form",
             stacklevel=2,
         )
-    s = 1.0 if sign == "plus" else -1.0
     return (
         mu1 * tensor_product(SIGMA_X, SIGMA_X)
-        + s * mu2 * tensor_product(SIGMA_Y, SIGMA_Y)
+        + mu2 * tensor_product(SIGMA_Y, SIGMA_Y)
         + mu3 * tensor_product(SIGMA_Z, SIGMA_Z)
     )
 
@@ -144,6 +149,18 @@ def initial_schmidt_state(p: float) -> np.ndarray:
     v[0] = math.sqrt(p)
     v[3] = math.sqrt(1.0 - p)
     return v
+
+
+def entanglement_setup(
+    p: float, theta: float, mu3: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi0, H, K0) of the two-qubit runs: the Schmidt state, the canonical
+    Hamiltonian with couplings (theta + |mu3|, |mu3|, mu3), and the composite
+    modular Hamiltonian -log rho_A(0) (x) I_B."""
+    psi0 = initial_schmidt_state(p)
+    h = canonical_hamiltonian(theta + abs(mu3), abs(mu3), mu3)
+    k0 = tensor_product(modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2)
+    return psi0, h, k0
 
 
 def evolved_amplitudes(p: float, theta: float, mu3: float, t: float) -> tuple[complex, complex]:
@@ -258,8 +275,7 @@ def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     rebuilt, so the tracked mean is the entanglement entropy and the spread
     the square root of the capacity.
     """
-    psi0 = initial_schmidt_state(scn.p)
-    h = canonical_hamiltonian(scn.theta + abs(scn.mu3), abs(scn.mu3), scn.mu3)
+    psi0, h, _ = entanglement_setup(scn.p, scn.theta, scn.mu3)
     samples = sample_entanglement(h, psi0, (2, 2), scn.grid.points)
     return ratio_form_curve(
         scn.grid, samples.means, samples.std_devs, samples.r, moments(h, psi0).std_dev
@@ -272,12 +288,9 @@ def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
     The composite modular Hamiltonian is fixed at t = 0 and conjugated by
     the propagator, in contrast with the Schroedinger-picture run above.
     """
-    psi0 = initial_schmidt_state(scn.p)
-    h = canonical_hamiltonian(scn.theta + abs(scn.mu3), abs(scn.mu3), scn.mu3)
-    delta_h = moments(h, psi0).std_dev
-    k0 = tensor_product(modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2)
+    psi0, h, k0 = entanglement_setup(scn.p, scn.theta, scn.mu3)
     traj = track_observable(h, k0, psi0, scn.grid)
-    return qsl_integral(traj, traj.r, delta_h)
+    return qsl_integral(traj, traj.r, moments(h, psi0).std_dev)
 
 
 def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
@@ -293,9 +306,8 @@ def entanglement_closed_form_reports(
     p: float, theta: float, grid: TimeGrid
 ) -> tuple[ClosedFormReport, ClosedFormReport]:
     """Capacity and entropy closed forms against the numeric pipeline."""
-    samples = sample_entanglement(
-        canonical_hamiltonian(theta, 0.0, 0.0), initial_schmidt_state(p), (2, 2), grid.points
-    )
+    psi0, h, _ = entanglement_setup(p, theta, 0.0)
+    samples = sample_entanglement(h, psi0, (2, 2), grid.points)
     analytic = np.array([ce_see_closed_form(p, theta, t) for t in grid.points])
     return (
         ClosedFormReport(
@@ -309,9 +321,7 @@ def modular_closed_form_reports(
     p: float, theta: float, grid: TimeGrid
 ) -> tuple[ClosedFormReport, ClosedFormReport]:
     """Modular variance and energy closed forms against the pipeline."""
-    psi0 = initial_schmidt_state(p)
-    h = canonical_hamiltonian(theta, 0.0, 0.0)
-    k0 = tensor_product(modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2)
+    psi0, h, k0 = entanglement_setup(p, theta, 0.0)
     traj = track_observable(h, k0, psi0, grid)
     analytic = np.array([modular_closed_form(p, theta, t) for t in grid.points])
     return (

@@ -92,7 +92,3 @@ def perpendicular_state(obs, psi) -> np.ndarray:
     o = as_complex_matrix(obs)
     return (o @ v - m.mean * v) / m.std_dev
 
-
-def overlap_up_to_phase(a, b) -> float:
-    """|<a|b>| for two states; equals 1 iff they agree up to a global phase."""
-    return float(abs(np.vdot(require_state(a), require_state(b))))

@@ -8,10 +8,7 @@ from qslbound.bounds import (
     BoundCurve,
     correction_r,
     entanglement_rate_bound,
-    lambda_form_bound,
     norm_rate_comparison,
-    optimal_perpendicular_state,
-    projector_speed_limit,
     qsl_integral,
     uncertainty_check,
 )
@@ -80,58 +77,11 @@ class TestCorrectionR:
 
 
 class TestUncertaintyCheck:
-    def test_holds_randomized(self):
-        rng = np.random.default_rng(37)
-        checked = 0
-        while checked < 300:
-            d = int(rng.choice([2, 4, 8]))
-            a = random_hermitian(rng, d)
-            b = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            try:
-                chk = uncertainty_check(a, b, psi)
-            except DegenerateObservableError:
-                continue
-            assert chk.holds
-            checked += 1
-
-    def test_optimal_branch_saturates_randomized(self):
-        rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 300:
-            d = int(rng.choice([2, 4, 8]))
-            a = random_hermitian(rng, d)
-            b = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            try:
-                chk = uncertainty_check(a, b, psi, perp="optimal")
-            except DegenerateObservableError:
-                continue
-            assert abs(chk.lhs - chk.rhs) <= 1e-8
-            assert chk.saturated
-            checked += 1
-
     def test_identical_observables(self):
         chk = uncertainty_check(SIGMA_Z, SIGMA_Z, PLUS)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
         assert chk.rhs == pytest.approx(0.0, abs=1e-12)
         assert chk.holds
-
-
-class TestOptimalPerpendicularState:
-    def test_orthogonal_and_normalized(self):
-        rng = np.random.default_rng(43)
-        for _ in range(100):
-            d = int(rng.choice([2, 4]))
-            a = random_hermitian(rng, d)
-            b = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            try:
-                perp = optimal_perpendicular_state(a, b, psi, "plus")
-            except DegenerateObservableError:
-                continue
-            assert abs(np.vdot(perp, psi)) <= 1e-10
-            assert np.linalg.norm(perp) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestQslIntegral:
@@ -208,77 +158,6 @@ class TestQslIntegral:
                 warnings=(),
                 quad_error=0.0,
             )
-
-
-class TestLambdaFormBound:
-    def fixed_r_corrections(self, n, r):
-        return np.full(n, r)
-
-    def test_zero_r_matches_uncorrected(self):
-        grid = TimeGrid(np.pi / 4.0, 300)
-        traj = track_observable(SIGMA_Z, SIGMA_X, PLUS, grid)
-        base = qsl_integral(traj, None, 1.0)
-        val = lambda_form_bound(traj, self.fixed_r_corrections(grid.points.size, 0.0), 1.0)
-        assert val == pytest.approx(base.t_qslo[-1], rel=1e-12)
-
-    def test_constant_half_doubles(self):
-        grid = TimeGrid(np.pi / 4.0, 300)
-        traj = track_observable(SIGMA_Z, SIGMA_X, PLUS, grid)
-        base = qsl_integral(traj, None, 1.0)
-        val = lambda_form_bound(traj, self.fixed_r_corrections(grid.points.size, 0.5), 1.0)
-        assert val == pytest.approx(2.0 * base.t_qslo[-1], rel=1e-12)
-
-    def test_singular_average_reports_infinity(self):
-        grid = TimeGrid(np.pi / 4.0, 300)
-        traj = track_observable(SIGMA_Z, SIGMA_X, PLUS, grid)
-        val = lambda_form_bound(traj, self.fixed_r_corrections(grid.points.size, 1.0), 1.0)
-        assert math.isinf(val)
-
-    def test_modular_window_lands_between_plain_bound_and_t(self):
-        from qslbound.linalg import IDENTITY_2
-        from qslbound.measures import modular_hamiltonian
-        from qslbound.scenarios import initial_schmidt_state
-        from qslbound.states import reduced_state
-
-        p, theta, t_max = 0.1, 1.0, 0.5
-        psi0 = initial_schmidt_state(p)
-        h = theta * tensor_product(SIGMA_X, SIGMA_X)
-        k0 = tensor_product(
-            modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2
-        )
-        grid = TimeGrid(t_max, 500)
-        traj = track_observable(h, k0, psi0, grid)
-        u_of_t = propagator_family(h)
-        corrections = []
-        for t in grid.points:
-            u = u_of_t(t)
-            try:
-                corrections.append(correction_r(u.conj().T @ k0 @ u, h, psi0).r)
-            except DegenerateObservableError:
-                corrections.append(np.nan)
-        delta_h = moments(h, psi0).std_dev
-        plain = qsl_integral(traj, None, delta_h).t_qslo[-1]
-        averaged = lambda_form_bound(traj, np.array(corrections), delta_h)
-        assert plain - 1e-9 <= averaged <= t_max + 1e-6
-
-
-class TestProjectorSpeedLimit:
-    def test_full_decay(self):
-        assert projector_speed_limit(1.0, 0.0, 1.0, 1.0) == pytest.approx(np.pi / 2.0)
-
-    def test_no_change(self):
-        assert projector_speed_limit(0.3, 0.3, 2.0, 1.5) == pytest.approx(0.0)
-
-    def test_half_decay(self):
-        assert projector_speed_limit(1.0, 0.5, 1.0, 1.0) == pytest.approx(np.pi / 4.0)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            projector_speed_limit(1.2, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            projector_speed_limit(1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            projector_speed_limit(1.0, 0.0, 1.0, 0.5)
 
 
 class TestEntanglementRateBound:

@@ -5,6 +5,7 @@ import pytest
 from qslbound.cli import UsageError, main, parse_config
 from qslbound.dynamics import TimeGrid
 from qslbound.emit import render_csv, render_svg
+from qslbound.presets import PRESETS
 from qslbound.scenarios import EntanglementScenario, run_entanglement_scenario
 
 
@@ -154,6 +155,19 @@ class TestEmission:
         assert run_cli(args + ["--out", str(out1)]) == 0
         assert run_cli(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_every_preset_is_byte_identical_across_runs(self, tmp_path):
+        for attempt in ("one", "two"):
+            (tmp_path / attempt).mkdir()
+            for name, preset in PRESETS.items():
+                out = tmp_path / attempt / f"{name}.csv"
+                assert run_cli([preset.kind, "--preset", name, "--out", str(out)]) == 0
+        one, two = (
+            {f.name: f.read_bytes() for f in (tmp_path / attempt).iterdir()}
+            for attempt in ("one", "two")
+        )
+        assert len(one) == 12
+        assert one == two
 
     def test_svg_written_when_requested(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -104,8 +104,6 @@ class TestEvolvedAmplitudes:
             assert abs(alpha) ** 2 + abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_propagator(self):
-        from qslbound.dynamics import evolve_state
-
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = rng.uniform(0.05, 0.95)
@@ -113,7 +111,7 @@ class TestEvolvedAmplitudes:
             mu3 = rng.uniform(0.0, 1.0)
             t = rng.uniform(0.0, 3.0)
             h = canonical_hamiltonian(theta + mu3, mu3, mu3)
-            psi_t = evolve_state(propagator_family(h)(t), initial_schmidt_state(p))
+            psi_t = propagator_family(h)(t) @ initial_schmidt_state(p)
             alpha, beta = evolved_amplitudes(p, theta, mu3, t)
             assert abs(psi_t[0] - alpha) <= 1e-10
             assert abs(psi_t[3] - beta) <= 1e-10
@@ -310,6 +308,22 @@ class TestScenarioValidation:
             BatteryScenario(omega=-1.0, big_omega=1.0, j=0.0, grid=small_grid())
         with pytest.raises(ValueError):
             BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, mode="weird", grid=small_grid())
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["theta", "mu3"])
+    def test_non_finite_entanglement_parameter_rejected(self, name, value):
+        params = {"p": 0.1, "theta": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            EntanglementScenario(**params, grid=small_grid())
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field, name", [("omega", "omega"), ("big_omega", "Omega"), ("j", "J")]
+    )
+    def test_non_finite_battery_parameter_rejected(self, field, name, value):
+        params = {"omega": 2.0, "big_omega": 1.0, "j": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            BatteryScenario(**params, grid=small_grid(2.0))
 
     def test_battery_eigenstate_rejected(self):
         # With no drive the empty state is stationary under H_T.
