@@ -19,3 +19,9 @@ def random_density(rng, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_unitary(rng, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -77,6 +77,37 @@ class TestCorrectionR:
 
 
 class TestUncertaintyCheck:
+    def test_holds_randomized(self):
+        rng = np.random.default_rng(37)
+        checked = 0
+        while checked < 300:
+            d = int(rng.choice([2, 4, 8]))
+            a = random_hermitian(rng, d)
+            b = random_hermitian(rng, d)
+            psi = random_state(rng, d)
+            try:
+                chk = uncertainty_check(a, b, psi)
+            except DegenerateObservableError:
+                continue
+            assert chk.holds
+            checked += 1
+
+    def test_optimal_branch_saturates_randomized(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 300:
+            d = int(rng.choice([2, 4, 8]))
+            a = random_hermitian(rng, d)
+            b = random_hermitian(rng, d)
+            psi = random_state(rng, d)
+            try:
+                chk = uncertainty_check(a, b, psi, perp="optimal")
+            except DegenerateObservableError:
+                continue
+            assert abs(chk.lhs - chk.rhs) <= 1e-8
+            assert chk.saturated
+            checked += 1
+
     def test_identical_observables(self):
         chk = uncertainty_check(SIGMA_Z, SIGMA_Z, PLUS)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)

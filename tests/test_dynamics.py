@@ -8,7 +8,7 @@ from qslbound.dynamics import (
     propagator_family,
     track_observable,
 )
-from qslbound.linalg import SIGMA_X, SIGMA_Z, tensor_product
+from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
 from qslbound.scenarios import initial_schmidt_state
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -56,6 +56,13 @@ class TestPropagator:
         expected = np.array([np.cos(0.7), 0.0, 0.0, -1j * np.sin(0.7)])
         assert np.allclose(out, expected, atol=1e-12)
 
+    def test_unitarity_randomized(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            u_of_t = propagator_family(random_hermitian(rng, 4))
+            u = u_of_t(float(rng.uniform(-100.0, 100.0)))
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
+
 class TestExpectationDerivative:
     def test_conserved_observable(self):
         rng = np.random.default_rng(13)
@@ -93,3 +100,22 @@ class TestTrackObservable:
         assert np.allclose(traj.std_devs, np.abs(np.sin(2.0 * grid.points)), atol=1e-10)
         assert np.allclose(traj.derivatives, -2.0 * np.sin(2.0 * grid.points), atol=1e-12)
 
+    def test_finite_difference_consistency(self):
+        rng = np.random.default_rng(19)
+        h = random_hermitian(rng, 4)
+        obs = random_hermitian(rng, 4)
+        psi = random_state(rng, 4)
+        grid = TimeGrid(1.0, 400)
+        traj = track_observable(h, obs, psi, grid)
+        dx = grid.dx
+        fd = (traj.means[2:] - traj.means[:-2]) / (2.0 * dx)
+        scale = (2.0 * spectral_norm(h)) ** 3 * spectral_norm(obs)
+        assert np.max(np.abs(fd - traj.derivatives[1:-1])) <= 10.0 * dx * dx * scale
+
+    def test_energy_conservation(self):
+        rng = np.random.default_rng(23)
+        h = random_hermitian(rng, 4)
+        psi = random_state(rng, 4)
+        traj = track_observable(h, h, psi, TimeGrid(3.0, 60))
+        assert np.max(np.abs(traj.means - traj.means[0])) <= 1e-10
+        assert np.max(np.abs(traj.derivatives)) <= 1e-10
