@@ -23,17 +23,17 @@ Two perpendicular-state constructions are supported:
   for arbitrary pairs and states.
 
 Bound curves integrate |d<O>/dt| / (dO * eta) with eta = 1 - r by
-cumulative composite Simpson.  They take r as a float array, NaN where no
-correction is defined.  Samples where dO or eta degenerate sit on
-measure-zero sets of the case studies; they are excluded and replaced by
-the nearest healthy sample, and recorded as warnings.
+cumulative composite Simpson.  They take the sampler's ``Samples``, whose
+r is NaN where no correction is defined.  Samples where dO or eta
+degenerate sit on measure-zero sets of the case studies; they are excluded
+and replaced by the nearest healthy sample, and recorded as warnings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .states import (
 )
 
 if TYPE_CHECKING:  # dynamics imports this module at run time
-    from .dynamics import OperatorTrajectory, TimeGrid
+    from .dynamics import Samples, TimeGrid
 
 # eta at or below this is treated as a singular sample of the SQSLO integrand.
 ETA_FLOOR = 1e-9
@@ -251,11 +251,11 @@ def _fill_nearest(values: np.ndarray) -> np.ndarray:
     return values[source]
 
 
-def _r_samples(r, n: int) -> np.ndarray:
-    arr = np.asarray(r, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError("need one correction factor (or NaN) per grid point")
-    return arr
+def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
+    if not (delta_h > 0.0 and math.isfinite(delta_h)):
+        raise ValueError(f"delta_h must be positive, got {delta_h!r}")
+    if any(np.shape(column) != grid.points.shape for column in samples):
+        raise ValueError("need one sample per grid point")
 
 
 _REASONS = (None, "zero-variance sample", "degenerate correction", "correction saturates r=1")
@@ -273,26 +273,20 @@ def _running_average(r_filled: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return r_bar
 
 
-def qsl_integral(
-    traj: OperatorTrajectory,
-    r: Optional[np.ndarray],
-    delta_h: float,
-) -> BoundCurve:
+def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
     """Cumulative bound integrals (1/2 dH) int |d<O>/dt| / (dO [eta]) dt.
 
-    With ``r`` (one correction factor per sample, NaN where none is defined)
-    the strengthened bound divides by eta = 1 - r as well; with None t_sqslo
-    coincides with t_qslo.  Singular samples (vanishing spread, missing
+    ``samples`` holds the sampler's mean, spread, d<O>/dt and r of the
+    observable at every grid point; the strengthened bound divides by
+    eta = 1 - r as well.  Singular samples (vanishing spread, missing
     correction, eta at the floor) are replaced by the nearest healthy sample
     and reported in the curve's warnings.
     """
-    if not (delta_h > 0.0 and math.isfinite(delta_h)):
-        raise ValueError(f"delta_h must be positive, got {delta_h!r}")
-    grid = traj.grid
+    _require_inputs(grid, samples, delta_h)
     n = grid.points.size
-    stds = traj.std_devs
-    derivs = np.abs(traj.derivatives)
-    r_raw = np.zeros(n) if r is None else _r_samples(r, n)
+    stds = samples.std_devs
+    derivs = np.abs(samples.derivatives)
+    r_raw = samples.r
     eta = 1.0 - r_raw
     codes = np.select(
         [~(stds * stds > VARIANCE_FLOOR), np.isnan(r_raw), eta <= ETA_FLOOR], [1, 2, 3], 0
@@ -303,11 +297,11 @@ def qsl_integral(
     warnings = _warnings(grid, codes)
 
     if np.all(np.isnan(f_q)):
-        if np.max(derivs) <= 1e-12 * max(1.0, float(np.max(np.abs(traj.means)))):
+        if np.max(derivs) <= 1e-12 * max(1.0, float(np.max(np.abs(samples.means)))):
             # Observable never moves: the bound is identically zero.
             zeros = np.zeros(n)
             return BoundCurve(
-                grid, zeros, zeros.copy(), traj.means.copy(), np.zeros(n),
+                grid, zeros, zeros.copy(), samples.means.copy(), np.zeros(n),
                 warnings, 0.0,
             )
         raise ValueError("all integrand samples are degenerate")
@@ -326,35 +320,23 @@ def qsl_integral(
         grid=grid,
         t_qslo=t_qslo,
         t_sqslo=t_sqslo,
-        mean_values=traj.means.copy(),
+        mean_values=samples.means.copy(),
         r_bar=_running_average(r_filled, grid),
         warnings=warnings,
         quad_error=float(quad_error),
     )
 
 
-def ratio_form_curve(
-    grid: TimeGrid,
-    mean_values,
-    spreads,
-    r: np.ndarray,
-    delta_h: float,
-) -> BoundCurve:
+def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
     """Bound from net change over time-averaged spread.
 
     t_bound(T) = T |<O>(T) - <O>(0)| / (2 dH int_0^T dO(t) [eta(t)] dt).
     Used where the tracked mean itself is the target quantity (entropy) and
     only its endpoint change is constrained.  eta multiplies rather than
-    divides, so only missing correction samples (NaN in ``r``) need filling.
+    divides, so only missing correction samples (NaN in r) need filling.
     """
-    if not (delta_h > 0.0 and math.isfinite(delta_h)):
-        raise ValueError(f"delta_h must be positive, got {delta_h!r}")
-    n = grid.points.size
-    means = np.asarray(mean_values, dtype=float)
-    f_q = np.asarray(spreads, dtype=float)
-    if means.shape != (n,) or f_q.shape != (n,):
-        raise ValueError("need one mean and spread per grid point")
-    r_raw = _r_samples(r, n)
+    _require_inputs(grid, samples, delta_h)
+    means, f_q, r_raw = samples.means, samples.std_devs, samples.r
     warnings = _warnings(grid, np.where(np.isnan(r_raw), 2, 0))
     if np.all(np.isnan(r_raw)):
         raise ValueError("all correction samples are degenerate")

@@ -13,37 +13,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .bounds import BoundCurve
 from .dynamics import TimeGrid
 from .emit import fmt, render_csv, render_svg
-from .presets import PRESETS, build_preset_curves, build_scenario, run_scenario
+from .presets import KINDS, PRESETS, build_preset_curves, build_scenario, plain_run
 
 MIN_STEPS = 16
-
-SCENARIO_KINDS = ("entanglement", "modular", "battery")
-
-_SCENARIO_FLAGS = {
-    "entanglement": ("p", "theta", "mu3"),
-    "modular": ("p", "theta", "mu3"),
-    "battery": ("omega", "Omega", "J", "mode"),
-}
-
-_DEFAULTS = {
-    "p": 0.1,
-    "theta": 1.0,
-    "mu3": 0.0,
-    "omega": 2.0,
-    "Omega": 1.0,
-    "J": 1.0,
-    "mode": None,
-    "t_max": 1.0,
-    "steps": None,
-    "format": "csv",
-}
 
 
 class UsageError(Exception):
@@ -69,38 +48,30 @@ class RunConfig:
 
     @property
     def grid(self) -> TimeGrid:
-        if self.steps is not None:
-            return TimeGrid(self.t_max, self.steps)
-        return TimeGrid.with_resolution(self.t_max)
+        return TimeGrid.with_resolution(self.t_max, self.steps)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qslbound", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in SCENARIO_KINDS:
+    for kind, spec in KINDS.items():
         p = sub.add_parser(kind, help=f"run the {kind} case study")
-        if kind in ("entanglement", "modular"):
-            p.add_argument("--p", type=float, default=None)
-            p.add_argument("--theta", type=float, default=None)
-            p.add_argument("--mu3", type=float, default=None)
-        else:
-            p.add_argument("--omega", type=float, default=None)
-            p.add_argument("--Omega", type=float, default=None)
-            p.add_argument("--J", type=float, default=None)
-            p.add_argument("--mode", choices=("parallel", "collective", "coupled", "decoupled"), default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "csv+svg"), default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--preset", choices=sorted(PRESETS), default=None)
+        for param in spec.params:
+            p.add_argument(f"--{param.flag}", type=float)
+        p.add_argument("--t-max", dest="t_max", type=float)
+        p.add_argument("--steps", type=int)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("csv", "csv+svg"))
+        p.add_argument("--config")
+        p.add_argument("--preset", choices=sorted(PRESETS))
     v = sub.add_parser("verify", help="run the invariant suite")
-    v.add_argument("--steps", type=int, default=None)
-    v.add_argument("--out", type=str, default=None, help="write a JSON report here")
+    v.add_argument("--steps", type=int)
+    v.add_argument("--out", help="write a JSON report here")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys: set) -> dict:
+    """The flat JSON object in ``path``; every key must be one of ``keys``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -108,7 +79,11 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a flat JSON object")
-    return {str(k).replace("-", "_"): v for k, v in doc.items()}
+    values = {str(k).replace("-", "_"): v for k, v in doc.items()}
+    unknown = sorted(set(values) - keys)
+    if unknown:
+        raise UsageError(f"config file {path}: unknown keys {', '.join(unknown)}")
+    return values
 
 
 def _finite(flag: str, value) -> float:
@@ -121,53 +96,41 @@ def _finite(flag: str, value) -> float:
     return number
 
 
+def _steps(value) -> Optional[int]:
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"--steps needs an integer, got {value!r}")
+    if value < MIN_STEPS:
+        raise UsageError(f"--steps must be >= {MIN_STEPS}, got {value}")
+    return value
+
+
 def parse_config(argv) -> RunConfig:
     """Parse flags (and an optional JSON config file; flags win) into a
     validated RunConfig.  Raises UsageError on any violation."""
     args = _build_parser().parse_args(argv)
     kind = args.kind
     if kind == "verify":
-        return RunConfig(
-            kind="verify",
-            params={},
-            t_max=1.0,
-            steps=args.steps,
-            out=Path(args.out) if args.out else None,
-            format="csv",
-            preset=None,
-        )
+        out = Path(args.out) if args.out else None
+        return RunConfig("verify", {}, 1.0, _steps(args.steps), out, "csv", None)
 
-    file_values = _load_config_file(args.config) if args.config else {}
+    flags = vars(args)
+    # A config file may set every flag of the subcommand but --config.
+    keys = set(flags) - {"kind", "config"}
+    file_values = _load_config_file(args.config, keys) if args.config else {}
 
-    def pick(name, flag_value):
-        if flag_value is not None:
-            return flag_value
-        if name in file_values:
-            return file_values[name]
-        return _DEFAULTS[name]
+    def pick(name, default):
+        return file_values.get(name, default) if flags[name] is None else flags[name]
 
-    params = {}
-    for name in _SCENARIO_FLAGS[kind]:
-        value = pick(name, getattr(args, name))
-        if name == "mode":
-            if value is None:
-                value = "parallel" if float(params.get("J", 1.0)) == 0.0 else "collective"
-            params[name] = str(value)
-        else:
-            params[name] = _finite(name, value)
-
-    t_max = _finite("t-max", pick("t_max", args.t_max))
-    steps = pick("steps", args.steps)
-    if steps is not None and (isinstance(steps, bool) or not isinstance(steps, int)):
-        raise UsageError(f"--steps needs an integer, got {steps!r}")
-    out_format = str(pick("format", args.format))
-    out = args.out or file_values.get("out") or f"{kind}.csv"
-    preset = args.preset or file_values.get("preset")
+    params = {p.flag: _finite(p.flag, pick(p.flag, p.default)) for p in KINDS[kind].params}
+    t_max = _finite("t-max", pick("t_max", 1.0))
+    steps = _steps(pick("steps", None))
+    out_format = str(pick("format", "csv"))
+    preset = pick("preset", None)
 
     if t_max <= 0.0:
         raise UsageError(f"--t-max must be positive, got {t_max}")
-    if steps is not None and steps < MIN_STEPS:
-        raise UsageError(f"--steps must be >= {MIN_STEPS}, got {steps}")
     if out_format not in ("csv", "csv+svg"):
         raise UsageError(f"--format must be csv or csv+svg, got {out_format!r}")
     if preset is not None:
@@ -178,43 +141,30 @@ def parse_config(argv) -> RunConfig:
                 f"preset {preset!r} belongs to the {PRESETS[preset].kind} scenario"
             )
 
-    cfg = RunConfig(
-        kind=kind,
-        params=params,
-        t_max=t_max,
-        steps=steps,
-        out=Path(out),
-        format=out_format,
-        preset=preset,
-    )
+    out = Path(pick("out", None) or f"{kind}.csv")
+    cfg = RunConfig(kind, params, t_max, steps, out, out_format, preset)
     if preset is None:
         # Validate scenario preconditions now so bad parameters exit with 1.
         try:
-            build_scenario(kind, cfg.params, cfg.grid)
+            build_scenario(kind, params, cfg.grid)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     return cfg
 
 
-def _metadata(cfg: RunConfig, label: Optional[str]) -> list[tuple[str, str]]:
-    meta = [("scenario", cfg.kind)]
-    if label:
-        meta.append(("curve", label))
-    for key in sorted(cfg.params):
-        meta.append((key, str(cfg.params[key])))
-    grid = cfg.grid
-    meta.append(("t_max", fmt(grid.t_max)))
-    meta.append(("steps", str(grid.n_steps)))
-    return meta
-
-
-def emit_curves(curve: BoundCurve, cfg: RunConfig, label: Optional[str] = None) -> list[Path]:
+def emit_curves(
+    curve: BoundCurve, cfg: RunConfig, label: Optional[str], params: dict
+) -> list[Path]:
     """Write the CSV (and optional SVG) for one curve; returns the paths."""
     if label:
         path = cfg.out.with_name(f"{cfg.out.stem}_{label}{cfg.out.suffix or '.csv'}")
     else:
         path = cfg.out if cfg.out.suffix else cfg.out.with_suffix(".csv")
-    meta = _metadata(cfg, label) + [
+    meta = [("scenario", cfg.kind)] + ([("curve", label)] if label else [])
+    meta += [(key, str(params[key])) for key in sorted(params)]
+    meta += [
+        ("t_max", fmt(curve.grid.t_max)),
+        ("steps", str(curve.grid.n_steps)),
         ("warnings", str(len(curve.warnings))),
         ("quad_error", fmt(curve.quad_error)),
     ]
@@ -229,13 +179,10 @@ def emit_curves(curve: BoundCurve, cfg: RunConfig, label: Optional[str] = None) 
 
 
 def _run_scenarios(cfg: RunConfig) -> list[Path]:
-    if cfg.preset is None:
-        scenario = build_scenario(cfg.kind, cfg.params, cfg.grid)
-        return emit_curves(run_scenario(cfg.kind, scenario), cfg)
+    preset = PRESETS[cfg.preset] if cfg.preset else plain_run(cfg.kind, cfg.params, cfg.t_max)
     written = []
-    for label, params, curve in build_preset_curves(cfg.preset, n_steps=cfg.steps):
-        run_cfg = replace(cfg, params=params, t_max=curve.grid.t_max)
-        written.extend(emit_curves(curve, run_cfg, label=label))
+    for label, params, curve in build_preset_curves(preset, cfg.steps):
+        written.extend(emit_curves(curve, cfg, label, params))
     return written
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,13 +60,14 @@ class TimeGrid:
         return self.t_max / self.n_steps
 
     @classmethod
-    def with_resolution(
-        cls, t_max: float, steps_per_unit: int = STEPS_PER_UNIT_TIME
-    ) -> "TimeGrid":
-        """Grid with ~steps_per_unit intervals per unit time, even count."""
+    def with_resolution(cls, t_max: float, n_steps: Optional[int] = None) -> "TimeGrid":
+        """Grid with n_steps intervals if given, else ~STEPS_PER_UNIT_TIME per
+        unit time (an even count, at least MIN_GRID_STEPS)."""
+        if n_steps is not None:
+            return cls(t_max, n_steps)
         if not (t_max > 0.0 and math.isfinite(t_max)):
             raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-        n = max(MIN_GRID_STEPS, math.ceil(t_max * steps_per_unit))
+        n = max(MIN_GRID_STEPS, math.ceil(t_max * STEPS_PER_UNIT_TIME))
         return cls(t_max, n + n % 2)
 
 
@@ -77,25 +78,6 @@ class Samples(NamedTuple):
     std_devs: np.ndarray
     derivatives: np.ndarray
     r: np.ndarray
-
-
-@dataclass(frozen=True)
-class OperatorTrajectory:
-    """``Samples`` of one observable on a time grid."""
-
-    grid: TimeGrid
-    means: np.ndarray
-    std_devs: np.ndarray
-    derivatives: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.points.size
-        for name in ("means", "std_devs", "derivatives", "r"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have one entry per grid point")
-            object.__setattr__(self, name, arr)
 
 
 def propagator_family(h) -> Callable[[float], np.ndarray]:
@@ -187,7 +169,3 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
 
     return _sample(times, vals, c0, rows)
 
-
-def track_observable(h, obs0, psi, grid: TimeGrid) -> OperatorTrajectory:
-    """Heisenberg-picture samples of one observable on a time grid."""
-    return OperatorTrajectory(grid, *sample_heisenberg(h, obs0, psi, grid.points))

@@ -1,9 +1,15 @@
-"""Canonical figure-reproduction runs for the bundled case studies."""
+"""The case studies as one table, and their figure-reproduction runs.
+
+``KINDS`` declares each scenario kind once: its scenario class, its runner,
+and for each parameter the CLI flag (also the config-file and CSV header
+key), the dataclass field and the default.  ``PRESETS`` holds the curves of
+the paper's figures; a plain CLI run is a one-curve, unlabelled preset.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bounds import BoundCurve
 from .dynamics import TimeGrid
@@ -16,9 +22,36 @@ from .scenarios import (
 )
 
 
+class Param(NamedTuple):
+    flag: str
+    field: str
+    default: float
+
+
+class Kind(NamedTuple):
+    scenario: type
+    runner: Callable[..., BoundCurve]
+    params: tuple[Param, ...]
+
+
+_TWO_QUBIT = (Param("p", "p", 0.1), Param("theta", "theta", 1.0), Param("mu3", "mu3", 0.0))
+
+KINDS: dict[str, Kind] = {
+    "entanglement": Kind(EntanglementScenario, run_entanglement_scenario, _TWO_QUBIT),
+    "modular": Kind(EntanglementScenario, run_modular_scenario, _TWO_QUBIT),
+    "battery": Kind(
+        BatteryScenario,
+        run_battery_scenario,
+        (Param("omega", "omega", 2.0), Param("Omega", "big_omega", 1.0), Param("J", "j", 1.0)),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class PresetRun:
-    """One curve of a preset: a label plus the scenario parameters."""
+    """One curve of a preset: a label plus the scenario parameters, keyed
+    by flag.  Keys that are no parameter of the kind (the battery ``mode``)
+    are labels for the CSV header only."""
 
     label: Optional[str]
     params: dict
@@ -71,44 +104,32 @@ PRESETS: dict[str, Preset] = {
 }
 
 
-def build_scenario(kind: str, params: dict, grid: TimeGrid):
-    if kind in ("entanglement", "modular"):
-        return EntanglementScenario(
-            p=params["p"], theta=params["theta"], mu3=params.get("mu3", 0.0), grid=grid
-        )
+def plain_run(kind: str, params: dict, t_max: float) -> Preset:
+    """One unlabelled curve from flag values.  A battery curve is labelled
+    like the figures: ``parallel`` cells without exchange, else
+    ``collective``."""
     if kind == "battery":
-        return BatteryScenario(
-            omega=params["omega"],
-            big_omega=params["Omega"],
-            j=params["J"],
-            mode=params.get("mode", "collective"),
-            angles=params.get("angles", (0.0, 0.0, 0.0, 0.0)),
-            grid=grid,
-        )
-    raise ValueError(f"unknown scenario kind {kind!r}")
+        params = {**params, "mode": "parallel" if params["J"] == 0.0 else "collective"}
+    return Preset(kind, (PresetRun(None, params, t_max),))
+
+
+def build_scenario(kind: str, params: dict, grid: TimeGrid):
+    spec = KINDS[kind]
+    return spec.scenario(grid=grid, **{p.field: params[p.flag] for p in spec.params})
 
 
 def run_scenario(kind: str, scenario) -> BoundCurve:
-    runner = {
-        "entanglement": run_entanglement_scenario,
-        "modular": run_modular_scenario,
-        "battery": run_battery_scenario,
-    }[kind]
-    return runner(scenario)
+    return KINDS[kind].runner(scenario)
 
 
 def build_preset_curves(
-    name: str, n_steps: Optional[int] = None
+    preset: Preset, n_steps: Optional[int]
 ) -> list[tuple[Optional[str], dict, BoundCurve]]:
-    """All curves of a preset as (label, parameters, curve) triples."""
-    preset = PRESETS[name]
+    """All curves of a preset as (label, parameters, curve) triples, on
+    grids of n_steps intervals, or of the default resolution for None."""
     out = []
     for run in preset.runs:
-        grid = (
-            TimeGrid(run.t_max, n_steps)
-            if n_steps is not None
-            else TimeGrid.with_resolution(run.t_max)
-        )
+        grid = TimeGrid.with_resolution(run.t_max, n_steps)
         scenario = build_scenario(preset.kind, run.params, grid)
         out.append((run.label, dict(run.params), run_scenario(preset.kind, scenario)))
     return out

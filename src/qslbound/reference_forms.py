@@ -29,17 +29,6 @@ def in_range(value: float, atol: float = 1e-12) -> bool:
     return -atol <= value <= 1.0 + atol
 
 
-def r_battery_coupled_printed(t: float) -> float:
-    """Piecewise r(t) for the coupled battery (omega=2, Omega=1, j=1).
-
-    Branch switches where sin(sqrt(5) t) changes sign, as printed.
-    """
-    amp = 2.0 * SQRT10 * math.cos(SQRT5 * t) / math.sqrt(9.0 + math.cos(2.0 * SQRT5 * t))
-    if math.sin(SQRT5 * t) < 0.0:
-        return 0.5 * (2.0 - amp)
-    return 0.5 * (2.0 + amp)
-
-
 def r_battery_coupled_branches(t: float) -> tuple[float, float]:
     """Both branch values of the coupled-battery form."""
     amp = 2.0 * SQRT10 * math.cos(SQRT5 * t) / math.sqrt(9.0 + math.cos(2.0 * SQRT5 * t))

@@ -19,17 +19,12 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import BoundCurve, qsl_integral, ratio_form_curve
-from .dynamics import (
-    OperatorTrajectory,
-    TimeGrid,
-    sample_entanglement,
-    track_observable,
-)
+from .dynamics import TimeGrid, sample_entanglement, sample_heisenberg
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 from .measures import modular_hamiltonian
 from .states import moments, reduced_state
@@ -37,8 +32,6 @@ from .states import moments, reduced_state
 # Schmidt weights this close to {0, 1/2, 1} make the bound curves degenerate
 # (zero energy spread or identically flat capacity) and are rejected.
 DEGENERATE_P_ATOL = 1e-9
-
-BATTERY_MODES = ("parallel", "collective", "coupled", "decoupled")
 
 
 def _require_finite(**values: float) -> None:
@@ -74,16 +67,14 @@ class EntanglementScenario:
 class BatteryScenario:
     """Two-cell battery: Larmor frequency omega, drive Omega, exchange J.
 
-    ``mode`` is a label only; the physics is fixed by the numbers.  ``angles``
-    parametrize the general product initial state; the default is the empty
-    battery (both cells down).  A state that is an eigenstate of the total
-    Hamiltonian has no charging dynamics and is rejected.
+    ``angles`` parametrize the general product initial state; the default is
+    the empty battery (both cells down).  A state that is an eigenstate of
+    the total Hamiltonian has no charging dynamics and is rejected.
     """
 
     omega: float
     big_omega: float
     j: float
-    mode: str = "collective"
     angles: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     grid: TimeGrid = field(default_factory=lambda: TimeGrid.with_resolution(2.0))
 
@@ -93,8 +84,6 @@ class BatteryScenario:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if self.big_omega < 0.0:
             raise ValueError(f"Omega must be nonnegative, got {self.big_omega!r}")
-        if self.mode not in BATTERY_MODES:
-            raise ValueError(f"mode must be one of {BATTERY_MODES}, got {self.mode!r}")
         t1, t2, p1, p2 = self.angles
         if not (0.0 <= t1 <= math.pi and 0.0 <= t2 <= math.pi):
             raise ValueError("polar angles must lie in [0, pi]")
@@ -163,17 +152,6 @@ def entanglement_setup(
     return psi0, h, k0
 
 
-def evolved_amplitudes(p: float, theta: float, mu3: float, t: float) -> tuple[complex, complex]:
-    """Amplitudes (alpha, beta) of the evolved state on |00>, |11>."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    phase = np.exp(-1j * mu3 * t)
-    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
-    alpha = phase * (sp * math.cos(theta * t) - 1j * sq * math.sin(theta * t))
-    beta = phase * (sq * math.cos(theta * t) - 1j * sp * math.sin(theta * t))
-    return complex(alpha), complex(beta)
-
-
 def _schmidt_weights(p: float, theta: float, t: float) -> tuple[float, float]:
     c = math.cos(2.0 * theta * t)
     lam1 = 0.5 * (1.0 - (1.0 - 2.0 * p) * c)
@@ -196,14 +174,6 @@ def ce_see_closed_form(p: float, theta: float, t: float) -> tuple[float, float]:
     s_ee = -(lam1 * math.log(lam1) + lam2 * math.log(lam2))
     c_e = lam1 * lam2 * math.log(lam1 / lam2) ** 2
     return float(c_e), float(s_ee)
-
-
-def delta_h_entanglement(p: float, theta: float) -> float:
-    """Energy spread |theta (1 - 2p)| of the canonical Hamiltonian in the
-    Schmidt state; independent of mu3."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    return abs(theta * (1.0 - 2.0 * p))
 
 
 def modular_closed_form(p: float, theta: float, t: float) -> tuple[float, float]:
@@ -261,13 +231,6 @@ def ergotropy_closed_form(omega: float, big_omega: float, t: float) -> float:
     )
 
 
-def ergotropy_trajectory(scn: BatteryScenario) -> OperatorTrajectory:
-    """Stored energy E(t) = <H_B(t)> - <H_B(0)> with spread and derivative."""
-    h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    traj = track_observable(h_t, h_b, general_product_state(*scn.angles), scn.grid)
-    return replace(traj, means=traj.means - traj.means[0])
-
-
 def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     """Ratio-form bound on entanglement generation, Schroedinger picture.
 
@@ -277,9 +240,7 @@ def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     """
     psi0, h, _ = entanglement_setup(scn.p, scn.theta, scn.mu3)
     samples = sample_entanglement(h, psi0, (2, 2), scn.grid.points)
-    return ratio_form_curve(
-        scn.grid, samples.means, samples.std_devs, samples.r, moments(h, psi0).std_dev
-    )
+    return ratio_form_curve(scn.grid, samples, moments(h, psi0).std_dev)
 
 
 def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
@@ -289,17 +250,18 @@ def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
     the propagator, in contrast with the Schroedinger-picture run above.
     """
     psi0, h, k0 = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    traj = track_observable(h, k0, psi0, scn.grid)
-    return qsl_integral(traj, traj.r, moments(h, psi0).std_dev)
+    samples = sample_heisenberg(h, k0, psi0, scn.grid.points)
+    return qsl_integral(scn.grid, samples, moments(h, psi0).std_dev)
 
 
 def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
-    """Direct-integral bound on the battery charging time."""
-    _, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    traj = ergotropy_trajectory(scn)
-    return qsl_integral(
-        traj, traj.r, moments(h_t, general_product_state(*scn.angles)).std_dev
-    )
+    """Direct-integral bound on the battery charging time.  The curve's mean
+    values are the stored energy E(t) = <H_B(t)> - <H_B(0)>."""
+    h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
+    psi0 = general_product_state(*scn.angles)
+    samples = sample_heisenberg(h_t, h_b, psi0, scn.grid.points)
+    stored = samples._replace(means=samples.means - samples.means[0])
+    return qsl_integral(scn.grid, stored, moments(h_t, psi0).std_dev)
 
 
 def entanglement_closed_form_reports(
@@ -322,23 +284,23 @@ def modular_closed_form_reports(
 ) -> tuple[ClosedFormReport, ClosedFormReport]:
     """Modular variance and energy closed forms against the pipeline."""
     psi0, h, k0 = entanglement_setup(p, theta, 0.0)
-    traj = track_observable(h, k0, psi0, grid)
+    samples = sample_heisenberg(h, k0, psi0, grid.points)
     analytic = np.array([modular_closed_form(p, theta, t) for t in grid.points])
     return (
         ClosedFormReport(
-            "modular_capacity", grid.points, analytic[:, 0], traj.std_devs**2
+            "modular_capacity", grid.points, analytic[:, 0], samples.std_devs**2
         ),
-        ClosedFormReport("modular_energy", grid.points, analytic[:, 1], traj.means),
+        ClosedFormReport("modular_energy", grid.points, analytic[:, 1], samples.means),
     )
 
 
 def ergotropy_closed_form_report(
     omega: float, big_omega: float, j: float, grid: TimeGrid
 ) -> ClosedFormReport:
-    """Stored-energy closed form against the Heisenberg pipeline."""
+    """Stored-energy closed form against the battery runner's mean values."""
     scn = BatteryScenario(omega=omega, big_omega=big_omega, j=j, grid=grid)
-    traj = ergotropy_trajectory(scn)
+    numeric = run_battery_scenario(scn).mean_values
     analytic = np.array(
         [ergotropy_closed_form(omega, big_omega, t) for t in grid.points]
     )
-    return ClosedFormReport("ergotropy", grid.points, analytic, traj.means)
+    return ClosedFormReport("ergotropy", grid.points, analytic, numeric)

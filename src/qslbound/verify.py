@@ -26,13 +26,7 @@ from .bounds import (
     qsl_integral,
     uncertainty_check,
 )
-from .dynamics import (
-    TimeGrid,
-    propagator_family,
-    sample_entanglement,
-    sample_heisenberg,
-    track_observable,
-)
+from .dynamics import TimeGrid, propagator_family, sample_entanglement, sample_heisenberg
 from .emit import render_csv
 from .linalg import (
     IDENTITY_2,
@@ -57,7 +51,6 @@ from .scenarios import (
     entanglement_setup,
     ergotropy_closed_form,
     ergotropy_closed_form_report,
-    ergotropy_trajectory,
     general_product_state,
     modular_closed_form_reports,
     run_battery_scenario,
@@ -107,13 +100,11 @@ class RunContext:
         self._curves: dict[str, list] = {}
 
     def grid(self, t_max: float) -> TimeGrid:
-        if self.n_steps is not None:
-            return TimeGrid(t_max, self.n_steps)
-        return TimeGrid.with_resolution(t_max)
+        return TimeGrid.with_resolution(t_max, self.n_steps)
 
     def preset_curves(self, name: str) -> list:
         if name not in self._curves:
-            self._curves[name] = build_preset_curves(name, n_steps=self.n_steps)
+            self._curves[name] = build_preset_curves(PRESETS[name], self.n_steps)
         return self._curves[name]
 
 
@@ -314,20 +305,20 @@ def _derivative_consistency(rng, run):
     )
     worst = 0.0
     for h, obs, psi in systems:
-        traj = track_observable(h, obs, psi, grid)
-        fd = (traj.means[2:] - traj.means[:-2]) / (2.0 * dx)
+        samples = sample_heisenberg(h, obs, psi, grid.points)
+        fd = (samples.means[2:] - samples.means[:-2]) / (2.0 * dx)
         # The third derivative of <O(t)> is capped by (2||H||)^3 ||O||.
         cap = 10.0 * dx * dx * (2.0 * spectral_norm(h)) ** 3 * spectral_norm(obs)
-        worst = max(worst, float(np.max(np.abs(fd - traj.derivatives[1:-1]))) / cap)
+        worst = max(worst, float(np.max(np.abs(fd - samples.derivatives[1:-1]))) / cap)
     return worst <= 1.0, f"max FD mismatch {worst:.2e} of its truncation cap"
 
 
 @_check("dynamics/energy-conservation")
 def _energy_conservation(rng, run):
     h = _random_hermitian(rng, 4)
-    traj = track_observable(h, h, _random_state(rng, 4), TimeGrid(2.0, 100))
-    drift = float(np.max(np.abs(traj.means - traj.means[0])))
-    zero = float(np.max(np.abs(traj.derivatives)))
+    samples = sample_heisenberg(h, h, _random_state(rng, 4), TimeGrid(2.0, 100).points)
+    drift = float(np.max(np.abs(samples.means - samples.means[0])))
+    zero = float(np.max(np.abs(samples.derivatives)))
     return drift <= 1e-10 and zero <= 1e-10, f"drift {drift:.2e}"
 
 
@@ -370,8 +361,8 @@ def _optimal_saturation(rng, run):
 def _single_qubit_saturation(rng, run):
     grid = run.grid(math.pi / 4.0)
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    traj = track_observable(SIGMA_Z, SIGMA_X, psi, grid)
-    curve = qsl_integral(traj, traj.r, moments(SIGMA_Z, psi).std_dev)
+    samples = sample_heisenberg(SIGMA_Z, SIGMA_X, psi, grid.points)
+    curve = qsl_integral(grid, samples, moments(SIGMA_Z, psi).std_dev)
     worst = max(
         float(np.max(np.abs(bound[1:] - grid.points[1:])))
         for bound in (curve.t_qslo, curve.t_sqslo)
@@ -396,7 +387,7 @@ def _closed_forms(rng, run):
     # The coupled battery's stored energy peaks at 1.6 at t* = pi / (2 sqrt 5).
     t_star = math.pi / (2.0 * math.sqrt(5.0))
     scn = BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=run.grid(t_star))
-    peak = float(ergotropy_trajectory(scn).means[-1])
+    peak = float(run_battery_scenario(scn).mean_values[-1])
     ok = (
         worst <= 1e-8
         and over_cap == 0
@@ -464,10 +455,10 @@ def _battery_saturation_overlap(rng, run):
 def _battery_qslo_modes(rng, run):
     grid = run.grid(2.0)
     parallel = run_battery_scenario(
-        BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, mode="parallel", grid=grid)
+        BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, grid=grid)
     )
     collective = run_battery_scenario(
-        BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, mode="collective", grid=grid)
+        BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
     )
     gap = float(np.max(np.abs(parallel.t_qslo - collective.t_qslo)))
     e_cap = float(np.max(parallel.mean_values))
@@ -507,7 +498,7 @@ def _entanglement_rate(rng, run):
 def _determinism(rng, run):
     meta = [("scenario", "entanglement"), ("p", "0.1"), ("theta", "1.0")]
     first, second = (
-        render_csv(build_preset_curves("fig2", n_steps=run.n_steps)[0][2], meta)
+        render_csv(build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2], meta)
         for _ in range(2)
     )
     ok = first == second

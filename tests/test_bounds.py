@@ -12,7 +12,7 @@ from qslbound.bounds import (
     qsl_integral,
     uncertainty_check,
 )
-from qslbound.dynamics import TimeGrid, propagator_family, track_observable
+from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
 from qslbound.scenarios import battery_hamiltonians, general_product_state
 from qslbound.states import DegenerateObservableError, moments
@@ -121,7 +121,7 @@ class TestQslIntegral:
 
     def single_qubit_inputs(self):
         grid = self.grid()
-        traj = track_observable(SIGMA_Z, SIGMA_X, PLUS, grid)
+        samples = sample_heisenberg(SIGMA_Z, SIGMA_X, PLUS, grid.points)
         u_of_t = propagator_family(SIGMA_Z)
         corrections = []
         for t in grid.points:
@@ -131,20 +131,19 @@ class TestQslIntegral:
                 corrections.append(correction_r(o_t, SIGMA_Z, PLUS).r)
             except DegenerateObservableError:
                 corrections.append(np.nan)
-        return traj, np.array(corrections)
+        return grid, samples._replace(r=np.array(corrections))
 
     def test_single_qubit_saturates(self):
-        traj, corrections = self.single_qubit_inputs()
-        curve = qsl_integral(traj, corrections, 1.0)
-        assert np.max(np.abs(curve.t_qslo - traj.grid.points)) <= 1e-6
-        assert np.max(np.abs(curve.t_sqslo - traj.grid.points)) <= 1e-6
+        grid, samples = self.single_qubit_inputs()
+        curve = qsl_integral(grid, samples, 1.0)
+        assert np.max(np.abs(curve.t_qslo - grid.points)) <= 1e-6
+        assert np.max(np.abs(curve.t_sqslo - grid.points)) <= 1e-6
         # R vanishes identically here, so the running average stays at zero.
         assert np.max(curve.r_bar[1:]) <= 1e-9
 
     def test_identity_observable_gives_zero_bound(self):
         grid = TimeGrid(1.0, 20)
-        traj = track_observable(SIGMA_Z, np.eye(2), PLUS, grid)
-        curve = qsl_integral(traj, None, 1.0)
+        curve = qsl_integral(grid, sample_heisenberg(SIGMA_Z, np.eye(2), PLUS, grid.points), 1.0)
         assert np.allclose(curve.t_qslo, 0.0)
         assert np.allclose(curve.t_sqslo, 0.0)
         assert len(curve.warnings) == grid.points.size
@@ -155,7 +154,7 @@ class TestQslIntegral:
         obs = random_hermitian(rng, 4)
         psi = random_state(rng, 4)
         grid = TimeGrid(1.0, 400)
-        traj = track_observable(h, obs, psi, grid)
+        samples = sample_heisenberg(h, obs, psi, grid.points)
         u_of_t = propagator_family(h)
         corrections = []
         for t in grid.points:
@@ -165,7 +164,8 @@ class TestQslIntegral:
                 corrections.append(correction_r(o_t, h, psi).r)
             except DegenerateObservableError:
                 corrections.append(np.nan)
-        curve = qsl_integral(traj, np.array(corrections), moments(h, psi).std_dev)
+        samples = samples._replace(r=np.array(corrections))
+        curve = qsl_integral(grid, samples, moments(h, psi).std_dev)
         tol = max(1e-6, 2.0 * curve.quad_error)
         assert np.all(curve.t_sqslo <= grid.points + tol)
         assert np.all(curve.t_sqslo >= curve.t_qslo - 1e-9)
@@ -173,9 +173,9 @@ class TestQslIntegral:
         assert np.all(np.diff(curve.t_sqslo) >= -1e-9)
 
     def test_rejects_bad_delta_h(self):
-        traj, corrections = self.single_qubit_inputs()
+        grid, samples = self.single_qubit_inputs()
         with pytest.raises(ValueError, match="delta_h"):
-            qsl_integral(traj, corrections, 0.0)
+            qsl_integral(grid, samples, 0.0)
 
     def test_hierarchy_enforced_at_construction(self):
         grid = TimeGrid(1.0, 4)

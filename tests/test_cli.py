@@ -24,10 +24,8 @@ class TestParseConfig:
         assert cfg.out.name == "fig2.csv"
 
     def test_battery_flags(self):
-        cfg = parse_config("battery --mode coupled --omega 2 --Omega 1 --J 1".split())
-        assert cfg.params["mode"] == "coupled"
-        assert cfg.params["Omega"] == 1.0
-        assert cfg.params["J"] == 1.0
+        cfg = parse_config("battery --omega 2 --Omega 1 --J 1".split())
+        assert cfg.params == {"omega": 2.0, "Omega": 1.0, "J": 1.0}
 
     def test_out_of_range_p_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -107,6 +105,29 @@ class TestMainExitCodes:
         assert "integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [
+            ("modular", {"thetta": 3.0, "stpes": 64}),
+            ("battery", {"mode": "coupled"}),
+        ],
+    )
+    def test_unknown_config_key_exits_1(self, kind, doc, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "curve.csv"
+        assert run_cli([kind, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(key in err for key in doc)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["1", "8"])
+    def test_verify_steps_below_floor_exit_1(self, steps, capsys):
+        assert run_cli(["verify", "--steps", steps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no check ran
+        assert "--steps must be >= 16" in captured.err
+
     def test_unwritable_path_exits_2(self, tmp_path):
         target = tmp_path / "no-such-dir" / "curve.csv"
         code = run_cli(
@@ -184,6 +205,46 @@ class TestEmission:
         assert code == 0
         assert (tmp_path / "fig6_theta0.5.csv").exists()
         assert (tmp_path / "fig6_theta1.csv").exists()
+
+
+# The `#` header of every preset file at default resolution and of plain runs
+# at 64 steps: every key and value in order, except the value of quad_error.
+PINNED_HEADERS = {
+    "fig2.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0",
+    "fig3_theta0.5.csv": "scenario: entanglement; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 0",
+    "fig3_theta1.csv": "scenario: entanglement; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0",
+    "fig3_theta1.5.csv": "scenario: entanglement; curve: theta1.5; mu3: 0.0; p: 0.1; theta: 1.5; t_max: 1; steps: 2000; warnings: 0",
+    "fig3_theta2.csv": "scenario: entanglement; curve: theta2; mu3: 0.0; p: 0.1; theta: 2.0; t_max: 1; steps: 2000; warnings: 0",
+    "fig5.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1",
+    "fig6_theta0.5.csv": "scenario: modular; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 1",
+    "fig6_theta1.csv": "scenario: modular; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1",
+    "fig7_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 2; steps: 4000; warnings: 1",
+    "fig7_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 2; steps: 4000; warnings: 1",
+    "fig8_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 6; steps: 12000; warnings: 1",
+    "fig8_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 6; steps: 12000; warnings: 1",
+    "entanglement.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 0",
+    "modular.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 1",
+    "battery.csv": "scenario: battery; J: 1.0; Omega: 1.0; mode: collective; omega: 2.0; t_max: 1; steps: 64; warnings: 1",
+    "battery_j0.csv": "scenario: battery; J: 0.0; Omega: 1.0; mode: parallel; omega: 2.0; t_max: 1; steps: 64; warnings: 1",
+}
+
+
+def test_csv_headers_are_pinned(tmp_path):
+    for name, preset in PRESETS.items():
+        assert run_cli([preset.kind, "--preset", name, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    for out, argv in (
+        ("entanglement", ["entanglement"]),
+        ("modular", ["modular"]),
+        ("battery", ["battery"]),
+        ("battery_j0", ["battery", "--J", "0"]),
+    ):
+        assert run_cli(argv + ["--steps", "64", "--out", str(tmp_path / f"{out}.csv")]) == 0
+    headers = {}
+    for path in tmp_path.iterdir():
+        lines = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
+        assert lines[-1].startswith("quad_error: ")
+        headers[path.name] = "; ".join(lines[:-1])
+    assert headers == PINNED_HEADERS
 
 
 class TestVerifyCommand:

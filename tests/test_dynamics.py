@@ -6,7 +6,7 @@ from qslbound.dynamics import (
     TimeGrid,
     expectation_derivative,
     propagator_family,
-    track_observable,
+    sample_heisenberg,
 )
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
 from qslbound.scenarios import initial_schmidt_state
@@ -88,17 +88,17 @@ class TestTrackObservable:
     def test_identity_observable(self):
         rng = np.random.default_rng(17)
         h = random_hermitian(rng, 2)
-        traj = track_observable(h, np.eye(2), PLUS, TimeGrid(1.0, 20))
-        assert np.allclose(traj.means, 1.0)
-        assert np.allclose(traj.std_devs, 0.0, atol=1e-8)
-        assert np.allclose(traj.derivatives, 0.0, atol=1e-12)
+        samples = sample_heisenberg(h, np.eye(2), PLUS, TimeGrid(1.0, 20).points)
+        assert np.allclose(samples.means, 1.0)
+        assert np.allclose(samples.std_devs, 0.0, atol=1e-8)
+        assert np.allclose(samples.derivatives, 0.0, atol=1e-12)
 
     def test_single_qubit_analytic_curve(self):
         grid = TimeGrid(1.0, 200)
-        traj = track_observable(SIGMA_Z, SIGMA_X, PLUS, grid)
-        assert np.allclose(traj.means, np.cos(2.0 * grid.points), atol=1e-12)
-        assert np.allclose(traj.std_devs, np.abs(np.sin(2.0 * grid.points)), atol=1e-10)
-        assert np.allclose(traj.derivatives, -2.0 * np.sin(2.0 * grid.points), atol=1e-12)
+        samples = sample_heisenberg(SIGMA_Z, SIGMA_X, PLUS, grid.points)
+        assert np.allclose(samples.means, np.cos(2.0 * grid.points), atol=1e-12)
+        assert np.allclose(samples.std_devs, np.abs(np.sin(2.0 * grid.points)), atol=1e-10)
+        assert np.allclose(samples.derivatives, -2.0 * np.sin(2.0 * grid.points), atol=1e-12)
 
     def test_finite_difference_consistency(self):
         rng = np.random.default_rng(19)
@@ -106,16 +106,16 @@ class TestTrackObservable:
         obs = random_hermitian(rng, 4)
         psi = random_state(rng, 4)
         grid = TimeGrid(1.0, 400)
-        traj = track_observable(h, obs, psi, grid)
+        samples = sample_heisenberg(h, obs, psi, grid.points)
         dx = grid.dx
-        fd = (traj.means[2:] - traj.means[:-2]) / (2.0 * dx)
+        fd = (samples.means[2:] - samples.means[:-2]) / (2.0 * dx)
         scale = (2.0 * spectral_norm(h)) ** 3 * spectral_norm(obs)
-        assert np.max(np.abs(fd - traj.derivatives[1:-1])) <= 10.0 * dx * dx * scale
+        assert np.max(np.abs(fd - samples.derivatives[1:-1])) <= 10.0 * dx * dx * scale
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(23)
         h = random_hermitian(rng, 4)
         psi = random_state(rng, 4)
-        traj = track_observable(h, h, psi, TimeGrid(3.0, 60))
-        assert np.max(np.abs(traj.means - traj.means[0])) <= 1e-10
-        assert np.max(np.abs(traj.derivatives)) <= 1e-10
+        samples = sample_heisenberg(h, h, psi, TimeGrid(3.0, 60).points)
+        assert np.max(np.abs(samples.means - samples.means[0])) <= 1e-10
+        assert np.max(np.abs(samples.derivatives)) <= 1e-10

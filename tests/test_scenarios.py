@@ -18,12 +18,9 @@ from qslbound.scenarios import (
     battery_hamiltonians,
     canonical_hamiltonian,
     ce_see_closed_form,
-    delta_h_entanglement,
     entanglement_closed_form_reports,
     ergotropy_closed_form,
     ergotropy_closed_form_report,
-    ergotropy_trajectory,
-    evolved_amplitudes,
     general_product_state,
     initial_schmidt_state,
     modular_closed_form,
@@ -84,49 +81,6 @@ class TestInitialSchmidtState:
             initial_schmidt_state(1.2)
 
 
-class TestEvolvedAmplitudes:
-    def test_initial_time(self):
-        alpha, beta = evolved_amplitudes(0.3, 1.7, 0.4, 0.0)
-        assert alpha == pytest.approx(math.sqrt(0.3))
-        assert beta == pytest.approx(math.sqrt(0.7))
-
-    def test_quarter_period_swap(self):
-        alpha, beta = evolved_amplitudes(0.1, 1.0, 0.0, math.pi / 2.0)
-        assert alpha == pytest.approx(-1j * math.sqrt(0.9), abs=1e-12)
-        assert beta == pytest.approx(-1j * math.sqrt(0.1), abs=1e-12)
-
-    def test_normalization(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            alpha, beta = evolved_amplitudes(
-                rng.uniform(0, 1), rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 5)
-            )
-            assert abs(alpha) ** 2 + abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_propagator(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            p = rng.uniform(0.05, 0.95)
-            theta = rng.uniform(0.2, 2.5)
-            mu3 = rng.uniform(0.0, 1.0)
-            t = rng.uniform(0.0, 3.0)
-            h = canonical_hamiltonian(theta + mu3, mu3, mu3)
-            psi_t = propagator_family(h)(t) @ initial_schmidt_state(p)
-            alpha, beta = evolved_amplitudes(p, theta, mu3, t)
-            assert abs(psi_t[0] - alpha) <= 1e-10
-            assert abs(psi_t[3] - beta) <= 1e-10
-            assert abs(psi_t[1]) <= 1e-12 and abs(psi_t[2]) <= 1e-12
-
-    def test_negative_mu3_warns_but_matches(self):
-        p, theta, mu3, t = 0.2, 1.0, -0.7, 0.9
-        with pytest.warns(UserWarning, match="ordering"):
-            h = canonical_hamiltonian(theta + abs(mu3), abs(mu3), mu3)
-        psi_t = propagator_family(h)(t) @ initial_schmidt_state(p)
-        alpha, beta = evolved_amplitudes(p, theta, mu3, t)
-        assert abs(psi_t[0] - alpha) <= 1e-10
-        assert abs(psi_t[3] - beta) <= 1e-10
-
-
 class TestEntanglementClosedForms:
     def test_balanced_state_is_flat(self):
         for t in (0.0, 0.3, 1.1):
@@ -162,26 +116,6 @@ class TestEntanglementClosedForms:
             for theta in (0.5, 1.0):
                 for rep in entanglement_closed_form_reports(p, theta, small_grid()):
                     assert rep.max_abs_error <= 1e-8
-
-
-class TestDeltaH:
-    def test_balanced_is_stationary(self):
-        assert delta_h_entanglement(0.5, 1.0) == 0.0
-
-    def test_reference_value(self):
-        assert delta_h_entanglement(0.1, 1.0) == pytest.approx(0.8)
-
-    def test_product_state(self):
-        assert delta_h_entanglement(0.0, 2.0) == pytest.approx(2.0)
-
-    def test_matches_moments(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            p = rng.uniform(0.0, 1.0)
-            theta = rng.uniform(0.1, 2.0)
-            h = canonical_hamiltonian(theta, 0.0, 0.0)
-            numeric = moments(h, initial_schmidt_state(p)).std_dev
-            assert delta_h_entanglement(p, theta) == pytest.approx(numeric, abs=1e-10)
 
 
 class TestModularClosedForm:
@@ -262,18 +196,18 @@ class TestGeneralProductState:
 
 class TestErgotropy:
     def test_starts_empty(self):
-        traj = ergotropy_trajectory(
+        curve = run_battery_scenario(
             BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=small_grid(2.0))
         )
-        assert traj.means[0] == 0.0
+        assert curve.mean_values[0] == 0.0
 
     def test_peak_value(self):
         t_star = math.pi / (2.0 * math.sqrt(5.0))
         grid = TimeGrid(t_star, 100)
-        traj = ergotropy_trajectory(
+        curve = run_battery_scenario(
             BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
         )
-        assert traj.means[-1] == pytest.approx(1.6, abs=1e-10)
+        assert curve.mean_values[-1] == pytest.approx(1.6, abs=1e-10)
         assert ergotropy_closed_form(2.0, 1.0, t_star) == pytest.approx(1.6)
 
     def test_closed_form_and_j_independence(self):
@@ -287,10 +221,10 @@ class TestErgotropy:
     def test_never_exceeds_capacity(self):
         for big_omega in (1.0, 4.0):
             grid = small_grid(3.0)
-            traj = ergotropy_trajectory(
+            curve = run_battery_scenario(
                 BatteryScenario(omega=2.0, big_omega=big_omega, j=1.0, grid=grid)
             )
-            assert np.max(traj.means) <= 4.0 * 2.0 + 1e-9
+            assert np.max(curve.mean_values) <= 4.0 * 2.0 + 1e-9
 
 
 class TestScenarioValidation:
@@ -306,8 +240,6 @@ class TestScenarioValidation:
     def test_battery_validation(self):
         with pytest.raises(ValueError):
             BatteryScenario(omega=-1.0, big_omega=1.0, j=0.0, grid=small_grid())
-        with pytest.raises(ValueError):
-            BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, mode="weird", grid=small_grid())
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["theta", "mu3"])
@@ -415,10 +347,10 @@ class TestRunBattery:
     def test_coupled_and_decoupled_saturate_and_overlap(self):
         grid = small_grid(2.0, n=800)
         coupled = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, mode="coupled", grid=grid)
+            BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
         )
         decoupled = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=4.0, j=1.0, mode="decoupled", grid=grid)
+            BatteryScenario(omega=2.0, big_omega=4.0, j=1.0, grid=grid)
         )
         ts = grid.points
         mask = ts >= 0.05
@@ -431,10 +363,10 @@ class TestRunBattery:
     def test_parallel_collective_qslo_overlap(self):
         grid = small_grid(2.0, n=800)
         parallel = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, mode="parallel", grid=grid)
+            BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, grid=grid)
         )
         collective = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, mode="collective", grid=grid)
+            BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
         )
         assert np.max(np.abs(parallel.t_qslo - collective.t_qslo)) <= 1e-8
 

@@ -118,11 +118,10 @@ class TestReducedState:
         assert np.allclose(reduced_state(psi, (2, 2), "B"), density_from_pure(PLUS))
 
     def test_quarter_period_is_maximally_mixed(self):
-        # cos(2 theta t) = 0 at t = pi/4 flattens the Schmidt spectrum.
-        from qslbound.scenarios import evolved_amplitudes
-
-        alpha, beta = evolved_amplitudes(0.1, 1.0, 0.0, np.pi / 4.0)
-        psi = np.array([alpha, 0.0, 0.0, beta])
+        # cos(2 theta t) = 0 at t = pi/4 flattens the Schmidt spectrum: the
+        # state sqrt(0.1)|00> + sqrt(0.9)|11> evolved under theta XX, theta = 1.
+        sp, sq = np.sqrt(0.1), np.sqrt(0.9)
+        psi = np.array([sp - 1j * sq, 0.0, 0.0, sq - 1j * sp]) / np.sqrt(2.0)
         assert np.allclose(reduced_state(psi, (2, 2), "A"), np.eye(2) / 2.0, atol=1e-12)
 
     def test_two_qubit_schmidt_rank(self):
