@@ -6,11 +6,12 @@ relation
     Delta A Delta B (1 - r) >= |<[A, B]>| / 2,
 
 with r = (1/2) |<psi_perp| (A/dA -+ i B/dB) |psi>|^2.  Both signs in front
-of iB/dB are evaluated per sample; the branch kept is the one whose r lies
-in [0, 1] and that turns the relation into an equality when possible (ties
-resolve to the smaller r).  This reproduces piecewise closed forms that
-switch branch wherever the commutator expectation changes sign, without any
-hand-coded case analysis.
+of iB/dB are evaluated per sample.  Two keys pick the branch: the one whose
+r lies in [0, 1], else the smaller r (ties go to minus).  A branch that
+turns the relation into an equality has the smaller r, so it is kept.  This
+reproduces piecewise closed forms that switch branch wherever the
+commutator expectation changes sign, without any hand-coded case analysis.
+``correction_r`` and the sampler's ``correction_rows`` share this rule.
 
 Two perpendicular-state constructions are supported:
 
@@ -44,13 +45,7 @@ from .quadrature import (
     cumulative_simpson,
     richardson_error_estimate,
 )
-from .states import (
-    VARIANCE_FLOOR,
-    DegenerateObservableError,
-    moments,
-    perpendicular_state,
-    require_state,
-)
+from .states import VARIANCE_FLOOR, DegenerateObservableError, _spread
 
 if TYPE_CHECKING:  # dynamics imports this module at run time
     from .dynamics import Samples, TimeGrid
@@ -71,25 +66,27 @@ HIERARCHY_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class CorrectionSample:
-    """Correction factor at one sample.
+    """The stronger uncertainty relation at one sample.
 
     ``sign_branch`` records the sign kept in front of i B/dB ("minus" or
-    "plus"); ``saturated`` whether the uncertainty relation held with
-    equality within SATURATION_ATOL on that branch.
+    "plus"); ``lhs`` is dA dB eta on that branch and ``rhs`` the commutator
+    side |<[A, B]>|/2.  The relation ``holds`` where lhs >= rhs - 1e-9 and
+    is ``saturated`` where the two agree within SATURATION_ATOL.
     """
 
     r: float
     eta: float
     sign_branch: str
-    saturated: bool
-
-
-@dataclass(frozen=True)
-class UncertaintyCheck:
     lhs: float
     rhs: float
-    holds: bool
-    saturated: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs >= self.rhs - 1e-9
+
+    @property
+    def saturated(self) -> bool:
+        return abs(self.lhs - self.rhs) <= SATURATION_ATOL
 
 
 @dataclass(frozen=True)
@@ -123,62 +120,45 @@ class BoundCurve:
             raise ValueError(f"bound hierarchy violated by {worst:.3e}")
 
 
-def _branch_values(a, b, psi, perp: str) -> tuple[dict, float, float, float]:
-    ma = moments(a, psi)
-    mb = moments(b, psi)
-    if ma.variance <= VARIANCE_FLOOR or mb.variance <= VARIANCE_FLOOR:
-        raise DegenerateObservableError(
-            "one observable has no spread in this state; no correction defined"
-        )
-    v = require_state(psi)
-    u = (a @ v) / ma.std_dev
-    w = (b @ v) / mb.std_dev
-    # <[A, B]> = 2i Im <A psi | B psi>, so |<[A,B]>|/2 = |Im <A psi|B psi>|.
-    rhs = abs(np.vdot(a @ v, b @ v).imag)
-    if perp == "observable":
-        pstate = perpendicular_state(a, psi)
-        amplitudes = {
-            "minus": np.vdot(pstate, u - 1j * w),
-            "plus": np.vdot(pstate, u + 1j * w),
-        }
-        rs = {k: 0.5 * abs(m) ** 2 for k, m in amplitudes.items()}
-    elif perp == "optimal":
-        rs = {}
-        for name, sign in (("minus", -1.0), ("plus", 1.0)):
-            vec = u + 1j * sign * w
-            vec = vec - np.vdot(v, vec) * v
-            rs[name] = 0.5 * float(np.vdot(vec, vec).real)
-    else:
-        raise ValueError(f"perp must be 'observable' or 'optimal', got {perp!r}")
-    return rs, rhs, ma.std_dev, mb.std_dev
-
-
 def correction_r(a, b, psi, perp: str = "observable") -> CorrectionSample:
-    """Evaluate both sign branches of the correction factor and select one.
+    """The stronger uncertainty relation for A, B in ``psi``: both sign
+    branches of the correction factor, the one selected, and the two sides
+    of the relation on it, all from one pass over A psi and B psi.
 
     Raises DegenerateObservableError when either observable has vanishing
     spread in ``psi`` (callers sampling trajectories turn that into an
     excluded sample).  Raises ArithmeticError if both branches land outside
     [0, 1] by more than R_RANGE_HARD.
     """
-    rs, rhs, da, db = _branch_values(a, b, psi, perp)
-    candidates = []
-    for name, r in rs.items():
-        lhs = da * db * (1.0 - r)
-        saturated = abs(lhs - rhs) <= SATURATION_ATOL
-        in_range = -R_RANGE_ATOL <= r <= 1.0 + R_RANGE_ATOL
-        candidates.append((not in_range, not saturated, r, name, saturated))
-    candidates.sort()
-    out_of_range, _, r, name, saturated = candidates[0]
-    if out_of_range:
-        overshoot = max(-r, r - 1.0)
-        if overshoot > R_RANGE_HARD:
-            raise ArithmeticError(
-                "both correction branches out of range: "
-                f"r_minus={rs['minus']!r}, r_plus={rs['plus']!r}"
-            )
-    r = min(max(r, 0.0), 1.0)
-    return CorrectionSample(r=r, eta=1.0 - r, sign_branch=name, saturated=saturated)
+    v, (a_psi, dev_a, ma), (b_psi, _, mb) = _spread(psi, a, b)
+    if ma.variance <= VARIANCE_FLOOR or mb.variance <= VARIANCE_FLOOR:
+        raise DegenerateObservableError(
+            "one observable has no spread in this state; no correction defined"
+        )
+    if perp not in ("observable", "optimal"):
+        raise ValueError(f"perp must be 'observable' or 'optimal', got {perp!r}")
+    u, w = a_psi / ma.std_dev, b_psi / mb.std_dev
+    psi_perp = dev_a / ma.std_dev
+    rs = {}
+    for name, sign in (("minus", -1.0), ("plus", 1.0)):
+        vec = u + 1j * sign * w
+        if perp == "observable":
+            rs[name] = 0.5 * abs(np.vdot(psi_perp, vec)) ** 2
+        else:  # the part of vec orthogonal to psi
+            vec = vec - np.vdot(v, vec) * v
+            rs[name] = 0.5 * float(np.vdot(vec, vec).real)
+    # The in-range branch, else the smaller r; ties go to minus.
+    name = min(rs, key=lambda k: (not -R_RANGE_ATOL <= rs[k] <= 1 + R_RANGE_ATOL, rs[k], k))
+    if max(-rs[name], rs[name] - 1.0) > R_RANGE_HARD:
+        raise ArithmeticError(
+            "both correction branches out of range: "
+            f"r_minus={rs['minus']!r}, r_plus={rs['plus']!r}"
+        )
+    r = min(max(rs[name], 0.0), 1.0)
+    eta = 1.0 - r
+    # <[A, B]> = 2i Im <A psi | B psi>, so |<[A,B]>|/2 = |Im <A psi|B psi>|.
+    rhs = float(abs(np.vdot(a_psi, b_psi).imag))
+    return CorrectionSample(r, eta, name, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
 
 
 def _row_moments(psi, a_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,9 +184,7 @@ def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarr
         across = 1j * np.sum(dev_a.conj() * b_psi, axis=1) / (std_a * std_b)
     r_minus, r_plus = 0.5 * np.abs(along - across) ** 2, 0.5 * np.abs(along + across) ** 2
 
-    # The in-range branch, else the smaller r.  correction_r ranks saturated
-    # branches next, but with this psi_perp a saturated branch always has
-    # the smaller r, so that rank never decides.
+    # The in-range branch, else the smaller r; ties go to minus.
     in_minus, in_plus = (
         (r >= -R_RANGE_ATOL) & (r <= 1.0 + R_RANGE_ATOL) for r in (r_minus, r_plus)
     )
@@ -220,24 +198,6 @@ def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarr
             f"{float(np.nanmax(overshoot))!r}"
         )
     return mean_a, std_a, np.clip(r, 0.0, 1.0)
-
-
-def uncertainty_check(a, b, psi, perp: str = "observable") -> UncertaintyCheck:
-    """lhs = dA dB (1 - r) on the selected branch against rhs = |<[A,B]>|/2."""
-    ma = moments(a, psi)
-    mb = moments(b, psi)
-    if ma.variance <= VARIANCE_FLOOR or mb.variance <= VARIANCE_FLOOR:
-        raise DegenerateObservableError("degenerate variance in uncertainty check")
-    sample = correction_r(a, b, psi, perp=perp)
-    v = require_state(psi)
-    rhs = abs(np.vdot(a @ v, b @ v).imag)
-    lhs = ma.std_dev * mb.std_dev * sample.eta
-    return UncertaintyCheck(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        holds=bool(lhs >= rhs - 1e-9),
-        saturated=sample.saturated,
-    )
 
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:

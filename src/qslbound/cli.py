@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qslbound", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind, spec in KINDS.items():
-        p = sub.add_parser(kind, help=f"run the {kind} case study")
+        p = sub.add_parser(kind, help=f"run the {kind} case study", allow_abbrev=False)
         for param in spec.params:
             p.add_argument(f"--{param.flag}", type=float)
         p.add_argument("--t-max", dest="t_max", type=float)
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "csv+svg"))
         p.add_argument("--config")
         p.add_argument("--preset", choices=sorted(PRESETS))
-    v = sub.add_parser("verify", help="run the invariant suite")
+    v = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
     v.add_argument("--steps", type=int)
     v.add_argument("--out", help="write a JSON report here")
     return parser

@@ -41,15 +41,15 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate Hermiticity: ||M - M^dag||_max <= rtol * ||M||_max."""
+def require_hermitian(m) -> np.ndarray:
+    """Validate Hermiticity: ||M - M^dag||_max <= HERMITICITY_RTOL * ||M||_max."""
     a = as_complex_matrix(m)
     scale = np.max(np.abs(a))
     defect = np.max(np.abs(a - a.conj().T))
-    if defect > rtol * max(scale, 1e-30):
+    if defect > HERMITICITY_RTOL * max(scale, 1e-30):
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{rtol:.1e} * scale {scale:.3e}"
+            f"{HERMITICITY_RTOL:.1e} * scale {scale:.3e}"
         )
     return a
 

@@ -23,7 +23,7 @@ def _clamped_log(vals: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(rho) -> np.ndarray:
-    return np.clip(np.linalg.eigvalsh(require_density(rho)), 0.0, 1.0)
+    return np.clip(require_density(rho)[1], 0.0, 1.0)
 
 
 def entanglement_entropy(rho) -> float:
@@ -39,7 +39,7 @@ def modular_hamiltonian(rho) -> np.ndarray:
     The clamped directions carry weight ~0 in rho, so <K> still reproduces
     the entropy to within the clamping noise.
     """
-    return matrix_function(require_density(rho), lambda w: -_clamped_log(w))
+    return matrix_function(require_density(rho)[0], lambda w: -_clamped_log(w))
 
 
 def capacity_of_entanglement(rho) -> float:
@@ -58,11 +58,10 @@ def ergotropy_max(rho, h) -> float:
     The passive state pairs populations sorted descending with energies
     sorted ascending, which realizes the minimum over all unitaries.
     """
-    r = require_density(rho)
+    r, populations = require_density(rho)
     hm = require_hermitian(h)
     if r.shape != hm.shape:
         raise ValueError("dimension mismatch between state and Hamiltonian")
-    populations = np.sort(np.linalg.eigvalsh(r))[::-1]
-    energies = np.sort(np.linalg.eigvalsh(hm))
-    passive = float(populations @ energies)
+    # eigvalsh sorts ascending: reversed populations meet ascending energies.
+    passive = float(populations[::-1] @ np.linalg.eigvalsh(hm))
     return max(float(np.trace(r @ hm).real) - passive, 0.0)

@@ -24,9 +24,9 @@ SQRT5 = math.sqrt(5.0)
 SQRT10 = math.sqrt(10.0)
 
 
-def in_range(value: float, atol: float = 1e-12) -> bool:
+def in_range(value: float) -> bool:
     """Whether a fixed-branch correction value is usable for comparison."""
-    return -atol <= value <= 1.0 + atol
+    return -1e-12 <= value <= 1.0 + 1e-12
 
 
 def r_battery_coupled_branches(t: float) -> tuple[float, float]:

@@ -67,15 +67,14 @@ class EntanglementScenario:
 class BatteryScenario:
     """Two-cell battery: Larmor frequency omega, drive Omega, exchange J.
 
-    ``angles`` parametrize the general product initial state; the default is
-    the empty battery (both cells down).  A state that is an eigenstate of
-    the total Hamiltonian has no charging dynamics and is rejected.
+    The battery starts empty (both cells down).  If that state is an
+    eigenstate of the total Hamiltonian there are no charging dynamics, and
+    the scenario is rejected.
     """
 
     omega: float
     big_omega: float
     j: float
-    angles: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     grid: TimeGrid = field(default_factory=lambda: TimeGrid.with_resolution(2.0))
 
     def __post_init__(self):
@@ -84,13 +83,8 @@ class BatteryScenario:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if self.big_omega < 0.0:
             raise ValueError(f"Omega must be nonnegative, got {self.big_omega!r}")
-        t1, t2, p1, p2 = self.angles
-        if not (0.0 <= t1 <= math.pi and 0.0 <= t2 <= math.pi):
-            raise ValueError("polar angles must lie in [0, pi]")
-        if not (0.0 <= p1 <= 2.0 * math.pi and 0.0 <= p2 <= 2.0 * math.pi):
-            raise ValueError("azimuthal angles must lie in [0, 2 pi]")
         _, _, _, h_t = battery_hamiltonians(self.omega, self.big_omega, self.j)
-        if moments(h_t, general_product_state(*self.angles)).variance <= 1e-12:
+        if moments(h_t, general_product_state(0.0, 0.0, 0.0, 0.0)).variance <= 1e-12:
             raise ValueError(
                 "initial state is an eigenstate of the total Hamiltonian; "
                 "no charging dynamics to bound"
@@ -258,7 +252,7 @@ def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
     """Direct-integral bound on the battery charging time.  The curve's mean
     values are the stored energy E(t) = <H_B(t)> - <H_B(0)>."""
     h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    psi0 = general_product_state(*scn.angles)
+    psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
     samples = sample_heisenberg(h_t, h_b, psi0, scn.grid.points)
     stored = samples._replace(means=samples.means - samples.means[0])
     return qsl_integral(scn.grid, stored, moments(h_t, psi0).std_dev)

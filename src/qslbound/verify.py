@@ -20,12 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import reference_forms as ref
-from .bounds import (
-    entanglement_rate_bound,
-    norm_rate_comparison,
-    qsl_integral,
-    uncertainty_check,
-)
+from .bounds import correction_r, entanglement_rate_bound, norm_rate_comparison, qsl_integral
 from .dynamics import TimeGrid, propagator_family, sample_entanglement, sample_heisenberg
 from .emit import render_csv
 from .linalg import (
@@ -339,7 +334,7 @@ def _random_pairs(rng, n: int, fn) -> list:
 @_check("speed-limits/uncertainty-fuzz-holds")
 def _uncertainty_fuzz(rng, run):
     start = time.monotonic()
-    worst = max(chk.rhs - chk.lhs for chk in _random_pairs(rng, 1000, uncertainty_check))
+    worst = max(chk.rhs - chk.lhs for chk in _random_pairs(rng, 1000, correction_r))
     elapsed = time.monotonic() - start
     if elapsed > 30.0:
         return False, f"1000 draws took {elapsed:.1f}s (> 30s)"
@@ -349,7 +344,7 @@ def _uncertainty_fuzz(rng, run):
 @_check("speed-limits/optimal-branch-saturation")
 def _optimal_saturation(rng, run):
     draws = _random_pairs(
-        rng, 1000, lambda a, b, psi: uncertainty_check(a, b, psi, perp="optimal")
+        rng, 1000, lambda a, b, psi: correction_r(a, b, psi, perp="optimal")
     )
     worst = max(abs(chk.lhs - chk.rhs) for chk in draws)
     unflagged = sum(not chk.saturated for chk in draws)
@@ -505,9 +500,11 @@ def _determinism(rng, run):
     return ok, "byte-identical render" if ok else "renders differ"
 
 
-# Recorded closed forms against the pipeline: forms that match on their
-# in-range samples pass; recorded forms known to disagree report KNOWN with
-# the measured gap.
+# Recorded closed forms against the pipeline: an r form passes when it matches
+# to 1e-8 on enough in-range samples, a perpendicular state when its overlap
+# defect is within 1e-6 at every sample; else it fails.  The decoupled form
+# reports KNOWN only while it misses its labeled run by > 1e-3 and matches
+# Omega=2.
 
 _FIXTURE_TIMES = np.linspace(0.03, 1.9, 61)
 _PERP_TIMES = np.linspace(0.05, 1.0, 40)
@@ -527,16 +524,21 @@ def _battery_r_gaps(omega, big_omega, j, branches) -> np.ndarray:
     return gaps
 
 
+def _r_form_outcome(gaps: np.ndarray, floor: int):
+    """Pass when at least ``floor`` samples are compared (non-NaN gaps) and
+    every gap is within 1e-8."""
+    used = int(np.sum(~np.isnan(gaps)))
+    worst = float(np.nanmax(gaps)) if used else math.inf
+    return worst <= 1e-8 and used >= floor, f"{used} in-range samples, max deviation {worst:.2e}"
+
+
 def _overlap_defect(mine, recorded) -> float:
     return abs(1.0 - abs(np.vdot(mine, recorded / np.linalg.norm(recorded))))
 
 
 @_check("fixtures/battery-coupled-r")
 def _battery_coupled_r(rng, run):
-    gaps = _battery_r_gaps(2.0, 1.0, 1.0, ref.r_battery_coupled_branches)
-    used = int(np.sum(~np.isnan(gaps)))
-    worst = float(np.nanmax(gaps)) if used else math.inf
-    return worst <= 1e-6, f"{used} in-range samples, max deviation {worst:.2e}"
+    return _r_form_outcome(_battery_r_gaps(2.0, 1.0, 1.0, ref.r_battery_coupled_branches), 50)
 
 
 @_check("fixtures/battery-decoupled-r")
@@ -545,20 +547,19 @@ def _battery_decoupled_r(rng, run):
     gaps, gaps_22 = (_battery_r_gaps(2.0, w, 1.0, recorded) for w in (4.0, 2.0))
     dev_recorded = float(np.nanmax(gaps, initial=0.0))
     dev_22 = float(np.nanmax(gaps_22, initial=0.0))
-    if dev_recorded > 1e-6 and dev_22 <= 1e-6:
+    enough = all(np.sum(~np.isnan(g)) >= 50 for g in (gaps, gaps_22))
+    if enough and dev_recorded > 1e-3 and dev_22 <= 1e-8:
         return KNOWN, (
             f"recorded form deviates {dev_recorded:.2e} from the labeled "
             f"(Omega=4) run but matches an (Omega=2) run to {dev_22:.2e}"
         )
-    return dev_recorded <= 1e-6, f"max deviation {dev_recorded:.2e}"
+    return enough and dev_recorded <= 1e-8, f"max deviation {dev_recorded:.2e}"
 
 
 @_check("fixtures/battery-parallel-r")
 def _battery_parallel_r(rng, run):
     gaps = _battery_r_gaps(2.0, 1.0, 0.0, lambda t: (ref.r_battery_parallel_printed(t),))
-    used = int(np.sum(~np.isnan(gaps)))
-    worst = float(np.nanmax(gaps)) if used else math.inf
-    return worst <= 1e-6 or KNOWN, f"{used} in-range samples, max deviation {worst:.2e}"
+    return _r_form_outcome(gaps, 15)
 
 
 @_check("fixtures/entanglement-r")
@@ -568,9 +569,7 @@ def _entanglement_r(rng, run):
     pipeline = sample_entanglement(h, psi0, (2, 2), _PERP_TIMES).r
     printed = np.array([ref.r_entanglement_printed(p, theta, t) for t in _PERP_TIMES])
     usable = ~np.isnan(pipeline) & np.array([ref.in_range(v) for v in printed])
-    worst = float(np.max(np.abs(pipeline - printed)[usable])) if usable.any() else math.inf
-    used = int(usable.sum())
-    return worst <= 1e-6 or KNOWN, f"{used} in-range samples, max deviation {worst:.2e}"
+    return _r_form_outcome(np.where(usable, np.abs(pipeline - printed), np.nan), 5)
 
 
 @_check("fixtures/entanglement-perp")
@@ -578,18 +577,14 @@ def _entanglement_perp(rng, run):
     p, theta = 0.1, 1.0
     psi0, h, _ = entanglement_setup(p, theta, 0.0)
     u_of_t = propagator_family(h)
-    worst = 0.0
+    defects = []
     for t in _PERP_TIMES:
         psi_t = u_of_t(t) @ psi0
         k_ab = tensor_product(modular_hamiltonian(reduced_state(psi_t, (2, 2), "A")), IDENTITY_2)
-        try:
-            mine = perpendicular_state(k_ab, psi_t)
-        except DegenerateObservableError:
-            continue
-        worst = max(worst, _overlap_defect(mine, ref.perp_entanglement_printed(p, theta, 0.0, t)))
-    return worst <= 1e-6 or KNOWN, (
-        f"max overlap defect {worst:.2e} (recorded arctan read as arctanh)"
-    )
+        mine = perpendicular_state(k_ab, psi_t)
+        defects.append(_overlap_defect(mine, ref.perp_entanglement_printed(p, theta, 0.0, t)))
+    worst = float(np.max(defects))
+    return worst <= 1e-6, f"max overlap defect {worst:.2e} (recorded arctan read as arctanh)"
 
 
 @_check("fixtures/modular-perp")
@@ -597,12 +592,13 @@ def _modular_perp(rng, run):
     p, theta = 0.1, 1.0
     psi0, h, k0 = entanglement_setup(p, theta, 0.0)
     u_of_t = propagator_family(h)
-    worst = 0.0
+    defects = []
     for t in _PERP_TIMES:
         u = u_of_t(t)
         mine = perpendicular_state(u.conj().T @ k0 @ u, psi0)
-        worst = max(worst, _overlap_defect(mine, ref.perp_modular_printed(p, theta, t)))
-    return worst <= 1e-6 or KNOWN, f"max overlap defect {worst:.2e}"
+        defects.append(_overlap_defect(mine, ref.perp_modular_printed(p, theta, t)))
+    worst = float(np.max(defects))
+    return worst <= 1e-6, f"max overlap defect {worst:.2e}"
 
 
 @_check("fixtures/battery-coupled-perp")
@@ -610,18 +606,13 @@ def _battery_coupled_perp(rng, run):
     h_b, _, _, h_t = battery_hamiltonians(2.0, 1.0, 1.0)
     psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
     u_of_t = propagator_family(h_t)
-    worst = 0.0
+    defects = []
     for t in np.linspace(0.1, 1.3, 25):
         u = u_of_t(t)
-        recorded = ref.perp_battery_coupled_printed(t)
-        if np.linalg.norm(recorded) < 1e-12:
-            continue
-        try:
-            mine = perpendicular_state(u.conj().T @ h_b @ u, psi0)
-        except DegenerateObservableError:
-            continue
-        worst = max(worst, _overlap_defect(mine, recorded))
-    return worst <= 1e-6 or KNOWN, f"max overlap defect {worst:.2e}"
+        mine = perpendicular_state(u.conj().T @ h_b @ u, psi0)
+        defects.append(_overlap_defect(mine, ref.perp_battery_coupled_printed(t)))
+    worst = float(np.max(defects))
+    return worst <= 1e-6, f"max overlap defect {worst:.2e}"
 
 
 def format_report(results: list[CheckResult]) -> str:

@@ -10,7 +10,6 @@ from qslbound.bounds import (
     entanglement_rate_bound,
     norm_rate_comparison,
     qsl_integral,
-    uncertainty_check,
 )
 from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
@@ -86,7 +85,7 @@ class TestUncertaintyCheck:
             b = random_hermitian(rng, d)
             psi = random_state(rng, d)
             try:
-                chk = uncertainty_check(a, b, psi)
+                chk = correction_r(a, b, psi)
             except DegenerateObservableError:
                 continue
             assert chk.holds
@@ -101,7 +100,7 @@ class TestUncertaintyCheck:
             b = random_hermitian(rng, d)
             psi = random_state(rng, d)
             try:
-                chk = uncertainty_check(a, b, psi, perp="optimal")
+                chk = correction_r(a, b, psi, perp="optimal")
             except DegenerateObservableError:
                 continue
             assert abs(chk.lhs - chk.rhs) <= 1e-8
@@ -109,7 +108,7 @@ class TestUncertaintyCheck:
             checked += 1
 
     def test_identical_observables(self):
-        chk = uncertainty_check(SIGMA_Z, SIGMA_Z, PLUS)
+        chk = correction_r(SIGMA_Z, SIGMA_Z, PLUS)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
         assert chk.rhs == pytest.approx(0.0, abs=1e-12)
         assert chk.holds

@@ -121,6 +121,15 @@ class TestMainExitCodes:
         assert all(key in err for key in doc)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", ["modular --the 2", "verify --st 64"])
+    def test_flag_prefix_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run_cli(argv.split() + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps", ["1", "8"])
     def test_verify_steps_below_floor_exit_1(self, steps, capsys):
         assert run_cli(["verify", "--steps", steps]) == 1

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qslbound import reference_forms as ref
-from qslbound.bounds import correction_r
-from qslbound.dynamics import TimeGrid, propagator_family
+from qslbound import verify
+from qslbound.bounds import correction_r, qsl_integral
+from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
 from qslbound.linalg import IDENTITY_2, SIGMA_X, tensor_product
 from qslbound.measures import (
     capacity_of_entanglement,
@@ -29,7 +29,7 @@ from qslbound.scenarios import (
     run_entanglement_scenario,
     run_modular_scenario,
 )
-from qslbound.states import moments, perpendicular_state, reduced_state, require_state
+from qslbound.states import moments, reduced_state, require_state
 
 LN2 = math.log(2.0)
 # Frozen scalar oracles for the p = 0.1 Schmidt spectrum.
@@ -391,14 +391,15 @@ class TestRunBattery:
                 float(rng.uniform(0.0, 2.0 * math.pi)),
                 float(rng.uniform(0.0, 2.0 * math.pi)),
             )
-            scn = BatteryScenario(
-                omega=float(rng.uniform(0.5, 3.0)),
-                big_omega=float(rng.uniform(0.3, 3.0)),
-                j=float(rng.uniform(-1.5, 1.5)),
-                angles=angles,
-                grid=small_grid(2.0, n=600),
+            h_b, _, _, h_t = battery_hamiltonians(
+                float(rng.uniform(0.5, 3.0)),
+                float(rng.uniform(0.3, 3.0)),
+                float(rng.uniform(-1.5, 1.5)),
             )
-            curve = run_battery_scenario(scn)
+            psi0 = general_product_state(*angles)
+            grid = small_grid(2.0, n=600)
+            samples = sample_heisenberg(h_t, h_b, psi0, grid.points)
+            curve = qsl_integral(grid, samples, moments(h_t, psi0).std_dev)
             ts = curve.grid.points
             tol = max(1e-6, 2.0 * curve.quad_error)
             assert np.all(curve.t_sqslo <= ts + tol)
@@ -427,118 +428,44 @@ class TestRunBattery:
 
 class TestRecordedForms:
     """The transcribed closed forms are fixtures: in-range samples must match
-    the pipeline, and the one known-bad form must stay flagged."""
+    the pipeline, and the one known-bad form must stay flagged.  Each test
+    runs the ``fixtures/*`` check of the verify registry that holds it."""
 
-    def battery_r(self, omega, big_omega, j, times):
-        h_b, _, _, h_t = battery_hamiltonians(omega, big_omega, j)
-        psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
-        u_of_t = propagator_family(h_t)
-        out = []
-        for t in times:
-            u = u_of_t(t)
-            try:
-                out.append(correction_r(u.conj().T @ h_b @ u, h_t, psi0).r)
-            except Exception:
-                out.append(np.nan)
-        return np.array(out)
+    @pytest.fixture(scope="class")
+    def run(self):
+        return verify.RunContext()
 
-    def test_coupled_battery_form_matches(self):
-        times = np.linspace(0.03, 1.9, 61)
-        pipeline = self.battery_r(2.0, 1.0, 1.0, times)
-        checked = 0
-        for t, r_pipe in zip(times, pipeline):
-            if np.isnan(r_pipe):
-                continue
-            branches = [v for v in ref.r_battery_coupled_branches(t) if ref.in_range(v)]
-            assert branches, "at least one branch must be usable"
-            assert min(abs(r_pipe - v) for v in branches) <= 1e-8
-            checked += 1
-        assert checked >= 50
+    def status(self, run, name):
+        check = next(c for c in verify.CHECKS if c.name == name)
+        result = verify.run_check(check, run)
+        return result.status, result.detail
 
-    def test_parallel_battery_form_matches_where_in_range(self):
-        times = np.linspace(0.03, 1.9, 61)
-        pipeline = self.battery_r(2.0, 1.0, 0.0, times)
-        checked = 0
-        for t, r_pipe in zip(times, pipeline):
-            v = ref.r_battery_parallel_printed(t)
-            if np.isnan(r_pipe) or math.isnan(v) or not ref.in_range(v):
-                continue
-            assert abs(r_pipe - v) <= 1e-8
-            checked += 1
-        assert checked >= 15
+    def test_coupled_battery_form_matches(self, run):
+        status, detail = self.status(run, "fixtures/battery-coupled-r")
+        assert status == "pass", detail
 
-    def test_decoupled_form_known_discrepancy(self):
+    def test_parallel_battery_form_matches_where_in_range(self, run):
+        status, detail = self.status(run, "fixtures/battery-parallel-r")
+        assert status == "pass", detail
+
+    def test_decoupled_form_known_discrepancy(self, run):
         # The recorded decoupled expression does not match its labeled
         # parameters (Omega = 4); it reproduces an Omega = 2 run instead.
-        times = np.linspace(0.05, 1.5, 40)
-        labeled = self.battery_r(2.0, 4.0, 1.0, times)
-        alternative = self.battery_r(2.0, 2.0, 1.0, times)
-        dev_labeled, dev_alt = 0.0, 0.0
-        for t, r4, r2 in zip(times, labeled, alternative):
-            branches = [v for v in ref.r_battery_decoupled_printed(t) if ref.in_range(v)]
-            if not branches:
-                continue
-            if not np.isnan(r4):
-                dev_labeled = max(dev_labeled, min(abs(r4 - v) for v in branches))
-            if not np.isnan(r2):
-                dev_alt = max(dev_alt, min(abs(r2 - v) for v in branches))
-        assert dev_labeled > 1e-3  # KNOWN-DISCREPANCY, kept on record
-        assert dev_alt <= 1e-8
+        status, detail = self.status(run, "fixtures/battery-decoupled-r")
+        assert status == verify.KNOWN, detail
 
-    def test_entanglement_r_form_matches_where_in_range(self):
-        p, theta = 0.1, 1.0
-        psi0 = initial_schmidt_state(p)
-        h = canonical_hamiltonian(theta, 0.0, 0.0)
-        u_of_t = propagator_family(h)
-        checked = 0
-        for t in np.linspace(0.05, 1.0, 40):
-            printed = ref.r_entanglement_printed(p, theta, t)
-            if not ref.in_range(printed):
-                continue
-            psi_t = require_state(u_of_t(t) @ psi0)
-            rho_a = reduced_state(psi_t, (2, 2), "A")
-            k_ab = tensor_product(modular_hamiltonian(rho_a), IDENTITY_2)
-            sample = correction_r(k_ab, h, psi_t)
-            assert abs(sample.r - printed) <= 1e-8
-            checked += 1
-        assert checked >= 5
+    def test_entanglement_r_form_matches_where_in_range(self, run):
+        status, detail = self.status(run, "fixtures/entanglement-r")
+        assert status == "pass", detail
 
-    def test_entanglement_perp_overlap(self):
-        p, theta = 0.1, 1.0
-        psi0 = initial_schmidt_state(p)
-        h = canonical_hamiltonian(theta, 0.0, 0.0)
-        u_of_t = propagator_family(h)
-        for t in (0.2, 0.3, 0.6, 0.9):
-            psi_t = require_state(u_of_t(t) @ psi0)
-            rho_a = reduced_state(psi_t, (2, 2), "A")
-            k_ab = tensor_product(modular_hamiltonian(rho_a), IDENTITY_2)
-            mine = perpendicular_state(k_ab, psi_t)
-            recorded = ref.perp_entanglement_printed(p, theta, 0.0, t)
-            recorded = recorded / np.linalg.norm(recorded)
-            assert abs(np.vdot(mine, recorded)) == pytest.approx(1.0, abs=1e-6)
+    def test_entanglement_perp_overlap(self, run):
+        status, detail = self.status(run, "fixtures/entanglement-perp")
+        assert status == "pass", detail
 
-    def test_modular_perp_overlap(self):
-        p, theta = 0.1, 1.0
-        psi0 = initial_schmidt_state(p)
-        h = canonical_hamiltonian(theta, 0.0, 0.0)
-        k0 = tensor_product(
-            modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2
-        )
-        u_of_t = propagator_family(h)
-        for t in (0.2, 0.3, 0.6, 0.9):
-            u = u_of_t(t)
-            mine = perpendicular_state(u.conj().T @ k0 @ u, psi0)
-            recorded = ref.perp_modular_printed(p, theta, t)
-            recorded = recorded / np.linalg.norm(recorded)
-            assert abs(np.vdot(mine, recorded)) == pytest.approx(1.0, abs=1e-6)
+    def test_modular_perp_overlap(self, run):
+        status, detail = self.status(run, "fixtures/modular-perp")
+        assert status == "pass", detail
 
-    def test_battery_coupled_perp_overlap(self):
-        h_b, _, _, h_t = battery_hamiltonians(2.0, 1.0, 1.0)
-        psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
-        u_of_t = propagator_family(h_t)
-        for t in (0.2, 0.5, 0.9, 1.2):
-            u = u_of_t(t)
-            mine = perpendicular_state(u.conj().T @ h_b @ u, psi0)
-            recorded = ref.perp_battery_coupled_printed(t)
-            recorded = recorded / np.linalg.norm(recorded)
-            assert abs(np.vdot(mine, recorded)) == pytest.approx(1.0, abs=1e-6)
+    def test_battery_coupled_perp_overlap(self, run):
+        status, detail = self.status(run, "fixtures/battery-coupled-perp")
+        assert status == "pass", detail

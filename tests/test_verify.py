@@ -5,10 +5,13 @@ one RunContext, as in a ``qslbound verify`` run, so each preset is built
 once.
 """
 
+import numpy as np
 import pytest
 
 import qslbound.dynamics as dynamics
+from qslbound import reference_forms as ref
 from qslbound import verify
+from qslbound.cli import main
 
 EXPECTED = {
     "operator-core/eig-reconstruction": "pass",
@@ -69,3 +72,41 @@ def test_preset_curves_do_not_outlive_a_run(monkeypatch):
     statuses = {r.name: r.status for r in verify.run_verify(n_steps=64)}
     assert statuses["scenarios/modular-saturation"] == "fail"
     assert statuses["scenarios/battery-saturation-overlap"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "form, name",
+    [
+        ("r_battery_parallel_printed", "fixtures/battery-parallel-r"),
+        ("perp_modular_printed", "fixtures/modular-perp"),
+    ],
+)
+def test_a_broken_recorded_form_fails_the_run(form, name, monkeypatch, capsys):
+    # A recorded form off by 0.01 must fail its check and the run, never
+    # read as a known discrepancy.
+    original = getattr(ref, form)
+    monkeypatch.setattr(ref, form, lambda *args: original(*args) + 0.01)
+    assert main(["verify", "--steps", "64"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert next(line for line in lines if f" {name} " in line).startswith("FAIL ")
+    assert lines[-1].endswith("1 failed, 1 known discrepancies")
+
+
+@pytest.mark.parametrize(
+    "name, form, broken",
+    [
+        # Every recorded value out of [0, 1], or every recorded state NaN:
+        # nothing is left to compare, which must not read as a match.
+        ("fixtures/battery-decoupled-r", "r_battery_decoupled_printed", lambda t: (2.0, 3.0)),
+        (
+            "fixtures/battery-coupled-perp",
+            "perp_battery_coupled_printed",
+            lambda t: np.full(4, np.nan),
+        ),
+    ],
+    ids=["battery-decoupled-r", "battery-coupled-perp"],
+)
+def test_a_recorded_form_with_nothing_to_compare_fails(name, form, broken, monkeypatch):
+    monkeypatch.setattr(ref, form, broken)
+    check = next(check for check in verify.CHECKS if check.name == name)
+    assert verify.run_check(check, verify.RunContext()).status == "fail"
