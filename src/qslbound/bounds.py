@@ -7,21 +7,23 @@ relation
 
 with r = (1/2) |<psi_perp| (A/dA -+ i B/dB) |psi>|^2.  Both signs in front
 of iB/dB are evaluated per sample.  Two keys pick the branch: the one whose
-r lies in [0, 1], else the smaller r (ties go to minus).  A branch that
-turns the relation into an equality has the smaller r, so it is kept.  This
-reproduces piecewise closed forms that switch branch wherever the
-commutator expectation changes sign, without any hand-coded case analysis.
+r lies in [0, 1], else the smaller r (ties go to minus).  This reproduces
+piecewise closed forms that switch branch wherever the commutator
+expectation changes sign, without any hand-coded case analysis.
 ``correction_r`` and the sampler's ``correction_rows`` share this rule.
 
 Two perpendicular-state constructions are supported:
 
-* ``perp="observable"`` (default): psi_perp = (A - <A>) |psi> / dA.  The
-  relation then saturates exactly when the dynamics is confined to a
-  two-dimensional subspace, which is what puts the SQSLO curves of the
-  bundled case studies on the diagonal.
+* ``perp="observable"`` (default): psi_perp = (A - <A>) |psi> / dA.  With
+  c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) the branch values are
+  (1 + |c|^2)/2 +- |Im c|.  The smaller saturates the relation exactly when
+  |c| = 1, i.e. the dynamics is confined to a two-dimensional subspace,
+  which puts the SQSLO curves of the bundled case studies on the diagonal.
+  In dimension >= 3 the larger saturates where (1 - |c|^2)/2 = 2 |Im c|;
+  the rule still keeps the smaller there.
 * ``perp="optimal"``: psi_perp is the normalized projection of
   (A/dA -+ i B/dB)|psi> orthogonal to |psi>, which saturates the relation
-  for arbitrary pairs and states.
+  for arbitrary pairs and states on the smaller r (the other is 1 + |Im c|).
 
 Bound curves integrate |d<O>/dt| / (dO * eta) with eta = 1 - r by
 cumulative composite Simpson.  They take the sampler's ``Samples``, whose

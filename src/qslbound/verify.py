@@ -501,26 +501,27 @@ def _determinism(rng, run):
 
 
 # Recorded closed forms against the pipeline: an r form passes when it matches
-# to 1e-8 on enough in-range samples, a perpendicular state when its overlap
-# defect is within 1e-6 at every sample; else it fails.  The decoupled form
-# reports KNOWN only while it misses its labeled run by > 1e-3 and matches
-# Omega=2.
+# to 1e-8 on enough in-range samples and misses none it must cover, a
+# perpendicular state when its overlap defect is within 1e-6 at every
+# sample; else it fails.  The decoupled form reports KNOWN only while it
+# misses its labeled run by > 1e-3 and matches Omega=2.
 
 _FIXTURE_TIMES = np.linspace(0.03, 1.9, 61)
 _PERP_TIMES = np.linspace(0.05, 1.0, 40)
 
 
-def _battery_r_gaps(omega, big_omega, j, branches) -> np.ndarray:
+def _battery_r_gaps(omega, big_omega, j, branches, every_sample=False) -> np.ndarray:
     """Distance from the pipeline's r of the empty battery to the nearest
-    in-range recorded branch value per sample; NaN where either is missing."""
+    in-range recorded branch value per sample; NaN where either is missing,
+    except inf where only the branch is and ``every_sample`` is set."""
     h_b, _, _, h_t = battery_hamiltonians(omega, big_omega, j)
     times = _FIXTURE_TIMES
     pipeline = sample_heisenberg(h_t, h_b, general_product_state(0.0, 0.0, 0.0, 0.0), times).r
     gaps = np.full(len(times), np.nan)
     for k, t in enumerate(times):
-        values = [v for v in branches(t) if ref.in_range(v)]
-        if values and not np.isnan(pipeline[k]):
-            gaps[k] = min(abs(pipeline[k] - v) for v in values)
+        values = [abs(pipeline[k] - v) for v in branches(t) if ref.in_range(v)]
+        if not np.isnan(pipeline[k]) and (values or every_sample):
+            gaps[k] = min(values, default=math.inf)
     return gaps
 
 
@@ -538,7 +539,8 @@ def _overlap_defect(mine, recorded) -> float:
 
 @_check("fixtures/battery-coupled-r")
 def _battery_coupled_r(rng, run):
-    return _r_form_outcome(_battery_r_gaps(2.0, 1.0, 1.0, ref.r_battery_coupled_branches), 50)
+    gaps = _battery_r_gaps(2.0, 1.0, 1.0, ref.r_battery_coupled_branches, every_sample=True)
+    return _r_form_outcome(gaps, 50)
 
 
 @_check("fixtures/battery-decoupled-r")
@@ -568,8 +570,9 @@ def _entanglement_r(rng, run):
     psi0, h, _ = entanglement_setup(p, theta, 0.0)
     pipeline = sample_entanglement(h, psi0, (2, 2), _PERP_TIMES).r
     printed = np.array([ref.r_entanglement_printed(p, theta, t) for t in _PERP_TIMES])
-    usable = ~np.isnan(pipeline) & np.array([ref.in_range(v) for v in printed])
-    return _r_form_outcome(np.where(usable, np.abs(pipeline - printed), np.nan), 5)
+    # An in-range printed value where the pipeline has no r is a miss.
+    gaps = np.where(np.isnan(pipeline), math.inf, np.abs(pipeline - printed))
+    return _r_form_outcome(np.where([ref.in_range(v) for v in printed], gaps, np.nan), 5)
 
 
 @_check("fixtures/entanglement-perp")

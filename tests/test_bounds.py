@@ -7,6 +7,7 @@ from conftest import random_hermitian, random_state
 from qslbound.bounds import (
     BoundCurve,
     correction_r,
+    correction_rows,
     entanglement_rate_bound,
     norm_rate_comparison,
     qsl_integral,
@@ -53,6 +54,26 @@ class TestCorrectionR:
         before = battery_correction_at(math.pi / math.sqrt(5.0) - 0.05)
         after = battery_correction_at(math.pi / math.sqrt(5.0) + 0.05)
         assert {before.sign_branch, after.sign_branch} == {"plus", "minus"}
+
+    def test_larger_saturating_branch_is_not_preferred_in_three_dimensions(self):
+        # d = 3, psi = e0, (A - <A>) psi = e1, (B - <B>) psi = c e1 + sqrt(0.4) e2
+        # with |c|^2 = 0.6 and Im c = 0.1: the branches are r = 0.8 -+ 0.1, both
+        # in range, and the larger one (0.9) saturates the relation.  The
+        # two-key rule keeps the smaller r, which does not saturate.
+        c = math.sqrt(0.59) + 0.1j
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+        e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
+        v = np.array([0.0, c, math.sqrt(0.4)], dtype=complex)
+        a = np.outer(e1, psi.conj()) + np.outer(psi, e1.conj())
+        b = np.outer(v, psi.conj()) + np.outer(psi, v.conj())
+        sample = correction_r(a, b, psi)
+        assert sample.sign_branch == "plus"
+        assert sample.r == pytest.approx(0.7, abs=1e-12)
+        assert sample.rhs == pytest.approx(0.1, abs=1e-12)
+        assert (1.0 - 0.9) == pytest.approx(sample.rhs, abs=1e-12)  # the other branch
+        assert sample.holds and not sample.saturated
+        _, _, rows_r = correction_rows(psi[None], (a @ psi)[None], (b @ psi)[None])
+        assert rows_r[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_selected_r_in_range_randomized(self):
         rng = np.random.default_rng(31)

@@ -110,3 +110,32 @@ def test_a_recorded_form_with_nothing_to_compare_fails(name, form, broken, monke
     monkeypatch.setattr(ref, form, broken)
     check = next(check for check in verify.CHECKS if check.name == name)
     assert verify.run_check(check, verify.RunContext()).status == "fail"
+
+
+def test_a_coupled_sample_without_an_in_range_branch_fails(monkeypatch):
+    # One sample where the pipeline has r but the recorded form offers no
+    # in-range branch must fail the check, not drop out of the comparison.
+    original = ref.r_battery_coupled_branches
+    first = verify._FIXTURE_TIMES[0]
+    monkeypatch.setattr(
+        ref, "r_battery_coupled_branches", lambda t: (2.0, 3.0) if t == first else original(t)
+    )
+    check = next(check for check in verify.CHECKS if check.name == "fixtures/battery-coupled-r")
+    assert verify.run_check(check, verify.RunContext()).status == "fail"
+
+
+def test_an_entanglement_sample_without_a_pipeline_r_fails(monkeypatch):
+    # A NaN pipeline r where the printed value is in range must fail the
+    # check, not drop out of the comparison.
+    original = verify.sample_entanglement
+
+    def losing_one(*args):
+        samples = original(*args)
+        r = samples.r.copy()
+        in_range = [ref.in_range(ref.r_entanglement_printed(0.1, 1.0, t)) for t in args[-1]]
+        r[in_range.index(True)] = np.nan
+        return samples._replace(r=r)
+
+    monkeypatch.setattr(verify, "sample_entanglement", losing_one)
+    check = next(check for check in verify.CHECKS if check.name == "fixtures/entanglement-r")
+    assert verify.run_check(check, verify.RunContext()).status == "fail"
