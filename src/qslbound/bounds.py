@@ -338,15 +338,16 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     )
 
 
-def entanglement_rate_bound(c_e: float, delta_h: float, r: float) -> float:
-    """Cap on |d entropy/dt|: 2 sqrt(C_E) dH (1 - r), hbar = 1."""
-    if c_e < 0.0:
+def entanglement_rate_bound(c_e, delta_h, r):
+    """Cap on |d entropy/dt|: 2 sqrt(C_E) dH (1 - r), hbar = 1; elementwise
+    over scalars or arrays."""
+    if np.any(c_e < 0.0):
         raise ValueError(f"capacity must be nonnegative, got {c_e!r}")
-    if not delta_h > 0.0:
+    if not np.all(delta_h > 0.0):
         raise ValueError(f"delta_h must be positive, got {delta_h!r}")
-    if not -R_RANGE_ATOL <= r <= 1.0 + R_RANGE_ATOL:
+    if not np.all((-R_RANGE_ATOL <= r) & (r <= 1.0 + R_RANGE_ATOL)):
         raise ValueError(f"correction r must lie in [0, 1], got {r!r}")
-    return float(2.0 * math.sqrt(c_e) * delta_h * (1.0 - min(max(r, 0.0), 1.0)))
+    return 2.0 * np.sqrt(c_e) * delta_h * (1.0 - np.clip(r, 0.0, 1.0))
 
 
 def norm_rate_comparison(h, d: int) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,20 +59,6 @@ def hermitian_eig(m) -> EigenSystem:
     a = require_hermitian(m)
     vals, vecs = np.linalg.eigh(a)
     return EigenSystem(vals, vecs)
-
-
-def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix: V diag(f(lambda)) V^dag.
-
-    ``f`` must be defined (finite) on every eigenvalue; callers that need a
-    logarithm of a rank-deficient density operator clamp the spectrum first.
-    """
-    vals, vecs = hermitian_eig(m)
-    with np.errstate(all="ignore"):
-        fvals = np.asarray(f(vals), dtype=complex)
-    if fvals.shape != vals.shape or not np.all(np.isfinite(fvals)):
-        raise ValueError("function is undefined on part of the spectrum")
-    return (vecs * fvals) @ vecs.conj().T
 
 
 def commutator(a, b) -> np.ndarray:

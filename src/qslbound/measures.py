@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    ENTROPY_WEIGHT_CUTOFF,
-    LOG_EIG_FLOOR,
-    matrix_function,
-    require_hermitian,
-)
+from .linalg import ENTROPY_WEIGHT_CUTOFF, LOG_EIG_FLOOR, require_hermitian
 from .states import require_density
 
 
@@ -39,7 +34,11 @@ def modular_hamiltonian(rho) -> np.ndarray:
     The clamped directions carry weight ~0 in rho, so <K> still reproduces
     the entropy to within the clamping noise.
     """
-    return matrix_function(require_density(rho)[0], lambda w: -_clamped_log(w))
+    # A second LAPACK call on the validated matrix: require_density keeps
+    # eigvalsh, whose spectrum the entropy, capacity and ergotropy read more
+    # accurately than eigh's.
+    vals, vecs = np.linalg.eigh(require_density(rho)[0])
+    return (vecs * -_clamped_log(vals)) @ vecs.conj().T
 
 
 def capacity_of_entanglement(rho) -> float:

@@ -1,10 +1,11 @@
 """Hand-derived closed forms kept only as cross-check fixtures.
 
-Nothing in the bound pipeline evaluates these; the verify suite and the
-tests compare selected samples against them.  Each correction-factor form
-below is a single fixed branch of the two-branch relation, so it is only
-meaningful where its value lands in [0, 1]; comparisons restrict to those
-samples.  Known issues are flagged where they occur:
+Nothing in the bound pipeline evaluates these; the verify suite compares
+selected samples against them.  The correction-factor forms take a scalar
+or array t, the perpendicular states a scalar t.  Each correction-factor
+form below is a single fixed branch of the two-branch relation, so it is
+only meaningful where its value lands in [0, 1]; comparisons restrict to
+those samples.  Known issues are flagged where they occur:
 
 * the decoupled-battery form (``r_battery_decoupled_printed``) carries
   frequencies of an (omega=2, Omega=2) configuration although it is labeled
@@ -24,61 +25,61 @@ SQRT5 = math.sqrt(5.0)
 SQRT10 = math.sqrt(10.0)
 
 
-def in_range(value: float) -> bool:
-    """Whether a fixed-branch correction value is usable for comparison."""
-    return -1e-12 <= value <= 1.0 + 1e-12
+def in_range(value):
+    """Whether fixed-branch correction values are usable for comparison,
+    elementwise."""
+    return (-1e-12 <= value) & (value <= 1.0 + 1e-12)
 
 
-def r_battery_coupled_branches(t: float) -> tuple[float, float]:
+def r_battery_coupled_branches(t):
     """Both branch values of the coupled-battery form."""
-    amp = 2.0 * SQRT10 * math.cos(SQRT5 * t) / math.sqrt(9.0 + math.cos(2.0 * SQRT5 * t))
+    amp = 2.0 * SQRT10 * np.cos(SQRT5 * t) / np.sqrt(9.0 + np.cos(2.0 * SQRT5 * t))
     return 0.5 * (2.0 - amp), 0.5 * (2.0 + amp)
 
 
-def r_battery_decoupled_printed(t: float) -> tuple[float, float]:
+def r_battery_decoupled_printed(t):
     """Both branch values of the recorded decoupled form (see module notes)."""
-    amp = 4.0 * math.cos(2.0 * math.sqrt(2.0) * t) / math.sqrt(
-        3.0 + math.cos(4.0 * math.sqrt(2.0) * t)
+    amp = 4.0 * np.cos(2.0 * math.sqrt(2.0) * t) / np.sqrt(
+        3.0 + np.cos(4.0 * math.sqrt(2.0) * t)
     )
     return 0.5 * (2.0 - amp), 0.5 * (2.0 + amp)
 
 
-def r_battery_parallel_printed(t: float) -> float:
+def r_battery_parallel_printed(t):
     """Single-branch r(t) recorded for the parallel battery (j=0, Omega=1,
-    omega=2); exceeds 1 on half of each period."""
-    s = math.sin(SQRT5 * t)
-    if s == 0.0:
-        return math.nan
-    amp = (
-        2.0
-        * SQRT10
-        * abs(s)
-        * (math.cos(SQRT5 * t) / s)
-        / math.sqrt(9.0 + math.cos(2.0 * SQRT5 * t))
-    )
-    return 0.5 * (2.0 + amp)
+    omega=2); exceeds 1 on half of each period, NaN where sin(sqrt5 t) = 0."""
+    s = np.sin(SQRT5 * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = (
+            2.0
+            * SQRT10
+            * np.abs(s)
+            * (np.cos(SQRT5 * t) / s)
+            / np.sqrt(9.0 + np.cos(2.0 * SQRT5 * t))
+        )
+    return np.where(s == 0.0, np.nan, 0.5 * (2.0 + amp))[()]
 
 
-def r_entanglement_printed(p: float, theta: float, t: float) -> float:
+def r_entanglement_printed(p: float, theta: float, t):
     """Single-branch correction factor for the entanglement run."""
-    alpha = (2.0 * p - 1.0) * math.cos(2.0 * theta * t)
-    beta = -1.0 - 4.0 * p * (1.0 - p) + (1.0 - 2.0 * p) ** 2 * math.cos(
+    alpha = (2.0 * p - 1.0) * np.cos(2.0 * theta * t)
+    beta = -1.0 - 4.0 * p * (1.0 - p) + (1.0 - 2.0 * p) ** 2 * np.cos(
         4.0 * theta * t
     )
-    at = math.atanh(alpha)
+    at = np.arctanh(alpha)
     numerator = (
-        abs(
-            np.sqrt(complex(-(at**2) * beta)) / math.sqrt(2.0)
+        np.abs(
+            np.sqrt(-(at**2) * beta + 0j) / math.sqrt(2.0)
             + at
             * math.copysign(1.0, (1.0 - 2.0 * p) * theta)
             * (
-                -2.0j * math.sqrt(p * (1.0 - p)) * math.cos(2.0 * theta * t)
-                - math.sin(2.0 * theta * t)
+                -2.0j * math.sqrt(p * (1.0 - p)) * np.cos(2.0 * theta * t)
+                - np.sin(2.0 * theta * t)
             )
         )
         ** 2
     )
-    return float(numerator / abs(at**2 * beta))
+    return numerator / np.abs(at**2 * beta)
 
 
 def perp_entanglement_printed(p: float, theta: float, mu3: float, t: float) -> np.ndarray:

@@ -11,8 +11,10 @@ Three two-qubit settings exercise the bounds engine end to end:
   exchange interaction, tracked through the stored energy (direct-integral
   bound).
 
-Each runner pairs the generic numeric pipeline with closed forms that are
-kept as independent oracles.
+The closed forms below (capacity and entropy, modular variance and energy,
+stored energy) are numpy expressions in a scalar or array t.  No runner
+evaluates them; they are independent oracles that the verify suite
+compares with the runners' samples on whole grids.
 """
 
 from __future__ import annotations
@@ -91,24 +93,6 @@ class BatteryScenario:
             )
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Per-sample comparison of a closed form against the numeric pipeline."""
-
-    quantity: str
-    times: np.ndarray
-    analytic: np.ndarray
-    numeric: np.ndarray
-
-    @property
-    def abs_errors(self) -> np.ndarray:
-        return np.abs(self.analytic - self.numeric)
-
-    @property
-    def max_abs_error(self) -> float:
-        return float(np.max(self.abs_errors))
-
-
 def canonical_hamiltonian(mu1: float, mu2: float, mu3: float) -> np.ndarray:
     """mu1 XX + mu2 YY + mu3 ZZ, the canonical two-qubit interaction."""
     if not (mu1 >= mu2 >= mu3 >= 0.0):
@@ -146,43 +130,38 @@ def entanglement_setup(
     return psi0, h, k0
 
 
-def _schmidt_weights(p: float, theta: float, t: float) -> tuple[float, float]:
-    c = math.cos(2.0 * theta * t)
-    lam1 = 0.5 * (1.0 - (1.0 - 2.0 * p) * c)
-    lam2 = 0.5 * (1.0 + (1.0 - 2.0 * p) * c)
-    return lam1, lam2
-
-
-def ce_see_closed_form(p: float, theta: float, t: float) -> tuple[float, float]:
-    """Closed-form capacity and entanglement entropy of the evolved state.
+def ce_see_closed_form(p: float, theta: float, t):
+    """Closed-form capacity and entanglement entropy of the evolved state at
+    a scalar or array ``t``.
 
     Evaluated from the reduced spectrum lambda_i(t) = (1 -+ (1-2p) cos(2 theta t))/2
-    with the lambda log lambda -> 0 convention; p in {0, 1} returns (0, 0).
+    with the lambda log lambda -> 0 convention: samples with a weight at or
+    below 1e-15 (p in {0, 1} at cos(2 theta t) = +-1) give (0, 0).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    lam1, lam2 = _schmidt_weights(p, theta, t)
-    cutoff = 1e-15
-    if min(lam1, lam2) <= cutoff:
-        return 0.0, 0.0
-    s_ee = -(lam1 * math.log(lam1) + lam2 * math.log(lam2))
-    c_e = lam1 * lam2 * math.log(lam1 / lam2) ** 2
-    return float(c_e), float(s_ee)
+    c = (1.0 - 2.0 * p) * np.cos(2.0 * theta * t)
+    lam1, lam2 = 0.5 * (1.0 - c), 0.5 * (1.0 + c)
+    flat = np.minimum(lam1, lam2) <= 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_ee = -(lam1 * np.log(lam1) + lam2 * np.log(lam2))
+        c_e = lam1 * lam2 * np.log(lam1 / lam2) ** 2
+    return np.where(flat, 0.0, c_e)[()], np.where(flat, 0.0, s_ee)[()]
 
 
-def modular_closed_form(p: float, theta: float, t: float) -> tuple[float, float]:
+def modular_closed_form(p: float, theta: float, t):
     """Closed-form variance and mean of the Heisenberg-evolved modular
-    Hamiltonian; singular at p in {0, 1/2, 1}."""
+    Hamiltonian at a scalar or array ``t``; singular at p in {0, 1/2, 1}."""
     if not 0.0 < p < 1.0 or abs(p - 0.5) <= DEGENERATE_P_ATOL:
         raise ValueError(f"p must lie in (0, 1) away from 1/2, got {p!r}")
     g = math.log(1.0 / p - 1.0)
-    c2 = math.cos(2.0 * theta * t)
-    s2 = math.sin(2.0 * theta * t)
+    c2 = np.cos(2.0 * theta * t)
+    s2 = np.sin(2.0 * theta * t)
     c_m = 0.25 * g * g * (4.0 * p * (1.0 - p) * c2 * c2 + s2 * s2)
     e_m = -(1.0 - 2.0 * p) * math.atanh(1.0 - 2.0 * p) * c2 - 0.5 * math.log(
         p * (1.0 - p)
     )
-    return float(c_m), float(e_m)
+    return c_m, e_m
 
 
 def battery_hamiltonians(
@@ -215,14 +194,12 @@ def general_product_state(
     return np.kron(np.array([up1, down1]), np.array([up2, down2]))
 
 
-def ergotropy_closed_form(omega: float, big_omega: float, t: float) -> float:
-    """Stored energy of the initially empty battery; independent of j."""
+def ergotropy_closed_form(omega: float, big_omega: float, t):
+    """Stored energy of the initially empty battery at a scalar or array
+    ``t``; independent of j."""
     freq_sq = omega * omega + big_omega * big_omega
-    if freq_sq == 0.0:
-        return 0.0
-    return float(
-        4.0 * omega * big_omega**2 / freq_sq * math.sin(math.sqrt(freq_sq) * t) ** 2
-    )
+    amplitude = 4.0 * omega * big_omega**2 / freq_sq if freq_sq else 0.0
+    return amplitude * np.sin(math.sqrt(freq_sq) * t) ** 2
 
 
 def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
@@ -256,45 +233,3 @@ def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
     samples = sample_heisenberg(h_t, h_b, psi0, scn.grid.points)
     stored = samples._replace(means=samples.means - samples.means[0])
     return qsl_integral(scn.grid, stored, moments(h_t, psi0).std_dev)
-
-
-def entanglement_closed_form_reports(
-    p: float, theta: float, grid: TimeGrid
-) -> tuple[ClosedFormReport, ClosedFormReport]:
-    """Capacity and entropy closed forms against the numeric pipeline."""
-    psi0, h, _ = entanglement_setup(p, theta, 0.0)
-    samples = sample_entanglement(h, psi0, (2, 2), grid.points)
-    analytic = np.array([ce_see_closed_form(p, theta, t) for t in grid.points])
-    return (
-        ClosedFormReport(
-            "capacity_of_entanglement", grid.points, analytic[:, 0], samples.std_devs**2
-        ),
-        ClosedFormReport("entanglement_entropy", grid.points, analytic[:, 1], samples.means),
-    )
-
-
-def modular_closed_form_reports(
-    p: float, theta: float, grid: TimeGrid
-) -> tuple[ClosedFormReport, ClosedFormReport]:
-    """Modular variance and energy closed forms against the pipeline."""
-    psi0, h, k0 = entanglement_setup(p, theta, 0.0)
-    samples = sample_heisenberg(h, k0, psi0, grid.points)
-    analytic = np.array([modular_closed_form(p, theta, t) for t in grid.points])
-    return (
-        ClosedFormReport(
-            "modular_capacity", grid.points, analytic[:, 0], samples.std_devs**2
-        ),
-        ClosedFormReport("modular_energy", grid.points, analytic[:, 1], samples.means),
-    )
-
-
-def ergotropy_closed_form_report(
-    omega: float, big_omega: float, j: float, grid: TimeGrid
-) -> ClosedFormReport:
-    """Stored-energy closed form against the battery runner's mean values."""
-    scn = BatteryScenario(omega=omega, big_omega=big_omega, j=j, grid=grid)
-    numeric = run_battery_scenario(scn).mean_values
-    analytic = np.array(
-        [ergotropy_closed_form(omega, big_omega, t) for t in grid.points]
-    )
-    return ClosedFormReport("ergotropy", grid.points, analytic, numeric)

@@ -42,12 +42,11 @@ from .presets import PRESETS, build_preset_curves
 from .scenarios import (
     BatteryScenario,
     battery_hamiltonians,
-    entanglement_closed_form_reports,
+    ce_see_closed_form,
     entanglement_setup,
     ergotropy_closed_form,
-    ergotropy_closed_form_report,
     general_product_state,
-    modular_closed_form_reports,
+    modular_closed_form,
     run_battery_scenario,
 )
 from .states import (
@@ -367,18 +366,24 @@ def _single_qubit_saturation(rng, run):
 
 @_check("scenarios/closed-forms")
 def _closed_forms(rng, run):
-    worst, over_cap = 0.0, 0
-    grid = run.grid(1.0)
+    pairs, over_cap = [], 0
+    ts = run.grid(1.0).points
     for p in (0.1, 0.3, 0.4):
         for theta in (0.5, 1.0):
-            for rep in entanglement_closed_form_reports(p, theta, grid):
-                worst = max(worst, rep.max_abs_error)
-            for rep in modular_closed_form_reports(p, theta, grid):
-                worst = max(worst, rep.max_abs_error)
+            psi0, h, k0 = entanglement_setup(p, theta, 0.0)
+            ent = sample_entanglement(h, psi0, (2, 2), ts)
+            mod = sample_heisenberg(h, k0, psi0, ts)
+            c_e, s_ee = ce_see_closed_form(p, theta, ts)
+            c_m, e_m = modular_closed_form(p, theta, ts)
+            pairs += [(c_e, ent.std_devs**2), (s_ee, ent.means)]
+            pairs += [(c_m, mod.std_devs**2), (e_m, mod.means)]
+    grid = run.grid(2.0)
     for omega, big_omega, j in ((2.0, 1.0, 1.0), (2.0, 4.0, 1.0), (2.0, 1.0, 0.0)):
-        rep = ergotropy_closed_form_report(omega, big_omega, j, run.grid(2.0))
-        worst = max(worst, rep.max_abs_error)
-        over_cap += bool(np.max(rep.numeric) > 4.0 * omega + 1e-9)
+        scn = BatteryScenario(omega=omega, big_omega=big_omega, j=j, grid=grid)
+        stored = run_battery_scenario(scn).mean_values
+        pairs.append((ergotropy_closed_form(omega, big_omega, grid.points), stored))
+        over_cap += bool(np.max(stored) > 4.0 * omega + 1e-9)
+    worst = max(float(np.max(np.abs(analytic - numeric))) for analytic, numeric in pairs)
     # The coupled battery's stored energy peaks at 1.6 at t* = pi / (2 sqrt 5).
     t_star = math.pi / (2.0 * math.sqrt(5.0))
     scn = BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=run.grid(t_star))
@@ -464,9 +469,11 @@ def _battery_qslo_modes(rng, run):
 @_check("scenarios/ergotropy-j-independence")
 def _ergotropy_j_independence(rng, run):
     grid = run.grid(2.0)
-    rep0 = ergotropy_closed_form_report(2.0, 1.0, 0.0, grid)
-    rep1 = ergotropy_closed_form_report(2.0, 1.0, 1.0, grid)
-    gap = float(np.max(np.abs(rep0.numeric - rep1.numeric)))
+    e0, e1 = (
+        run_battery_scenario(BatteryScenario(omega=2.0, big_omega=1.0, j=j, grid=grid)).mean_values
+        for j in (0.0, 1.0)
+    )
+    gap = float(np.max(np.abs(e0 - e1)))
     return gap <= 1e-10, f"max |E_J=0 - E_J=1| = {gap:.2e}"
 
 
@@ -479,10 +486,7 @@ def _entanglement_rate(rng, run):
     gamma = np.abs(samples.derivatives)
     worst_norm = float(np.max(gamma - 2.0 * norm_rate_comparison(h, 2)))
     healthy = ~np.isnan(samples.r)
-    limits = np.array([
-        entanglement_rate_bound(std * std, delta_h, r)
-        for std, r in zip(samples.std_devs[healthy], samples.r[healthy])
-    ])
+    limits = entanglement_rate_bound(samples.std_devs[healthy] ** 2, delta_h, samples.r[healthy])
     worst_violation = float(np.max(gamma[healthy] - limits, initial=-math.inf))
     share = float(np.mean(healthy))
     ok = worst_violation <= 1e-9 and worst_norm <= 1e-9 and share > 0.99
@@ -513,16 +517,13 @@ _PERP_TIMES = np.linspace(0.05, 1.0, 40)
 def _battery_r_gaps(omega, big_omega, j, branches, every_sample=False) -> np.ndarray:
     """Distance from the pipeline's r of the empty battery to the nearest
     in-range recorded branch value per sample; NaN where either is missing,
-    except inf where only the branch is and ``every_sample`` is set."""
+    except inf where only the pipeline has r and ``every_sample`` is set."""
     h_b, _, _, h_t = battery_hamiltonians(omega, big_omega, j)
-    times = _FIXTURE_TIMES
-    pipeline = sample_heisenberg(h_t, h_b, general_product_state(0.0, 0.0, 0.0, 0.0), times).r
-    gaps = np.full(len(times), np.nan)
-    for k, t in enumerate(times):
-        values = [abs(pipeline[k] - v) for v in branches(t) if ref.in_range(v)]
-        if not np.isnan(pipeline[k]) and (values or every_sample):
-            gaps[k] = min(values, default=math.inf)
-    return gaps
+    psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
+    pipeline = sample_heisenberg(h_t, h_b, psi0, _FIXTURE_TIMES).r
+    values = np.array(branches(_FIXTURE_TIMES))
+    gaps = np.min(np.where(ref.in_range(values), np.abs(pipeline - values), math.inf), axis=0)
+    return np.where(~np.isnan(pipeline) & (np.isfinite(gaps) | every_sample), gaps, np.nan)
 
 
 def _r_form_outcome(gaps: np.ndarray, floor: int):
@@ -569,10 +570,10 @@ def _entanglement_r(rng, run):
     p, theta = 0.1, 1.0
     psi0, h, _ = entanglement_setup(p, theta, 0.0)
     pipeline = sample_entanglement(h, psi0, (2, 2), _PERP_TIMES).r
-    printed = np.array([ref.r_entanglement_printed(p, theta, t) for t in _PERP_TIMES])
+    printed = ref.r_entanglement_printed(p, theta, _PERP_TIMES)
     # An in-range printed value where the pipeline has no r is a miss.
     gaps = np.where(np.isnan(pipeline), math.inf, np.abs(pipeline - printed))
-    return _r_form_outcome(np.where([ref.in_range(v) for v in printed], gaps, np.nan), 5)
+    return _r_form_outcome(np.where(ref.in_range(printed), gaps, np.nan), 5)
 
 
 @_check("fixtures/entanglement-perp")

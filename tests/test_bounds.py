@@ -225,6 +225,14 @@ class TestEntanglementRateBound:
         with pytest.raises(ValueError):
             entanglement_rate_bound(0.5, 1.0, 1.5)
 
+    def test_arrays_match_scalar_calls(self):
+        c_e = np.array([0.0, 0.5, 0.25, 0.1])
+        r = np.array([0.2, 1.0, 0.5, -1e-10])
+        expected = [entanglement_rate_bound(c, 2.0, x) for c, x in zip(c_e, r)]
+        assert np.array_equal(entanglement_rate_bound(c_e, 2.0, r), expected)
+        with pytest.raises(ValueError, match="correction r"):
+            entanglement_rate_bound(c_e, 2.0, np.array([0.2, 1.0, 1.5, 0.0]))
+
 
 class TestNormRateComparison:
     def test_xx_coupling(self):

@@ -9,7 +9,6 @@ from qslbound.linalg import (
     SIGMA_Z,
     commutator,
     hermitian_eig,
-    matrix_function,
     partial_trace,
     require_hermitian,
     spectral_norm,
@@ -49,36 +48,6 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             require_hermitian(np.zeros((2, 3)))
-
-
-class TestMatrixFunction:
-    def test_zero_time_exponential_is_identity(self):
-        rng = np.random.default_rng(3)
-        m = random_hermitian(rng, 4)
-        u = matrix_function(m, lambda w: np.exp(-1j * w * 0.0))
-        assert np.allclose(u, np.eye(4), atol=1e-12)
-
-    def test_log_of_scalar_matrix(self):
-        k = matrix_function(np.eye(2) / 2.0, np.log)
-        assert np.allclose(k, -np.log(2.0) * np.eye(2), atol=1e-12)
-
-    def test_log_matches_scalar_oracle(self):
-        k = matrix_function(np.diag([0.1, 0.9]), np.log)
-        assert np.allclose(np.diag(k).real, [np.log(0.1), np.log(0.9)], atol=1e-12)
-        assert np.isclose(k[0, 0].real, -2.302585092994046)
-        assert np.isclose(k[1, 1].real, -0.10536051565782628)
-
-    def test_exponential_is_unitary(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            m = random_hermitian(rng, 4)
-            t = rng.uniform(-100.0, 100.0)
-            u = matrix_function(m, lambda w: np.exp(-1j * w * t))
-            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
-
-    def test_domain_error_on_log_of_zero(self):
-        with pytest.raises(ValueError, match="undefined"):
-            matrix_function(np.diag([0.0, 1.0]), np.log)
 
 
 class TestCommutator:

@@ -18,13 +18,10 @@ from qslbound.scenarios import (
     battery_hamiltonians,
     canonical_hamiltonian,
     ce_see_closed_form,
-    entanglement_closed_form_reports,
     ergotropy_closed_form,
-    ergotropy_closed_form_report,
     general_product_state,
     initial_schmidt_state,
     modular_closed_form,
-    modular_closed_form_reports,
     run_battery_scenario,
     run_entanglement_scenario,
     run_modular_scenario,
@@ -43,6 +40,18 @@ SWAP = np.array(
 
 def small_grid(t_max=1.0, n=400):
     return TimeGrid(t_max, n)
+
+
+@pytest.fixture(scope="module")
+def run():
+    return verify.RunContext()
+
+
+def assert_check(run, name, expected="pass"):
+    """Run the verify-registry check ``name``, the one place its invariant
+    is written, and require ``expected``."""
+    result = verify.run_check(next(c for c in verify.CHECKS if c.name == name), run)
+    assert result.status == expected, f"{name}: {result.detail}"
 
 
 class TestCanonicalHamiltonian:
@@ -111,11 +120,8 @@ class TestEntanglementClosedForms:
         assert s_ee == pytest.approx(expected_s, abs=1e-12)
         assert c_e > 0.0
 
-    def test_matches_numeric_pipeline(self):
-        for p in (0.1, 0.3, 0.4):
-            for theta in (0.5, 1.0):
-                for rep in entanglement_closed_form_reports(p, theta, small_grid()):
-                    assert rep.max_abs_error <= 1e-8
+    def test_matches_numeric_pipeline(self, run):
+        assert_check(run, "scenarios/closed-forms")
 
 
 class TestModularClosedForm:
@@ -139,11 +145,26 @@ class TestModularClosedForm:
             with pytest.raises(ValueError):
                 modular_closed_form(p, 1.0, 0.1)
 
-    def test_matches_numeric_pipeline(self):
-        for p in (0.1, 0.3, 0.4):
-            for theta in (0.5, 1.0):
-                for rep in modular_closed_form_reports(p, theta, small_grid()):
-                    assert rep.max_abs_error <= 1e-8
+    def test_matches_numeric_pipeline(self, run):
+        assert_check(run, "scenarios/closed-forms")
+
+
+@pytest.mark.parametrize(
+    "form, params",
+    [
+        (ce_see_closed_form, (0.1, 1.0)),
+        # A product state: the rank-deficient samples at t = 0 and pi give (0, 0).
+        (ce_see_closed_form, (0.0, 1.0)),
+        (modular_closed_form, (0.3, 0.5)),
+        (ergotropy_closed_form, (2.0, 1.0)),
+    ],
+    ids=["ce-see", "ce-see-product", "modular", "ergotropy"],
+)
+def test_closed_form_on_an_array_equals_its_scalar_calls(form, params):
+    ts = np.linspace(0.0, math.pi, 41)
+    on_array = np.array(form(*params, ts))
+    elementwise = np.array([form(*params, t) for t in ts.tolist()])
+    assert np.array_equal(on_array, elementwise.T)
 
 
 class TestBatteryHamiltonians:
@@ -210,13 +231,9 @@ class TestErgotropy:
         assert curve.mean_values[-1] == pytest.approx(1.6, abs=1e-10)
         assert ergotropy_closed_form(2.0, 1.0, t_star) == pytest.approx(1.6)
 
-    def test_closed_form_and_j_independence(self):
-        grid = small_grid(2.0)
-        rep0 = ergotropy_closed_form_report(2.0, 1.0, 0.0, grid)
-        rep1 = ergotropy_closed_form_report(2.0, 1.0, 1.0, grid)
-        assert rep0.max_abs_error <= 1e-8
-        assert rep1.max_abs_error <= 1e-8
-        assert np.max(np.abs(rep0.numeric - rep1.numeric)) <= 1e-10
+    def test_closed_form_and_j_independence(self, run):
+        assert_check(run, "scenarios/closed-forms")
+        assert_check(run, "scenarios/ergotropy-j-independence")
 
     def test_never_exceeds_capacity(self):
         for big_omega in (1.0, 4.0):
@@ -287,7 +304,7 @@ class TestRunEntanglement:
         curve = run_entanglement_scenario(
             EntanglementScenario(p=0.1, theta=1.0, grid=small_grid(n=200))
         )
-        expected = [ce_see_closed_form(0.1, 1.0, t)[1] for t in curve.grid.points]
+        _, expected = ce_see_closed_form(0.1, 1.0, curve.grid.points)
         assert np.allclose(curve.mean_values, expected, atol=1e-10)
 
     def test_flat_spectrum_sample_is_excluded_with_warning(self):
@@ -304,15 +321,8 @@ class TestRunEntanglement:
 
 
 class TestRunModular:
-    def test_saturation(self):
-        for theta in (0.5, 1.0):
-            curve = run_modular_scenario(
-                EntanglementScenario(p=0.1, theta=theta, grid=small_grid())
-            )
-            ts = curve.grid.points
-            mask = ts >= 0.05
-            rel = np.abs(curve.t_sqslo[mask] - ts[mask]) / ts[mask]
-            assert np.max(rel) <= 0.02
+    def test_saturation(self, run):
+        assert_check(run, "scenarios/modular-saturation")
 
     def test_uncorrected_bound_is_loose(self):
         curve = run_modular_scenario(
@@ -344,31 +354,11 @@ class TestRunModular:
 
 
 class TestRunBattery:
-    def test_coupled_and_decoupled_saturate_and_overlap(self):
-        grid = small_grid(2.0, n=800)
-        coupled = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
-        )
-        decoupled = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=4.0, j=1.0, grid=grid)
-        )
-        ts = grid.points
-        mask = ts >= 0.05
-        for curve in (coupled, decoupled):
-            rel = np.abs(curve.t_sqslo[mask] - ts[mask]) / ts[mask]
-            assert np.max(rel) <= 0.02
-        overlap = np.abs(coupled.t_sqslo[mask] - decoupled.t_sqslo[mask]) / ts[mask]
-        assert np.max(overlap) <= 0.02
+    def test_coupled_and_decoupled_saturate_and_overlap(self, run):
+        assert_check(run, "scenarios/battery-saturation-overlap")
 
-    def test_parallel_collective_qslo_overlap(self):
-        grid = small_grid(2.0, n=800)
-        parallel = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=1.0, j=0.0, grid=grid)
-        )
-        collective = run_battery_scenario(
-            BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
-        )
-        assert np.max(np.abs(parallel.t_qslo - collective.t_qslo)) <= 1e-8
+    def test_parallel_collective_qslo_overlap(self, run):
+        assert_check(run, "scenarios/battery-qslo-parallel-collective")
 
     def test_long_window_stays_on_diagonal(self):
         grid = small_grid(6.0, n=2400)
@@ -431,41 +421,25 @@ class TestRecordedForms:
     the pipeline, and the one known-bad form must stay flagged.  Each test
     runs the ``fixtures/*`` check of the verify registry that holds it."""
 
-    @pytest.fixture(scope="class")
-    def run(self):
-        return verify.RunContext()
-
-    def status(self, run, name):
-        check = next(c for c in verify.CHECKS if c.name == name)
-        result = verify.run_check(check, run)
-        return result.status, result.detail
-
     def test_coupled_battery_form_matches(self, run):
-        status, detail = self.status(run, "fixtures/battery-coupled-r")
-        assert status == "pass", detail
+        assert_check(run, "fixtures/battery-coupled-r")
 
     def test_parallel_battery_form_matches_where_in_range(self, run):
-        status, detail = self.status(run, "fixtures/battery-parallel-r")
-        assert status == "pass", detail
+        assert_check(run, "fixtures/battery-parallel-r")
 
     def test_decoupled_form_known_discrepancy(self, run):
         # The recorded decoupled expression does not match its labeled
         # parameters (Omega = 4); it reproduces an Omega = 2 run instead.
-        status, detail = self.status(run, "fixtures/battery-decoupled-r")
-        assert status == verify.KNOWN, detail
+        assert_check(run, "fixtures/battery-decoupled-r", verify.KNOWN)
 
     def test_entanglement_r_form_matches_where_in_range(self, run):
-        status, detail = self.status(run, "fixtures/entanglement-r")
-        assert status == "pass", detail
+        assert_check(run, "fixtures/entanglement-r")
 
     def test_entanglement_perp_overlap(self, run):
-        status, detail = self.status(run, "fixtures/entanglement-perp")
-        assert status == "pass", detail
+        assert_check(run, "fixtures/entanglement-perp")
 
     def test_modular_perp_overlap(self, run):
-        status, detail = self.status(run, "fixtures/modular-perp")
-        assert status == "pass", detail
+        assert_check(run, "fixtures/modular-perp")
 
     def test_battery_coupled_perp_overlap(self, run):
-        status, detail = self.status(run, "fixtures/battery-coupled-perp")
-        assert status == "pass", detail
+        assert_check(run, "fixtures/battery-coupled-perp")

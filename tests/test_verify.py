@@ -64,6 +64,13 @@ def test_invariant(check, run):
     assert result.status == EXPECTED[check.name], result.detail
 
 
+def assert_fails_on_comparison(name):
+    """The check ``name`` fails on its comparison, not on an exception."""
+    check = next(check for check in verify.CHECKS if check.name == name)
+    result = verify.run_check(check, verify.RunContext())
+    assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
+
+
 def test_preset_curves_do_not_outlive_a_run(monkeypatch):
     # A first run builds clean preset curves; a run after a sign error in
     # the commutator must rebuild them and fail the checks that read them.
@@ -97,7 +104,11 @@ def test_a_broken_recorded_form_fails_the_run(form, name, monkeypatch, capsys):
     [
         # Every recorded value out of [0, 1], or every recorded state NaN:
         # nothing is left to compare, which must not read as a match.
-        ("fixtures/battery-decoupled-r", "r_battery_decoupled_printed", lambda t: (2.0, 3.0)),
+        (
+            "fixtures/battery-decoupled-r",
+            "r_battery_decoupled_printed",
+            lambda t: (np.full_like(t, 2.0), np.full_like(t, 3.0)),
+        ),
         (
             "fixtures/battery-coupled-perp",
             "perp_battery_coupled_printed",
@@ -108,20 +119,20 @@ def test_a_broken_recorded_form_fails_the_run(form, name, monkeypatch, capsys):
 )
 def test_a_recorded_form_with_nothing_to_compare_fails(name, form, broken, monkeypatch):
     monkeypatch.setattr(ref, form, broken)
-    check = next(check for check in verify.CHECKS if check.name == name)
-    assert verify.run_check(check, verify.RunContext()).status == "fail"
+    assert_fails_on_comparison(name)
 
 
 def test_a_coupled_sample_without_an_in_range_branch_fails(monkeypatch):
     # One sample where the pipeline has r but the recorded form offers no
     # in-range branch must fail the check, not drop out of the comparison.
     original = ref.r_battery_coupled_branches
-    first = verify._FIXTURE_TIMES[0]
-    monkeypatch.setattr(
-        ref, "r_battery_coupled_branches", lambda t: (2.0, 3.0) if t == first else original(t)
-    )
-    check = next(check for check in verify.CHECKS if check.name == "fixtures/battery-coupled-r")
-    assert verify.run_check(check, verify.RunContext()).status == "fail"
+
+    def first_sample_out_of_range(t):
+        at_first = t == verify._FIXTURE_TIMES[0]
+        return tuple(np.where(at_first, bad, v) for bad, v in zip((2.0, 3.0), original(t)))
+
+    monkeypatch.setattr(ref, "r_battery_coupled_branches", first_sample_out_of_range)
+    assert_fails_on_comparison("fixtures/battery-coupled-r")
 
 
 def test_an_entanglement_sample_without_a_pipeline_r_fails(monkeypatch):
@@ -132,10 +143,9 @@ def test_an_entanglement_sample_without_a_pipeline_r_fails(monkeypatch):
     def losing_one(*args):
         samples = original(*args)
         r = samples.r.copy()
-        in_range = [ref.in_range(ref.r_entanglement_printed(0.1, 1.0, t)) for t in args[-1]]
-        r[in_range.index(True)] = np.nan
+        in_range = ref.in_range(ref.r_entanglement_printed(0.1, 1.0, args[-1]))
+        r[np.flatnonzero(in_range)[0]] = np.nan
         return samples._replace(r=r)
 
     monkeypatch.setattr(verify, "sample_entanglement", losing_one)
-    check = next(check for check in verify.CHECKS if check.name == "fixtures/entanglement-r")
-    assert verify.run_check(check, verify.RunContext()).status == "fail"
+    assert_fails_on_comparison("fixtures/entanglement-r")
