@@ -1,35 +1,24 @@
 """Speed-limit bounds for observables: correction factor, QSLO and SQSLO.
 
-The correction factor r follows the stronger product-form uncertainty
-relation
+The correction factor r comes from the stronger uncertainty relation
+(Maccone and Pati, PRL 113, 260401, 2014)
 
-    Delta A Delta B (1 - r) >= |<[A, B]>| / 2,
+    dA dB (1 - r) >= |<[A, B]>| / 2,
 
-with r = (1/2) |<psi_perp| (A/dA -+ i B/dB) |psi>|^2.  Both signs in front
-of iB/dB are evaluated per sample.  Two keys pick the branch: the one whose
-r lies in [0, 1], else the smaller r (ties go to minus).  This reproduces
-piecewise closed forms that switch branch wherever the commutator
-expectation changes sign, without any hand-coded case analysis.
-``correction_r`` and the sampler's ``correction_rows`` share this rule.
+r = (1/2) |<psi_perp| (A/dA -+ i B/dB) |psi>|^2 on the sign that makes the
+commutator side positive.  With psi_perp = (A - <A>) psi / dA and
+c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) this is the closed form
 
-Two perpendicular-state constructions are supported:
+    r = (1 + |c|^2)/2 - |Im c|,    sign "plus" iff Im c > 0,
 
-* ``perp="observable"`` (default): psi_perp = (A - <A>) |psi> / dA.  With
-  c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) the branch values are
-  (1 + |c|^2)/2 +- |Im c|.  The smaller saturates the relation exactly when
-  |c| = 1, i.e. the dynamics is confined to a two-dimensional subspace,
-  which puts the SQSLO curves of the bundled case studies on the diagonal.
-  In dimension >= 3 the larger saturates where (1 - |c|^2)/2 = 2 |Im c|;
-  the rule still keeps the smaller there.
-* ``perp="optimal"``: psi_perp is the normalized projection of
-  (A/dA -+ i B/dB)|psi> orthogonal to |psi>, which saturates the relation
-  for arbitrary pairs and states on the smaller r (the other is 1 + |Im c|).
+in [0, 1] by Cauchy-Schwarz.  eta = 1 - r >= |Im c| = |<[A, B]>| / (2 dA dB),
+with equality exactly where |c| = 1, which puts the SQSLO curves of the
+bundled case studies on the diagonal.
 
-Bound curves integrate |d<O>/dt| / (dO * eta) with eta = 1 - r by
-cumulative composite Simpson.  They take the sampler's ``Samples``, whose
-r is NaN where no correction is defined.  Samples where dO or eta
-degenerate sit on measure-zero sets of the case studies; they are excluded
-and replaced by the nearest healthy sample, and recorded as warnings.
+Bound curves integrate |d<O>/dt| / (dO * eta) by cumulative composite
+Simpson over the sampler's ``Samples`` (r NaN where no correction is
+defined).  Samples where dO or eta degenerate are excluded, replaced by the
+nearest healthy sample and recorded as warnings.
 """
 
 from __future__ import annotations
@@ -58,10 +47,8 @@ ETA_FLOOR = 1e-9
 # Absolute tolerance for flagging equality of the uncertainty relation.
 SATURATION_ATOL = 1e-8
 
-# r may exceed [0, 1] by at most this before the branch is discarded; if both
-# branches overshoot by more than R_RANGE_HARD something is numerically wrong.
+# entanglement_rate_bound accepts r this far outside [0, 1] (rounding).
 R_RANGE_ATOL = 1e-9
-R_RANGE_HARD = 1e-6
 
 HIERARCHY_ATOL = 1e-9
 
@@ -122,45 +109,27 @@ class BoundCurve:
             raise ValueError(f"bound hierarchy violated by {worst:.3e}")
 
 
-def correction_r(a, b, psi, perp: str = "observable") -> CorrectionSample:
-    """The stronger uncertainty relation for A, B in ``psi``: both sign
-    branches of the correction factor, the one selected, and the two sides
-    of the relation on it, all from one pass over A psi and B psi.
+def correction_r(a, b, psi) -> CorrectionSample:
+    """The stronger uncertainty relation for A, B in ``psi``: r in closed
+    form, its sign and both sides of the relation, from one pass over
+    A psi and B psi.
 
     Raises DegenerateObservableError when either observable has vanishing
     spread in ``psi`` (callers sampling trajectories turn that into an
-    excluded sample).  Raises ArithmeticError if both branches land outside
-    [0, 1] by more than R_RANGE_HARD.
+    excluded sample).
     """
-    v, (a_psi, dev_a, ma), (b_psi, _, mb) = _spread(psi, a, b)
+    _, (a_psi, dev_a, ma), (b_psi, dev_b, mb) = _spread(psi, a, b)
     if ma.variance <= VARIANCE_FLOOR or mb.variance <= VARIANCE_FLOOR:
         raise DegenerateObservableError(
             "one observable has no spread in this state; no correction defined"
         )
-    if perp not in ("observable", "optimal"):
-        raise ValueError(f"perp must be 'observable' or 'optimal', got {perp!r}")
-    u, w = a_psi / ma.std_dev, b_psi / mb.std_dev
-    psi_perp = dev_a / ma.std_dev
-    rs = {}
-    for name, sign in (("minus", -1.0), ("plus", 1.0)):
-        vec = u + 1j * sign * w
-        if perp == "observable":
-            rs[name] = 0.5 * abs(np.vdot(psi_perp, vec)) ** 2
-        else:  # the part of vec orthogonal to psi
-            vec = vec - np.vdot(v, vec) * v
-            rs[name] = 0.5 * float(np.vdot(vec, vec).real)
-    # The in-range branch, else the smaller r; ties go to minus.
-    name = min(rs, key=lambda k: (not -R_RANGE_ATOL <= rs[k] <= 1 + R_RANGE_ATOL, rs[k], k))
-    if max(-rs[name], rs[name] - 1.0) > R_RANGE_HARD:
-        raise ArithmeticError(
-            "both correction branches out of range: "
-            f"r_minus={rs['minus']!r}, r_plus={rs['plus']!r}"
-        )
-    r = min(max(rs[name], 0.0), 1.0)
+    c = np.vdot(dev_a, dev_b) / (ma.std_dev * mb.std_dev)
+    r = float(0.5 * (1.0 + abs(c) ** 2) - abs(c.imag))
     eta = 1.0 - r
     # <[A, B]> = 2i Im <A psi | B psi>, so |<[A,B]>|/2 = |Im <A psi|B psi>|.
     rhs = float(abs(np.vdot(a_psi, b_psi).imag))
-    return CorrectionSample(r, eta, name, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
+    sign = "plus" if c.imag > 0.0 else "minus"
+    return CorrectionSample(r, eta, sign, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
 
 
 def _row_moments(psi, a_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,35 +140,17 @@ def _row_moments(psi, a_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``correction_r`` (perp="observable") for rows of psi, A psi and B psi.
-
-    Returns the mean and spread of A and r per row, from the same branch as
-    ``correction_r``; r is NaN where that raises
-    DegenerateObservableError.  Rows come from the sampler, unvalidated.
-    """
+    """``correction_r`` for rows of psi, A psi and B psi: the mean and
+    spread of A and r per row, r NaN where ``correction_r`` raises
+    DegenerateObservableError.  Rows come from the sampler, unvalidated."""
     mean_a, dev_a, var_a = _row_moments(psi, a_psi)
-    _, _, var_b = _row_moments(psi, b_psi)
-    std_a, std_b = np.sqrt(var_a), np.sqrt(var_b)
-    # <psi_perp| A/dA -+ i B/dB |psi> with psi_perp = (A - <A>) psi / dA.
+    _, dev_b, var_b = _row_moments(psi, b_psi)
+    std_a = np.sqrt(var_a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        along = np.sum(dev_a.conj() * a_psi, axis=1) / var_a
-        across = 1j * np.sum(dev_a.conj() * b_psi, axis=1) / (std_a * std_b)
-    r_minus, r_plus = 0.5 * np.abs(along - across) ** 2, 0.5 * np.abs(along + across) ** 2
-
-    # The in-range branch, else the smaller r; ties go to minus.
-    in_minus, in_plus = (
-        (r >= -R_RANGE_ATOL) & (r <= 1.0 + R_RANGE_ATOL) for r in (r_minus, r_plus)
-    )
-    plus = np.where(in_plus == in_minus, r_plus < r_minus, in_plus)
-    r = np.where(plus, r_plus, r_minus)
+        c = np.sum(dev_a.conj() * dev_b, axis=1) / (std_a * np.sqrt(var_b))
+    r = 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
     r[(var_a <= VARIANCE_FLOOR) | (var_b <= VARIANCE_FLOOR)] = np.nan
-    overshoot = np.maximum(-r, r - 1.0)
-    if np.any(overshoot > R_RANGE_HARD):
-        raise ArithmeticError(
-            "both correction branches out of range by up to "
-            f"{float(np.nanmax(overshoot))!r}"
-        )
-    return mean_a, std_a, np.clip(r, 0.0, 1.0)
+    return mean_a, std_a, r
 
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:

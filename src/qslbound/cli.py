@@ -96,6 +96,12 @@ def _finite(flag: str, value) -> float:
     return number
 
 
+def _text(flag: str, value) -> Optional[str]:
+    if value is not None and not (isinstance(value, str) and value):
+        raise UsageError(f"--{flag} needs a non-empty string, got {value!r}")
+    return value
+
+
 def _steps(value) -> Optional[int]:
     if value is None:
         return None
@@ -112,7 +118,8 @@ def parse_config(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
     kind = args.kind
     if kind == "verify":
-        out = Path(args.out) if args.out else None
+        out = _text("out", args.out)
+        out = Path(out) if out else None
         return RunConfig("verify", {}, 1.0, _steps(args.steps), out, "csv", None)
 
     flags = vars(args)
@@ -126,8 +133,8 @@ def parse_config(argv) -> RunConfig:
     params = {p.flag: _finite(p.flag, pick(p.flag, p.default)) for p in KINDS[kind].params}
     t_max = _finite("t-max", pick("t_max", 1.0))
     steps = _steps(pick("steps", None))
-    out_format = str(pick("format", "csv"))
-    preset = pick("preset", None)
+    out_format = _text("format", pick("format", "csv"))
+    preset = _text("preset", pick("preset", None))
 
     if t_max <= 0.0:
         raise UsageError(f"--t-max must be positive, got {t_max}")
@@ -141,7 +148,7 @@ def parse_config(argv) -> RunConfig:
                 f"preset {preset!r} belongs to the {PRESETS[preset].kind} scenario"
             )
 
-    out = Path(pick("out", None) or f"{kind}.csv")
+    out = Path(_text("out", pick("out", None)) or f"{kind}.csv")
     cfg = RunConfig(kind, params, t_max, steps, out, out_format, preset)
     if preset is None:
         # Validate scenario preconditions now so bad parameters exit with 1.
@@ -204,14 +211,14 @@ def _run_verify(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
-    except UsageError as exc:
-        print(f"qslbound: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if cfg.kind == "verify":
             return _run_verify(cfg)
         written = _run_scenarios(cfg)
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except UsageError as exc:
+        print(f"qslbound: error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        # MemoryError: a grid too long to allocate.
         print(f"qslbound: failure: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -2,18 +2,19 @@
 
 One sampler serves every curve.  It diagonalizes H = V diag(E) V^dag once and
 evolves the amplitudes c_t = exp(-iEt) * V^dag psi0 in blocks of SAMPLE_BLOCK
-times, holding (block, d) arrays and never a d x d matrix per sample.  From
-the rows psi_t, O psi_t and H psi_t it returns the mean and spread of O, the
-exact d<O>/dt and the correction factor r (``bounds.correction_rows``).
-``sample_heisenberg`` evolves a fixed O, with d<O>/dt =
-<c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
-``sample_entanglement`` rebuilds -log rho_A(t) (x) I_B of the evolving state
-from one stacked eigendecomposition (Schroedinger picture).  Derivatives come
-from the commutator identity, never from finite differences, so quadrature
-is the only discretization error downstream.  H, O and psi0 are validated
-once, on entry; the scalar ``expectation_derivative``, ``states.moments`` and
-``bounds.correction_r`` are the references the sampler is tested against.
-hbar = 1 throughout.
+times, so its working memory is set by the block, not the grid.  From the
+rows psi_t, O psi_t and H psi_t of a block it returns the mean and spread of
+O, the exact d<O>/dt and the correction factor r of the pair (O, H)
+(``bounds.correction_rows``).  ``sample_heisenberg`` takes
+<psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its rows in H's eigenbasis,
+and d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per
+curve; ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every
+sample from a stacked eigendecomposition of the d_A x d_A reduced states
+(Schroedinger picture).  Derivatives come from the commutator identity,
+never from finite differences, so quadrature is the only discretization
+error downstream.  H, O and psi0 are validated once, on entry; the scalar
+``expectation_derivative``, ``states.moments`` and ``bounds.correction_r``
+are the references the sampler is tested against.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -65,9 +66,13 @@ class TimeGrid:
         unit time (an even count, at least MIN_GRID_STEPS)."""
         if n_steps is not None:
             return cls(t_max, n_steps)
-        if not (t_max > 0.0 and math.isfinite(t_max)):
-            raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-        n = max(MIN_GRID_STEPS, math.ceil(t_max * STEPS_PER_UNIT_TIME))
+        steps = t_max * STEPS_PER_UNIT_TIME
+        if not (t_max > 0.0 and math.isfinite(steps)):
+            raise ValueError(
+                f"t_max must be positive, and finite at {STEPS_PER_UNIT_TIME} steps per"
+                f" unit time, got {t_max!r}"
+            )
+        n = max(MIN_GRID_STEPS, math.ceil(steps))
         return cls(t_max, n + n % 2)
 
 

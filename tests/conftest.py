@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from qslbound import verify
+
 
 def random_hermitian(rng, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -25,3 +27,10 @@ def random_unitary(rng, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def assert_check(run, name, expected="pass"):
+    """Run the verify-registry check ``name``, the one place its invariant
+    is written, and require ``expected``."""
+    result = verify.run_check(next(c for c in verify.CHECKS if c.name == name), run)
+    assert result.status == expected, f"{name}: {result.detail}"

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_state
+from conftest import assert_check, random_hermitian, random_state
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qslbound import verify
 from qslbound.bounds import (
     BoundCurve,
     correction_r,
@@ -59,7 +62,7 @@ class TestCorrectionR:
         # d = 3, psi = e0, (A - <A>) psi = e1, (B - <B>) psi = c e1 + sqrt(0.4) e2
         # with |c|^2 = 0.6 and Im c = 0.1: the branches are r = 0.8 -+ 0.1, both
         # in range, and the larger one (0.9) saturates the relation.  The
-        # two-key rule keeps the smaller r, which does not saturate.
+        # closed form (1 + |c|^2)/2 - |Im c| is the smaller r, which does not.
         c = math.sqrt(0.59) + 0.1j
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
@@ -98,41 +101,48 @@ class TestCorrectionR:
 
 class TestUncertaintyCheck:
     def test_holds_randomized(self):
-        rng = np.random.default_rng(37)
-        checked = 0
-        while checked < 300:
-            d = int(rng.choice([2, 4, 8]))
-            a = random_hermitian(rng, d)
-            b = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            try:
-                chk = correction_r(a, b, psi)
-            except DegenerateObservableError:
-                continue
-            assert chk.holds
-            checked += 1
+        assert_check(verify.RunContext(), "speed-limits/uncertainty-fuzz-holds")
 
     def test_optimal_branch_saturates_randomized(self):
-        rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 300:
-            d = int(rng.choice([2, 4, 8]))
-            a = random_hermitian(rng, d)
-            b = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            try:
-                chk = correction_r(a, b, psi, perp="optimal")
-            except DegenerateObservableError:
-                continue
-            assert abs(chk.lhs - chk.rhs) <= 1e-8
-            assert chk.saturated
-            checked += 1
+        assert_check(verify.RunContext(), "speed-limits/optimal-branch-saturation")
 
     def test_identical_observables(self):
         chk = correction_r(SIGMA_Z, SIGMA_Z, PLUS)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
         assert chk.rhs == pytest.approx(0.0, abs=1e-12)
         assert chk.holds
+
+
+def definition_r(a, b, psi) -> tuple[float, str]:
+    """r = (1/2)|<psi_perp|(A/dA -+ i B/dB)|psi>|^2, psi_perp = (A - <A>) psi / dA,
+    on the sign whose commutator side +- (i/2)<[A, B]> is positive, and that
+    sign's name; the branches coincide where <[A, B]> vanishes."""
+    dev_a = a @ psi - np.vdot(psi, a @ psi).real * psi
+    dev_b = b @ psi - np.vdot(psi, b @ psi).real * psi
+    d_a, d_b = np.linalg.norm(dev_a), np.linalg.norm(dev_b)
+    commutator = np.vdot(psi, (a @ b - b @ a) @ psi)
+    branches = {}
+    for name, sign in (("minus", -1.0), ("plus", 1.0)):
+        r = 0.5 * abs(np.vdot(dev_a / d_a, (a / d_a + sign * 1j * b / d_b) @ psi)) ** 2
+        branches[name] = (r, (-sign * 0.5j * commutator).real)
+    name = max(branches, key=lambda k: branches[k][1])
+    return branches[name][0], name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_matches_the_definition(d, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+    states = np.array([random_state(rng, d) for _ in range(3)])
+    assume(all(moments(o, psi).variance > 1e-6 for o in (a, b) for psi in states))
+    expected = [definition_r(a, b, psi) for psi in states]
+    for psi, (r, name) in zip(states, expected):
+        sample = correction_r(a, b, psi)
+        assert abs(sample.r - r) <= 1e-12
+        assert sample.sign_branch == name
+    _, _, rows_r = correction_rows(states, states @ a.T, states @ b.T)
+    np.testing.assert_allclose(rows_r, [r for r, _ in expected], rtol=0.0, atol=1e-12)
 
 
 class TestQslIntegral:

@@ -89,11 +89,14 @@ class TestMainExitCodes:
             ("modular --theta inf", "finite"),
             ("battery --Omega nan", "finite"),
             ("battery --Omega 0", "eigenstate"),
+            ("modular --t-max 1e306", "t_max"),  # finite, but not its grid
         ],
     )
     def test_bad_value_exits_1_at_parse_time(self, argv, reason, tmp_path, capsys):
         assert run_cli(argv.split() + ["--out", str(tmp_path / "curve.csv")]) == 1
-        assert reason in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: error:") and err.count("\n") == 1
+        assert reason in err
         assert not (tmp_path / "curve.csv").exists()
 
     @pytest.mark.parametrize("steps", [20.9, True])
@@ -119,6 +122,42 @@ class TestMainExitCodes:
         assert run_cli([kind, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert all(key in err for key in doc)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ({"preset": ["fig5"]}, []),
+            ({"out": 5}, []),
+            ({"out": ""}, []),
+            ({}, ["--out", ""]),
+        ],
+        ids=["preset-list", "out-number", "out-empty", "out-flag-empty"],
+    )
+    def test_config_value_of_wrong_type_exits_1(self, doc, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        assert run_cli(["modular", "--config", "run.json"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: error:") and err.count("\n") == 1
+        assert all(key in err for key in doc)
+        assert not list(tmp_path.glob("*.csv"))
+
+    # 10^15 points or more exceed any 47-bit address space, so the grid's
+    # allocation fails at once; smaller sizes could really be allocated.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "modular --t-max 1e12",
+            "modular --steps 1000000000000000",
+            "modular --preset fig5 --steps 1000000000000000",
+        ],
+    )
+    def test_unallocatable_grid_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run_cli(argv.split() + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: failure:") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", ["modular --the 2", "verify --st 64"])

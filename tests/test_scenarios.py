@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_check
 
 from qslbound import verify
 from qslbound.bounds import correction_r, qsl_integral
@@ -45,13 +46,6 @@ def small_grid(t_max=1.0, n=400):
 @pytest.fixture(scope="module")
 def run():
     return verify.RunContext()
-
-
-def assert_check(run, name, expected="pass"):
-    """Run the verify-registry check ``name``, the one place its invariant
-    is written, and require ``expected``."""
-    result = verify.run_check(next(c for c in verify.CHECKS if c.name == name), run)
-    assert result.status == expected, f"{name}: {result.detail}"
 
 
 class TestCanonicalHamiltonian:
