@@ -18,11 +18,9 @@ from pathlib import Path
 from typing import Optional
 
 from .bounds import BoundCurve
-from .dynamics import TimeGrid
+from .dynamics import MIN_GRID_STEPS, TimeGrid
 from .emit import fmt, render_csv, render_svg
 from .presets import KINDS, PRESETS, build_preset_curves, build_scenario, plain_run
-
-MIN_STEPS = 16
 
 
 class UsageError(Exception):
@@ -107,8 +105,8 @@ def _steps(value) -> Optional[int]:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"--steps needs an integer, got {value!r}")
-    if value < MIN_STEPS:
-        raise UsageError(f"--steps must be >= {MIN_STEPS}, got {value}")
+    if value < MIN_GRID_STEPS:
+        raise UsageError(f"--steps must be >= {MIN_GRID_STEPS}, got {value}")
     return value
 
 
@@ -130,16 +128,7 @@ def parse_config(argv) -> RunConfig:
     def pick(name, default):
         return file_values.get(name, default) if flags[name] is None else flags[name]
 
-    params = {p.flag: _finite(p.flag, pick(p.flag, p.default)) for p in KINDS[kind].params}
-    t_max = _finite("t-max", pick("t_max", 1.0))
-    steps = _steps(pick("steps", None))
-    out_format = _text("format", pick("format", "csv"))
     preset = _text("preset", pick("preset", None))
-
-    if t_max <= 0.0:
-        raise UsageError(f"--t-max must be positive, got {t_max}")
-    if out_format not in ("csv", "csv+svg"):
-        raise UsageError(f"--format must be csv or csv+svg, got {out_format!r}")
     if preset is not None:
         if preset not in PRESETS:
             raise UsageError(f"unknown preset {preset!r}")
@@ -147,6 +136,23 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(
                 f"preset {preset!r} belongs to the {PRESETS[preset].kind} scenario"
             )
+        # A preset fixes the scenario and its window; only the grid
+        # resolution and the output stay settable.
+        fixed = [p.flag for p in KINDS[kind].params] + ["t_max"]
+        given = [name for name in fixed if flags[name] is not None or name in file_values]
+        if given:
+            names = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise UsageError(f"preset {preset!r} fixes {names}; drop them or the preset")
+
+    params = {p.flag: _finite(p.flag, pick(p.flag, p.default)) for p in KINDS[kind].params}
+    t_max = _finite("t-max", pick("t_max", 1.0))
+    steps = _steps(pick("steps", None))
+    out_format = _text("format", pick("format", "csv"))
+
+    if t_max <= 0.0:
+        raise UsageError(f"--t-max must be positive, got {t_max}")
+    if out_format not in ("csv", "csv+svg"):
+        raise UsageError(f"--format must be csv or csv+svg, got {out_format!r}")
 
     out = Path(_text("out", pick("out", None)) or f"{kind}.csv")
     cfg = RunConfig(kind, params, t_max, steps, out, out_format, preset)

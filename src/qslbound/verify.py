@@ -141,6 +141,12 @@ def _random_density(rng, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _random_unitary(rng, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _saturation_gap(curve) -> float:
     """max |t_sqslo - T| / T over T >= 0.05."""
     ts = curve.grid.points
@@ -254,9 +260,7 @@ def _entropy_unitary_invariance(rng, run):
     for _ in range(200):
         d = int(rng.choice([2, 3, 4]))
         rho = _random_density(rng, d)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        u = _random_unitary(rng, d)
         worst = max(
             worst, abs(entanglement_entropy(u @ rho @ u.conj().T) - entanglement_entropy(rho))
         )
@@ -316,7 +320,7 @@ def _derivative_consistency(rng, run):
 @_check("dynamics/energy-conservation")
 def _energy_conservation(rng, run):
     h = _random_hermitian(rng, 4)
-    samples = sample_heisenberg(h, h, _random_state(rng, 4), TimeGrid(2.0, 100).points)
+    samples = sample_heisenberg(h, h, _random_state(rng, 4), TimeGrid(3.0, 150).points)
     drift = float(np.max(np.abs(samples.means - samples.means[0])))
     zero = float(np.max(np.abs(samples.derivatives)))
     return drift <= 1e-10 and zero <= 1e-10, f"drift {drift:.2e}"

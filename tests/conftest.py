@@ -2,35 +2,37 @@
 
 from __future__ import annotations
 
-import numpy as np
+import pytest
 
 from qslbound import verify
+from qslbound.verify import (
+    _random_density as random_density,
+    _random_hermitian as random_hermitian,
+    _random_state as random_state,
+)
 
 
-def random_hermitian(rng, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2.0
+class SessionRun(verify.RunContext):
+    """The run behind every named check of a test session: each check runs
+    once, on first request, and its result is kept for the session."""
+
+    def __init__(self):
+        super().__init__()
+        self.results: dict[str, verify.CheckResult] = {}
+
+    def result(self, check: verify.Check) -> verify.CheckResult:
+        if check.name not in self.results:
+            self.results[check.name] = verify.run_check(check, self)
+        return self.results[check.name]
 
 
-def random_state(rng, d: int) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-def random_density(rng, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_unitary(rng, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+@pytest.fixture(scope="session")
+def run():
+    return SessionRun()
 
 
 def assert_check(run, name, expected="pass"):
-    """Run the verify-registry check ``name``, the one place its invariant
-    is written, and require ``expected``."""
-    result = verify.run_check(next(c for c in verify.CHECKS if c.name == name), run)
+    """Require ``expected`` of the verify-registry check ``name``, the one
+    place its invariant is written."""
+    result = run.result(next(c for c in verify.CHECKS if c.name == name))
     assert result.status == expected, f"{name}: {result.detail}"

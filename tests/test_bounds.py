@@ -6,7 +6,6 @@ from conftest import assert_check, random_hermitian, random_state
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qslbound import verify
 from qslbound.bounds import (
     BoundCurve,
     correction_r,
@@ -100,11 +99,11 @@ class TestCorrectionR:
 
 
 class TestUncertaintyCheck:
-    def test_holds_randomized(self):
-        assert_check(verify.RunContext(), "speed-limits/uncertainty-fuzz-holds")
+    def test_holds_randomized(self, run):
+        assert_check(run, "speed-limits/uncertainty-fuzz-holds")
 
-    def test_optimal_branch_saturates_randomized(self):
-        assert_check(verify.RunContext(), "speed-limits/optimal-branch-saturation")
+    def test_optimal_branch_saturates_randomized(self, run):
+        assert_check(run, "speed-limits/optimal-branch-saturation")
 
     def test_identical_observables(self):
         chk = correction_r(SIGMA_Z, SIGMA_Z, PLUS)

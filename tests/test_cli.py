@@ -143,6 +143,27 @@ class TestMainExitCodes:
         assert all(key in err for key in doc)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "doc, argv, named",
+        [
+            ({}, ["--theta", "2"], "--theta"),
+            ({}, ["--t-max", "5"], "--t-max"),
+            ({"p": 0.3}, [], "--p"),
+        ],
+        ids=["scenario-flag", "t-max-flag", "config-key"],
+    )
+    def test_preset_refuses_what_it_fixes(self, doc, argv, named, tmp_path, monkeypatch, capsys):
+        # A preset sets the scenario and its window; a value it would
+        # silently ignore is refused.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        argv = ["modular", "--preset", "fig5", "--steps", "64", "--config", "run.json"] + argv
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: error:") and err.count("\n") == 1
+        assert named in err
+        assert not list(tmp_path.glob("*.csv"))
+
     # 10^15 points or more exceed any 47-bit address space, so the grid's
     # allocation fails at once; smaller sizes could really be allocated.
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_state
+from conftest import assert_check, random_hermitian, random_state
 
 from qslbound.dynamics import (
     TimeGrid,
@@ -8,7 +8,7 @@ from qslbound.dynamics import (
     propagator_family,
     sample_heisenberg,
 )
-from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
+from qslbound.linalg import SIGMA_X, SIGMA_Z, tensor_product
 from qslbound.scenarios import initial_schmidt_state
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -56,12 +56,9 @@ class TestPropagator:
         expected = np.array([np.cos(0.7), 0.0, 0.0, -1j * np.sin(0.7)])
         assert np.allclose(out, expected, atol=1e-12)
 
-    def test_unitarity_randomized(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            u_of_t = propagator_family(random_hermitian(rng, 4))
-            u = u_of_t(float(rng.uniform(-100.0, 100.0)))
-            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
+    def test_unitarity_randomized(self, run):
+        assert_check(run, "operator-core/propagator-unitarity")
+
 
 class TestExpectationDerivative:
     def test_conserved_observable(self):
@@ -100,22 +97,8 @@ class TestTrackObservable:
         assert np.allclose(samples.std_devs, np.abs(np.sin(2.0 * grid.points)), atol=1e-10)
         assert np.allclose(samples.derivatives, -2.0 * np.sin(2.0 * grid.points), atol=1e-12)
 
-    def test_finite_difference_consistency(self):
-        rng = np.random.default_rng(19)
-        h = random_hermitian(rng, 4)
-        obs = random_hermitian(rng, 4)
-        psi = random_state(rng, 4)
-        grid = TimeGrid(1.0, 400)
-        samples = sample_heisenberg(h, obs, psi, grid.points)
-        dx = grid.dx
-        fd = (samples.means[2:] - samples.means[:-2]) / (2.0 * dx)
-        scale = (2.0 * spectral_norm(h)) ** 3 * spectral_norm(obs)
-        assert np.max(np.abs(fd - samples.derivatives[1:-1])) <= 10.0 * dx * dx * scale
+    def test_finite_difference_consistency(self, run):
+        assert_check(run, "dynamics/derivative-consistency")
 
-    def test_energy_conservation(self):
-        rng = np.random.default_rng(23)
-        h = random_hermitian(rng, 4)
-        psi = random_state(rng, 4)
-        samples = sample_heisenberg(h, h, psi, TimeGrid(3.0, 60).points)
-        assert np.max(np.abs(samples.means - samples.means[0])) <= 1e-10
-        assert np.max(np.abs(samples.derivatives)) <= 1e-10
+    def test_energy_conservation(self, run):
+        assert_check(run, "dynamics/energy-conservation")

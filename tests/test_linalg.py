@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density, random_hermitian
+from conftest import assert_check, random_density, random_hermitian
 
 from qslbound.linalg import (
     IDENTITY_2,
@@ -32,14 +32,8 @@ class TestHermitianEig:
         vals, vecs = hermitian_eig(m)
         assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) <= 1e-10
 
-    def test_reconstruction_invariant_randomized(self):
-        rng = np.random.default_rng(11)
-        for _ in range(250):
-            for d in (2, 4, 8, 16):
-                m = random_hermitian(rng, d)
-                vals, vecs = hermitian_eig(m)
-                assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) <= 1e-10
-                assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= 1e-10
+    def test_reconstruction_invariant_randomized(self, run):
+        assert_check(run, "operator-core/eig-reconstruction")
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -85,14 +79,8 @@ class TestTensorProduct:
         ket11 = np.array([0, 0, 0, 1], dtype=complex)
         assert np.allclose(tensor_product(SIGMA_X, SIGMA_X) @ ket00, ket11)
 
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            a = random_hermitian(rng, 2)
-            b = random_hermitian(rng, 3)
-            assert np.isclose(
-                np.trace(tensor_product(a, b)), np.trace(a) * np.trace(b), atol=1e-12
-            )
+    def test_trace_multiplicative(self, run):
+        assert_check(run, "operator-core/tensor-product-trace")
 
 
 class TestPartialTrace:
@@ -116,14 +104,8 @@ class TestPartialTrace:
         red = partial_trace(np.outer(psi, psi.conj()), (2, 2), "A")
         assert np.allclose(red, np.diag([p, 1 - p]), atol=1e-12)
 
-    def test_density_properties_randomized(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            rho = random_density(rng, 6)
-            for dims, keep in (((2, 3), "A"), ((2, 3), "B"), ((3, 2), "A")):
-                red = partial_trace(rho, dims, keep)
-                assert abs(np.trace(red).real - 1.0) <= 1e-12
-                assert np.linalg.eigvalsh(red)[0] >= -1e-12
+    def test_density_properties_randomized(self, run):
+        assert_check(run, "operator-core/partial-trace-density")
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(23)

@@ -1,8 +1,6 @@
-import itertools
-
 import numpy as np
 import pytest
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import assert_check, random_density, random_hermitian
 
 from qslbound.measures import (
     capacity_of_entanglement,
@@ -29,15 +27,8 @@ class TestEntanglementEntropy:
     def test_scalar_oracle(self):
         assert entanglement_entropy(RHO_19) == pytest.approx(S_19, abs=1e-12)
 
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            d = int(rng.choice([2, 3, 4]))
-            rho = random_density(rng, d)
-            u = random_unitary(rng, d)
-            assert entanglement_entropy(u @ rho @ u.conj().T) == pytest.approx(
-                entanglement_entropy(rho), abs=1e-10
-            )
+    def test_unitary_invariance(self, run):
+        assert_check(run, "info-measures/entropy-unitary-invariance")
 
 
 class TestModularHamiltonian:
@@ -78,14 +69,8 @@ class TestCapacityOfEntanglement:
     def test_scalar_oracle(self):
         assert capacity_of_entanglement(RHO_19) == pytest.approx(C_19, abs=1e-12)
 
-    def test_equals_modular_variance(self):
-        rng = np.random.default_rng(37)
-        for _ in range(500):
-            d = int(rng.choice([2, 3, 4]))
-            rho = random_density(rng, d)
-            k = modular_hamiltonian(rho)
-            var = np.trace(rho @ k @ k).real - np.trace(rho @ k).real ** 2
-            assert capacity_of_entanglement(rho) == pytest.approx(var, abs=1e-9)
+    def test_equals_modular_variance(self, run):
+        assert_check(run, "info-measures/capacity-equals-modular-variance")
 
 
 class TestErgotropy:
@@ -105,17 +90,5 @@ class TestErgotropy:
             h = random_hermitian(rng, d)
             assert ergotropy_max(np.eye(d) / d, h) == pytest.approx(0.0, abs=1e-10)
 
-    def test_matches_permutation_bruteforce(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            d = int(rng.choice([2, 3, 4]))
-            rho = random_density(rng, d)
-            h = random_hermitian(rng, d)
-            pops = np.linalg.eigvalsh(rho)
-            energies = np.linalg.eigvalsh(h)
-            best = min(
-                float(np.dot(pops[list(perm)], energies))
-                for perm in itertools.permutations(range(d))
-            )
-            expected = np.trace(rho @ h).real - best
-            assert ergotropy_max(rho, h) == pytest.approx(expected, abs=1e-10)
+    def test_matches_permutation_bruteforce(self, run):
+        assert_check(run, "info-measures/ergotropy-bruteforce")

@@ -43,11 +43,6 @@ def small_grid(t_max=1.0, n=400):
     return TimeGrid(t_max, n)
 
 
-@pytest.fixture(scope="module")
-def run():
-    return verify.RunContext()
-
-
 class TestCanonicalHamiltonian:
     def test_zero(self):
         assert np.allclose(canonical_hamiltonian(0.0, 0.0, 0.0), np.zeros((4, 4)))

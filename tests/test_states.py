@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_state
+from conftest import assert_check, random_state
 
 from qslbound.linalg import SIGMA_X, SIGMA_Z
 from qslbound.states import (
@@ -66,18 +66,8 @@ class TestMoments:
         assert m.std_dev == pytest.approx(0.8, abs=1e-12)
         assert m.variance == pytest.approx(direct - m.mean**2, abs=1e-12)
 
-    def test_matches_density_route(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            d = int(rng.choice([2, 3, 4]))
-            obs = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            m = moments(obs, psi)
-            rho = density_from_pure(psi)
-            mean = np.trace(rho @ obs).real
-            var = np.trace(rho @ obs @ obs).real - mean**2
-            assert m.mean == pytest.approx(mean, abs=1e-10)
-            assert m.variance == pytest.approx(var, abs=1e-10)
+    def test_matches_density_route(self, run):
+        assert_check(run, "quantum-state/moments-density-crosscheck")
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -93,19 +83,8 @@ class TestPerpendicularState:
         with pytest.raises(DegenerateObservableError):
             perpendicular_state(SIGMA_Z, KET0)
 
-    def test_orthogonality_randomized(self):
-        rng = np.random.default_rng(5)
-        checked = 0
-        while checked < 1000:
-            d = int(rng.choice([2, 3, 4, 8]))
-            obs = random_hermitian(rng, d)
-            psi = random_state(rng, d)
-            if moments(obs, psi).variance <= 1e-6:
-                continue
-            perp = perpendicular_state(obs, psi)
-            assert abs(np.vdot(perp, psi)) <= 1e-10
-            assert np.linalg.norm(perp) == pytest.approx(1.0, abs=1e-10)
-            checked += 1
+    def test_orthogonality_randomized(self, run):
+        assert_check(run, "quantum-state/perpendicular-orthogonality")
 
 
 class TestReducedState:
@@ -124,13 +103,8 @@ class TestReducedState:
         psi = np.array([sp - 1j * sq, 0.0, 0.0, sq - 1j * sp]) / np.sqrt(2.0)
         assert np.allclose(reduced_state(psi, (2, 2), "A"), np.eye(2) / 2.0, atol=1e-12)
 
-    def test_two_qubit_schmidt_rank(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            psi = random_state(rng, 4)
-            lam = np.linalg.eigvalsh(reduced_state(psi, (2, 2), "A"))
-            assert lam.size == 2
-            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_two_qubit_schmidt_rank(self, run):
+        assert_check(run, "quantum-state/two-qubit-schmidt-rank")
 
 
 def test_require_state_checks_norm():

@@ -1,8 +1,10 @@
 """The invariant registry behind ``qslbound verify``, run as tests.
 
-Every registered check is one test at default resolution.  The checks share
-one RunContext, as in a ``qslbound verify`` run, so each preset is built
-once.
+Every registered check is one test at default resolution.  The checks run
+on the test session's shared context (``run`` in conftest), as in a
+``qslbound verify`` run, so each preset is built once and each check runs
+once however many tests name it.  Tests that patch code build fresh
+contexts and never read that memo.
 """
 
 import numpy as np
@@ -49,18 +51,13 @@ EXPECTED = {
 }
 
 
-@pytest.fixture(scope="module")
-def run():
-    return verify.RunContext()
-
-
 def test_registry_holds_the_pinned_checks_in_order():
     assert [check.name for check in verify.CHECKS] == list(EXPECTED)
 
 
 @pytest.mark.parametrize("check", verify.CHECKS, ids=lambda check: check.name)
 def test_invariant(check, run):
-    result = verify.run_check(check, run)
+    result = run.result(check)
     assert result.status == EXPECTED[check.name], result.detail
 
 
