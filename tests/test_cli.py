@@ -1,12 +1,20 @@
+import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
+from qslbound.bounds import BoundCurve
 from qslbound.cli import UsageError, main, parse_config
-from qslbound.dynamics import TimeGrid
-from qslbound.emit import render_csv, render_svg
-from qslbound.presets import PRESETS
-from qslbound.scenarios import EntanglementScenario, run_entanglement_scenario
+from qslbound.dynamics import SAMPLE_BLOCK, TimeGrid
+from qslbound.emit import fmt, render_csv, render_svg
+from qslbound.presets import PRESETS, build_preset_curves
+from qslbound.scenarios import (
+    EntanglementScenario,
+    run_entanglement_scenario,
+    run_modular_scenario,
+)
 
 
 def run_cli(args):
@@ -206,6 +214,49 @@ class TestMainExitCodes:
         assert code == 2
 
 
+def field_by_field_csv(curve, metadata):
+    """The CSV with every field formatted on its own, as render_csv's text
+    must read."""
+    lines = [f"# {key}: {value}" for key, value in metadata]
+    lines.append("T,mean_value,t_qslo,t_sqslo,r_bar,warnings_count")
+    warn_times = np.sort(np.array([t for t, _ in curve.warnings]))
+    counts = np.searchsorted(warn_times, curve.grid.points, side="right")
+    for k, t in enumerate(curve.grid.points):
+        lines.append(
+            ",".join(
+                (
+                    fmt(t),
+                    fmt(curve.mean_values[k]),
+                    fmt(curve.t_qslo[k]),
+                    fmt(curve.t_sqslo[k]),
+                    fmt(curve.r_bar[k]),
+                    str(int(counts[k])),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def polyline_points(svg):
+    """The point lists of an SVG's polylines, in drawing order."""
+    return [points.split() for points in re.findall(r'<polyline [^>]*points="([^"]*)"', svg)]
+
+
+def fig8_coupled():
+    return next(c for label, _, c in build_preset_curves(PRESETS["fig8"], None) if label == "coupled")
+
+
+def oscillating_curve():
+    """Bounds that turn around inside most pixel columns (about 5.8 samples
+    per column): in 968 of the 1,042 columns of the two bounds, the lowest
+    or highest sample is neither the first nor the last."""
+    grid = TimeGrid(1.0, 3000)
+    ts = grid.points
+    t_qslo = 0.4 + 0.3 * np.sin(2400.0 * ts) * np.cos(37.0 * ts)
+    zeros = np.zeros_like(ts)
+    return BoundCurve(grid, t_qslo, t_qslo + 0.1 + 0.05 * np.sin(1700.0 * ts), zeros, zeros, (), 0.0)
+
+
 class TestEmission:
     def small_curve(self):
         scn = EntanglementScenario(p=0.1, theta=1.0, grid=TimeGrid(0.5, 64))
@@ -230,12 +281,66 @@ class TestEmission:
         assert float(row[2]) == curve.t_qslo[k]
         assert float(row[3]) == curve.t_sqslo[k]
 
+    @pytest.mark.parametrize("case", ["partial-last-block", "warnings-after-zero", "edge-floats"])
+    def test_csv_matches_a_field_by_field_render(self, case):
+        # A grid of 2 * SAMPLE_BLOCK + 1 points ends in a one-row block.
+        grid = TimeGrid(1.0, 2 * SAMPLE_BLOCK)
+        curve = run_modular_scenario(EntanglementScenario(p=0.1, theta=1.0, grid=grid))
+        if case == "warnings-after-zero":
+            ts = grid.points
+            warnings = ((0.0, "a"), (ts[5], "b"), ((ts[7] + ts[8]) / 2, "c"), (ts[-1], "d"))
+            curve = dataclasses.replace(curve, warnings=warnings)
+        elif case == "edge-floats":
+            columns = {
+                name: getattr(curve, name).copy()
+                for name in ("mean_values", "t_qslo", "t_sqslo", "r_bar")
+            }
+            for name, value in zip(columns, (-0.0, 5e-324, 1e300, 0.1 + 0.2)):
+                columns[name][SAMPLE_BLOCK] = value
+            columns["r_bar"][SAMPLE_BLOCK + 1] = np.nan
+            curve = dataclasses.replace(curve, **columns)
+        meta = [("scenario", "modular"), ("quad_error", fmt(curve.quad_error))]
+        assert render_csv(curve, meta) == field_by_field_csv(curve, meta)
+
     def test_svg_is_self_contained(self):
         curve = self.small_curve()
         svg = render_svg(curve, "demo")
         assert svg.startswith("<svg")
         assert "polyline" in svg
         assert "href" not in svg  # no external assets
+
+    @pytest.mark.parametrize("make", [fig8_coupled, oscillating_curve], ids=["fig8-coupled", "oscillating"])
+    def test_svg_bounds_keep_each_pixel_columns_envelope(self, make):
+        curve = make()
+        svg = render_svg(curve, "demo")
+        diagonal, *bounds = polyline_points(svg)
+        assert len(diagonal) == 2
+        # Pixel x of every sample, from the plot frame the SVG draws.
+        left, width = map(float, re.search(r'<rect x="([\d.]+)" y="[\d.]+" width="([\d.]+)"', svg).groups())
+        ts = curve.grid.points
+        x = left + width * ts / ts[-1]
+        sample_at = {f"{v:.2f}": k for k, v in enumerate(x)}
+        assert len(sample_at) == ts.size  # each point names its sample
+        column = np.floor(x)
+        for points, values in zip(bounds, (curve.t_qslo, curve.t_sqslo)):
+            xs = [point.split(",")[0] for point in points]
+            assert all(a <= b for a, b in zip(map(float, xs), map(float, xs[1:])))
+            kept = np.array([sample_at[label] for label in xs])
+            for c in np.unique(column):
+                members = np.flatnonzero(column == c)
+                mine = kept[column[kept] == c]
+                assert members[0] in mine and members[-1] in mine
+                assert values[mine].min() == values[members].min()
+                assert values[mine].max() == values[members].max()
+
+    @pytest.mark.parametrize("bound", ["t_qslo", "t_sqslo"])
+    def test_svg_of_a_non_finite_bound_renders(self, bound):
+        # NaN never equals a column's reduced minimum or maximum.
+        curve = oscillating_curve()
+        values = getattr(curve, bound).copy()
+        values[1001] = np.nan
+        svg = render_svg(dataclasses.replace(curve, **{bound: values}), "demo")
+        assert len(polyline_points(svg)[0]) == 2
 
     def test_determinism_through_cli(self, tmp_path):
         args = ["battery", "--omega", "2", "--Omega", "1", "--J", "1",
@@ -251,12 +356,13 @@ class TestEmission:
             (tmp_path / attempt).mkdir()
             for name, preset in PRESETS.items():
                 out = tmp_path / attempt / f"{name}.csv"
-                assert run_cli([preset.kind, "--preset", name, "--out", str(out)]) == 0
+                argv = [preset.kind, "--preset", name, "--out", str(out), "--format", "csv+svg"]
+                assert run_cli(argv) == 0
         one, two = (
             {f.name: f.read_bytes() for f in (tmp_path / attempt).iterdir()}
             for attempt in ("one", "two")
         )
-        assert len(one) == 12
+        assert len(one) == 24
         assert one == two
 
     def test_svg_written_when_requested(self, tmp_path):
@@ -347,7 +453,7 @@ class TestVerifyCommand:
         import itertools
 
         import qslbound.presets as presets
-        from qslbound.verify import run_verify
+        from qslbound import verify
 
         real = presets.run_scenario
         calls = itertools.count()
@@ -359,5 +465,5 @@ class TestVerifyCommand:
             )
 
         monkeypatch.setattr(presets, "run_scenario", drifting)
-        statuses = {r.name: r.status for r in run_verify(n_steps=64)}
-        assert statuses["cli/determinism"] == "fail"
+        check = next(check for check in verify.CHECKS if check.name == "cli/determinism")
+        assert verify.run_check(check, verify.RunContext(64)).status == "fail"
