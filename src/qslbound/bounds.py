@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import _vdot, spectral_norm
 from .quadrature import (
     RICHARDSON_FACTOR,
     cumulative_richardson_gaps,
@@ -60,7 +60,8 @@ class CorrectionSample:
     ``sign_branch`` records the sign kept in front of i B/dB ("minus" or
     "plus"); ``lhs`` is dA dB eta on that branch and ``rhs`` the commutator
     side |<[A, B]>|/2.  The relation ``holds`` where lhs >= rhs - 1e-9 and
-    is ``saturated`` where the two agree within SATURATION_ATOL.
+    is ``saturated`` where the two agree within SATURATION_ATOL.  On stacks,
+    each field holds one entry per member.
     """
 
     r: float
@@ -112,23 +113,23 @@ class BoundCurve:
 def correction_r(a, b, psi) -> CorrectionSample:
     """The stronger uncertainty relation for A, B in ``psi``: r in closed
     form, its sign and both sides of the relation, from one pass over
-    A psi and B psi.
+    A psi and B psi; on stacks of A, B and psi, per member.
 
     Raises DegenerateObservableError when either observable has vanishing
-    spread in ``psi`` (callers sampling trajectories turn that into an
-    excluded sample).
+    spread in ``psi``, in any member (callers sampling trajectories turn
+    that into an excluded sample).
     """
     _, (a_psi, dev_a, ma), (b_psi, dev_b, mb) = _spread(psi, a, b)
-    if ma.variance <= VARIANCE_FLOOR or mb.variance <= VARIANCE_FLOOR:
+    if np.any(ma.variance <= VARIANCE_FLOOR) or np.any(mb.variance <= VARIANCE_FLOOR):
         raise DegenerateObservableError(
             "one observable has no spread in this state; no correction defined"
         )
-    c = np.vdot(dev_a, dev_b) / (ma.std_dev * mb.std_dev)
-    r = float(0.5 * (1.0 + abs(c) ** 2) - abs(c.imag))
+    c = _vdot(dev_a, dev_b) / (ma.std_dev * mb.std_dev)
+    r = 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
     eta = 1.0 - r
     # <[A, B]> = 2i Im <A psi | B psi>, so |<[A,B]>|/2 = |Im <A psi|B psi>|.
-    rhs = float(abs(np.vdot(a_psi, b_psi).imag))
-    sign = "plus" if c.imag > 0.0 else "minus"
+    rhs = np.abs(_vdot(a_psi, b_psi).imag)
+    sign = np.where(c.imag > 0.0, "plus", "minus")[()]
     return CorrectionSample(r, eta, sign, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
 
 

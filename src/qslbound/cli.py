@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -205,12 +205,8 @@ def _run_verify(cfg: RunConfig) -> int:
     results = run_verify(n_steps=cfg.steps)
     sys.stdout.write(format_report(results))
     if cfg.out is not None:
-        payload = [
-            {"name": r.name, "status": r.status, "detail": r.detail} for r in results
-        ]
-        cfg.out.write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
+        payload = json.dumps([asdict(r) for r in results], indent=2)
+        cfg.out.write_text(payload + "\n", encoding="utf-8", newline="\n")
     return 2 if any(r.status == "fail" for r in results) else 0
 
 

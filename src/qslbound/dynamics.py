@@ -12,9 +12,10 @@ curve; ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every
 sample from a stacked eigendecomposition of the d_A x d_A reduced states
 (Schroedinger picture).  Derivatives come from the commutator identity,
 never from finite differences, so quadrature is the only discretization
-error downstream.  H, O and psi0 are validated once, on entry; the scalar
-``expectation_derivative``, ``states.moments`` and ``bounds.correction_r``
-are the references the sampler is tested against.  hbar = 1 throughout.
+error downstream.  H, O and psi0 are validated once, on entry.  The sampler
+is tested against ``expectation_derivative``, ``states.moments`` and
+``bounds.correction_r``; ``propagator_family`` and the latter two also take
+stacks, one validated call for many draws.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ class Samples(NamedTuple):
 
 
 def propagator_family(h) -> Callable[[float], np.ndarray]:
-    """U(t) = exp(-iHt) factory from one eigendecomposition of ``h``."""
+    """U(t) = exp(-iHt) from one eigendecomposition of ``h``; a stack takes a t each."""
     vals, vecs = hermitian_eig(h)
-    vecs_h = vecs.conj().T
+    vecs_h = vecs.conj().swapaxes(-2, -1)
 
-    def u_of_t(t: float) -> np.ndarray:
-        return (vecs * np.exp(-1j * vals * t)) @ vecs_h
+    def u_of_t(t) -> np.ndarray:
+        return (vecs * np.exp(-1j * vals * np.asarray(t)[..., None])[..., None, :]) @ vecs_h
 
     return u_of_t
 

@@ -67,13 +67,15 @@ def render_svg(curve: BoundCurve, title: str) -> str:
     width, height, margin = 640, 480, 60
     ts = curve.grid.points
     t_hi = float(ts[-1])
-    y_hi = max(float(curve.t_sqslo.max()), float(curve.t_qslo.max()), t_hi, 1e-12)
+    bounds = np.concatenate((curve.t_sqslo, curve.t_qslo))
+    y_hi = max(float(np.max(bounds, where=np.isfinite(bounds), initial=t_hi)), 1e-12)
     x = margin + (width - 2 * margin) * ts / t_hi
 
     def sy(y):
         return height - margin - (height - 2 * margin) * y / y_hi
 
     def polyline(keep, values, color, dash=""):
+        keep = keep[np.isfinite(values[keep])]  # a non-finite sample is left out
         xy = np.column_stack((x[keep], sy(values[keep])))
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         extra = f' stroke-dasharray="{dash}"' if dash else ""

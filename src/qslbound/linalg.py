@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small Hilbert spaces (d <= 16)."""
+"""Dense complex linear algebra for small Hilbert spaces (d <= 16), on a matrix or a stack."""
 
 from __future__ import annotations
 
@@ -31,12 +31,17 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _vdot(u, v) -> np.ndarray:
+    """np.vdot over the last axis, per member, bit for bit (sums of products are not)."""
+    return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -44,12 +49,13 @@ def as_complex_matrix(m) -> np.ndarray:
 def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity: ||M - M^dag||_max <= HERMITICITY_RTOL * ||M||_max."""
     a = as_complex_matrix(m)
-    scale = np.max(np.abs(a))
-    defect = np.max(np.abs(a - a.conj().T))
-    if defect > HERMITICITY_RTOL * max(scale, 1e-30):
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-30)
+    defect = np.max(np.abs(a - a.conj().swapaxes(-2, -1)), axis=(-2, -1))
+    if np.any(defect > HERMITICITY_RTOL * scale):
+        k = np.argmax(defect / scale)
         raise ValueError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{HERMITICITY_RTOL:.1e} * scale {scale:.3e}"
+            f"matrix is not Hermitian: defect {np.ravel(defect)[k]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.1e} * scale {np.ravel(scale)[k]:.3e}"
         )
     return a
 
@@ -83,13 +89,13 @@ def partial_trace(m, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     """
     a = as_complex_matrix(m)
     d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a < 1 or d_b < 1 or d_a * d_b != a.shape[0]:
-        raise ValueError(f"dims {dims} inconsistent with matrix size {a.shape[0]}")
-    blocks = a.reshape(d_a, d_b, d_a, d_b)
+    if d_a < 1 or d_b < 1 or d_a * d_b != a.shape[-1]:
+        raise ValueError(f"dims {dims} inconsistent with matrix size {a.shape[-1]}")
+    blocks = a.reshape(*a.shape[:-2], d_a, d_b, d_a, d_b)
     if keep == "A":
-        return np.einsum("ijkj->ik", blocks)
+        return np.einsum("...ijkj->...ik", blocks)
     if keep == "B":
-        return np.einsum("ijil->jl", blocks)
+        return np.einsum("...ijil->...jl", blocks)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

@@ -2,14 +2,15 @@
 
 Entanglement entropy, modular Hamiltonian (-log rho), capacity of
 entanglement (its variance), and ergotropy.
-All entropic quantities are in nats.
+All entropic quantities are in nats.  Each takes a density operator or a
+stack of them along leading axes, one result per member.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ENTROPY_WEIGHT_CUTOFF, LOG_EIG_FLOOR, require_hermitian
+from .linalg import ENTROPY_WEIGHT_CUTOFF, LOG_EIG_FLOOR, _vdot, require_hermitian
 from .states import require_density
 
 
@@ -25,7 +26,7 @@ def entanglement_entropy(rho) -> float:
     """Von Neumann entropy -sum(lambda log lambda) in nats."""
     lam = _spectrum(rho)
     terms = np.where(lam > ENTROPY_WEIGHT_CUTOFF, -lam * _clamped_log(lam), 0.0)
-    return float(terms.sum())
+    return terms.sum(axis=-1)
 
 
 def modular_hamiltonian(rho) -> np.ndarray:
@@ -38,7 +39,7 @@ def modular_hamiltonian(rho) -> np.ndarray:
     # eigvalsh, whose spectrum the entropy, capacity and ergotropy read more
     # accurately than eigh's.
     vals, vecs = np.linalg.eigh(require_density(rho)[0])
-    return (vecs * -_clamped_log(vals)) @ vecs.conj().T
+    return (vecs * -_clamped_log(vals)[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
 
 
 def capacity_of_entanglement(rho) -> float:
@@ -46,9 +47,9 @@ def capacity_of_entanglement(rho) -> float:
     lam = _spectrum(rho)
     logs = _clamped_log(lam)
     keep = lam > ENTROPY_WEIGHT_CUTOFF
-    s = float(np.where(keep, -lam * logs, 0.0).sum())
-    second = float(np.where(keep, lam * logs * logs, 0.0).sum())
-    return max(second - s * s, 0.0)
+    s = np.where(keep, -lam * logs, 0.0).sum(axis=-1)
+    second = np.where(keep, lam * logs * logs, 0.0).sum(axis=-1)
+    return np.maximum(second - s * s, 0.0)
 
 
 def ergotropy_max(rho, h) -> float:
@@ -62,5 +63,5 @@ def ergotropy_max(rho, h) -> float:
     if r.shape != hm.shape:
         raise ValueError("dimension mismatch between state and Hamiltonian")
     # eigvalsh sorts ascending: reversed populations meet ascending energies.
-    passive = float(populations[::-1] @ np.linalg.eigvalsh(hm))
-    return max(float(np.trace(r @ hm).real) - passive, 0.0)
+    passive = _vdot(populations[..., ::-1], np.linalg.eigvalsh(hm))
+    return np.maximum(np.trace(r @ hm, axis1=-2, axis2=-1).real - passive, 0.0)

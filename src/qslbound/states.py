@@ -1,4 +1,8 @@
-"""Pure states, density operators, observable moments, perpendicular states."""
+"""Pure states, density operators, observable moments, perpendicular states.
+
+Each also takes stacks along leading axes, validated once; a single call is
+the one-member case, with the same bits, and a refusal quotes the worst member.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, require_hermitian
+from .linalg import _vdot, partial_trace, require_hermitian
 
 NORM_ATOL = 1e-12
 
@@ -21,12 +25,13 @@ class DegenerateObservableError(ValueError):
 
 def require_state(psi) -> np.ndarray:
     """Validate and return a normalized complex state vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.size < 1 or not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+    v = np.asarray(psi, dtype=complex)
+    if v.ndim < 1 or v.size < 1 or not np.isfinite(v).all():
         raise ValueError("state amplitudes must be finite")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
+    norm = np.linalg.norm(v, axis=-1)
+    if np.any(np.abs(norm - 1.0) > NORM_ATOL):
+        k = np.argmax(np.abs(norm - 1.0))
+        raise ValueError(f"state is not normalized: ||psi|| = {np.ravel(norm)[k]!r}")
     return v
 
 
@@ -34,19 +39,21 @@ def require_density(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate a density operator: Hermitian, unit trace, PSD within
     NORM_ATOL.  Returns the matrix and its ascending eigenvalues."""
     a = require_hermitian(rho)
-    tr = np.trace(a).real
-    if abs(tr - 1.0) > NORM_ATOL:
-        raise ValueError(f"density operator trace is {tr!r}, expected 1")
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    if np.any(np.abs(tr - 1.0) > NORM_ATOL):
+        k = np.argmax(np.abs(tr - 1.0))
+        raise ValueError(f"density operator trace is {np.ravel(tr)[k]!r}, expected 1")
     eigenvalues = np.linalg.eigvalsh(a)
-    if eigenvalues[0] < -NORM_ATOL:
-        raise ValueError(f"density operator has negative eigenvalue {float(eigenvalues[0])!r}")
+    lowest = np.min(eigenvalues[..., 0])
+    if lowest < -NORM_ATOL:
+        raise ValueError(f"density operator has negative eigenvalue {float(lowest)!r}")
     return a, eigenvalues
 
 
 def density_from_pure(psi) -> np.ndarray:
     """Rank-1 projector |psi><psi|."""
     v = require_state(psi)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def reduced_state(psi, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
@@ -70,15 +77,14 @@ def _spread(psi, *observables) -> tuple:
     spreads = []
     for obs in observables:
         o = require_hermitian(obs)
-        if o.shape[0] != v.size:
-            raise ValueError(f"dimension mismatch: operator {o.shape[0]}, state {v.size}")
-        ov = o @ v
-        mean = np.vdot(v, ov).real
+        if o.shape[-1] != v.shape[-1]:
+            raise ValueError(f"dimension mismatch: operator {o.shape[-1]}, state {v.shape[-1]}")
+        ov = (o @ v[..., None])[..., 0]
+        mean = _vdot(v, ov).real
         # ||(O - <O>) psi||^2 stays accurate where <O^2> - <O>^2 would cancel.
-        dev = ov - mean * v
-        variance = max(np.vdot(dev, dev).real, 0.0)
-        m = ObservableMoments(float(mean), float(variance), float(np.sqrt(variance)))
-        spreads.append((ov, dev, m))
+        dev = ov - mean[..., None] * v
+        variance = np.maximum(_vdot(dev, dev).real, 0.0)
+        spreads.append((ov, dev, ObservableMoments(mean, variance, np.sqrt(variance))))
     return (v, *spreads)
 
 
@@ -93,11 +99,11 @@ def perpendicular_state(obs, psi) -> np.ndarray:
 
     Raises DegenerateObservableError when the variance of ``obs`` falls at or
     below VARIANCE_FLOOR (``psi`` is then an eigenstate and no direction is
-    singled out).
+    singled out), in any member of a stack.
     """
     _, (_, dev, m) = _spread(psi, obs)
-    if m.variance <= VARIANCE_FLOOR:
+    if np.any(m.variance <= VARIANCE_FLOOR):
         raise DegenerateObservableError(
-            f"variance {m.variance!r} too small for a perpendicular direction"
+            f"variance {float(np.min(m.variance))!r} too small for a perpendicular direction"
         )
-    return dev / m.std_dev
+    return dev / m.std_dev[..., None]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from qslbound import verify
-from qslbound.verify import (
-    _random_density as random_density,
-    _random_hermitian as random_hermitian,
-    _random_state as random_state,
+
+random_density, random_hermitian, random_state = (
+    partial(verify._random, kind) for kind in (verify._density, verify._hermitian, verify._state)
 )
 
 
