@@ -30,12 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import _vdot, spectral_norm
-from .quadrature import (
-    RICHARDSON_FACTOR,
-    cumulative_richardson_gaps,
-    cumulative_simpson,
-    richardson_error_estimate,
-)
+from .quadrature import RICHARDSON_FACTOR, _halving_gaps, cumulative_simpson
 from .states import VARIANCE_FLOOR, DegenerateObservableError, _spread
 
 if TYPE_CHECKING:  # dynamics imports this module at run time
@@ -156,13 +151,12 @@ def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:
     """Replace NaN samples by the nearest preceding healthy one (one-sided);
-    a leading NaN run copies the first healthy sample from the right."""
+    a leading NaN run copies the first healthy sample from the right.  Each
+    row of a (k, n) stack is filled on its own; an all-NaN row stays NaN."""
     healthy = ~np.isnan(values)
-    if not np.any(healthy):
-        return values.copy()
-    source = np.maximum.accumulate(np.where(healthy, np.arange(values.size), 0))
-    source[: np.argmax(healthy)] = np.argmax(healthy)
-    return values[source]
+    source = np.maximum.accumulate(np.where(healthy, np.arange(values.shape[-1]), 0), axis=-1)
+    source = np.maximum(source, np.argmax(healthy, axis=-1)[..., None])
+    return np.take_along_axis(values, source, axis=-1)
 
 
 def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
@@ -180,11 +174,8 @@ def _warnings(grid: TimeGrid, codes: np.ndarray) -> tuple[tuple[float, str], ...
     return tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in np.flatnonzero(codes))
 
 
-def _running_average(r_filled: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    r_bar = np.empty_like(r_filled)
-    r_bar[0] = r_filled[0]
-    r_bar[1:] = cumulative_simpson(r_filled, grid.dx)[1:] / grid.points[1:]
-    return r_bar
+def _running_average(r_filled: np.ndarray, r_integral: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    return np.concatenate([r_filled[:1], r_integral[1:] / grid.points[1:]])
 
 
 def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
@@ -220,24 +211,18 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
             )
         raise ValueError("all integrand samples are degenerate")
 
-    f_q = _fill_nearest(f_q)
-    f_s = _fill_nearest(f_s)
-    r_filled = _fill_nearest(r_raw)
+    rows = _fill_nearest(np.stack([f_q, f_s, r_raw]))
+    integrals = cumulative_simpson(rows, grid.dx)
+    gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
     prefactor = 0.5 / delta_h
-    t_qslo = prefactor * cumulative_simpson(f_q, grid.dx)
-    t_sqslo = prefactor * cumulative_simpson(f_s, grid.dx)
-    quad_error = prefactor * max(
-        richardson_error_estimate(f_q, grid.dx),
-        richardson_error_estimate(f_s, grid.dx),
-    )
     return BoundCurve(
         grid=grid,
-        t_qslo=t_qslo,
-        t_sqslo=t_sqslo,
+        t_qslo=prefactor * integrals[0],
+        t_sqslo=prefactor * integrals[1],
         mean_values=samples.means.copy(),
-        r_bar=_running_average(r_filled, grid),
+        r_bar=_running_average(rows[2], integrals[2], grid),
         warnings=warnings,
-        quad_error=float(quad_error),
+        quad_error=float(prefactor * (np.max(gaps) / RICHARDSON_FACTOR)),
     )
 
 
@@ -255,10 +240,9 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     if np.all(np.isnan(r_raw)):
         raise ValueError("all correction samples are degenerate")
     r_filled = _fill_nearest(r_raw)
-    f_s = f_q * (1.0 - r_filled)
-
-    int_q = cumulative_simpson(f_q, grid.dx)
-    int_s = cumulative_simpson(f_s, grid.dx)
+    rows = np.stack([f_q, f_q * (1.0 - r_filled), r_filled])
+    int_q, int_s, int_r = integrals = cumulative_simpson(rows, grid.dx)
+    gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
     net_change = np.abs(means - means[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         t_qslo = np.where(
@@ -269,22 +253,21 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
         )
 
     quad_error = 0.0
-    for f, integral, bound in ((f_q, int_q, t_qslo), (f_s, int_s, t_sqslo)):
-        gaps = cumulative_richardson_gaps(f, grid.dx) / RICHARDSON_FACTOR
-        if not np.all(np.isfinite(gaps)):
+    for gap, integral, bound in zip(gaps / RICHARDSON_FACTOR, (int_q, int_s), (t_qslo, t_sqslo)):
+        if not np.all(np.isfinite(gap)):
             quad_error = math.inf
             continue
-        idx = np.arange(gaps.size) * 2
+        idx = np.arange(gap.size) * 2
         mask = integral[idx] > 0.0
         if np.any(mask):
-            propagated = bound[idx][mask] * gaps[mask] / integral[idx][mask]
+            propagated = bound[idx][mask] * gap[mask] / integral[idx][mask]
             quad_error = max(quad_error, float(np.max(propagated)))
     return BoundCurve(
         grid=grid,
         t_qslo=t_qslo,
         t_sqslo=t_sqslo,
         mean_values=means.copy(),
-        r_bar=_running_average(r_filled, grid),
+        r_bar=_running_average(r_filled, int_r, grid),
         warnings=warnings,
         quad_error=quad_error,
     )

@@ -12,10 +12,12 @@ curve; ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every
 sample from a stacked eigendecomposition of the d_A x d_A reduced states
 (Schroedinger picture).  Derivatives come from the commutator identity,
 never from finite differences, so quadrature is the only discretization
-error downstream.  H, O and psi0 are validated once, on entry.  The sampler
-is tested against ``expectation_derivative``, ``states.moments`` and
-``bounds.correction_r``; ``propagator_family`` and the latter two also take
-stacks, one validated call for many draws.  hbar = 1 throughout.
+error downstream.  H, O and psi0 are validated once, on entry; the scenario
+runners take the spread dH of H in psi0 from that pass (``_heisenberg``,
+``_entanglement``), not from ``moments``.  The sampler is tested against
+``expectation_derivative``, ``states.moments`` and ``bounds.correction_r``;
+``propagator_family`` and the latter two also take stacks, one validated
+call for many draws.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .bounds import correction_rows
 from .linalg import commutator, hermitian_eig, require_hermitian
 from .measures import _clamped_log
-from .states import require_state
+from .states import _deviation, require_state
 
 # Default sampling density for bound integrals.
 STEPS_PER_UNIT_TIME = 2000
@@ -112,13 +114,15 @@ def expectation_derivative(h, obs_t, psi) -> float:
     return float((1j * np.vdot(v, commutator(hm, o) @ v)).real)
 
 
-def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (E, V, V^dag psi0) of the Hamiltonian and initial state."""
-    vals, vecs = hermitian_eig(h)
+def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Validated (E, V, V^dag psi0) of the Hamiltonian and initial state, and
+    the spread dH of H in psi0 by ``states.moments``' arithmetic."""
+    hm = require_hermitian(h)
     v = require_state(psi0)
-    if vals.size != v.size:
+    if hm.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between Hamiltonian and state")
-    return vals, vecs, vecs.conj().T @ v
+    vals, vecs = np.linalg.eigh(hm)
+    return vals, vecs, vecs.conj().T @ v, _deviation(v, hm)[2].std_dev
 
 
 def _sample(times, vals, c0, rows) -> Samples:
@@ -141,7 +145,12 @@ def _sample(times, vals, c0, rows) -> Samples:
 
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     """Samples of the Heisenberg-evolved observable U^dag O U in psi0."""
-    vals, vecs, c0 = _eigen_start(h, psi0)
+    return _heisenberg(h, obs0, psi0, times)[0]
+
+
+def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
+    """``sample_heisenberg`` and the spread dH of H in psi0."""
+    vals, vecs, c0, delta_h = _eigen_start(h, psi0)
     o = require_hermitian(obs0)
     if o.shape[0] != vals.size:
         raise ValueError("dimension mismatch between Hamiltonian and observable")
@@ -151,7 +160,7 @@ def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     def rows(c):
         return c, c @ o_eig.T, c * vals, np.sum(c.conj() * (c @ rate.T), axis=1).real
 
-    return _sample(times, vals, c0, rows)
+    return _sample(times, vals, c0, rows), delta_h
 
 
 def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
@@ -159,7 +168,12 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
     evolved bipartite state (Schroedinger picture): the means are entanglement
     entropies, the variances capacities of entanglement, and the derivatives
     i<[H, O]> = 2 Im <O psi_t|H psi_t> with O frozen at each sample."""
-    vals, vecs, c0 = _eigen_start(h, psi0)
+    return _entanglement(h, psi0, dims, times)[0]
+
+
+def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float]:
+    """``sample_entanglement`` and the spread dH of H in psi0."""
+    vals, vecs, c0, delta_h = _eigen_start(h, psi0)
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:
         raise ValueError(f"dims {dims} inconsistent with state size {vals.size}")
@@ -173,5 +187,4 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
         k_psi = (modular @ amps).reshape(psi.shape)
         return psi, k_psi, h_psi, 2.0 * np.sum(k_psi.conj() * h_psi, axis=1).imag
 
-    return _sample(times, vals, c0, rows)
-
+    return _sample(times, vals, c0, rows), delta_h

@@ -11,6 +11,12 @@ Three two-qubit settings exercise the bounds engine end to end:
   exchange interaction, tracked through the stored energy (direct-integral
   bound).
 
+Every Hamiltonian is a weighted sum of two-qubit Pauli products built once
+at import; the battery starts in the constant |11>, and the t = 0 modular
+Hamiltonian K0 is written down from rho_A(0) = diag(p, 1 - p).  Each runner
+takes the energy spread dH from the sampler's validated pass over (H, psi0)
+(``dynamics._heisenberg`` / ``_entanglement``), not from ``moments``.
+
 The closed forms below (capacity and entropy, modular variance and energy,
 stored energy) are numpy expressions in a scalar or array t.  No runner
 evaluates them; they are independent oracles that the verify suite
@@ -26,14 +32,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundCurve, qsl_integral, ratio_form_curve
-from .dynamics import TimeGrid, sample_entanglement, sample_heisenberg
+from .dynamics import TimeGrid, _entanglement, _heisenberg
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
-from .measures import modular_hamiltonian
-from .states import moments, reduced_state
+from .measures import _clamped_log
 
 # Schmidt weights this close to {0, 1/2, 1} make the bound curves degenerate
 # (zero energy spread or identically flat capacity) and are rejected.
 DEGENERATE_P_ATOL = 1e-9
+
+# Two-qubit Pauli products, built once: every Hamiltonian below is a
+# weighted sum of these constants.
+_XX, _YY, _ZZ = (tensor_product(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+_EXCHANGE = _XX + _YY + _ZZ
+_Z_SUM = tensor_product(SIGMA_Z, IDENTITY_2) + tensor_product(IDENTITY_2, SIGMA_Z)
+_X_SUM = tensor_product(SIGMA_X, IDENTITY_2) + tensor_product(IDENTITY_2, SIGMA_X)
+
+# The empty battery |11> (both cells down), where every battery run starts.
+_EMPTY_BATTERY = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+_EMPTY_BATTERY.setflags(write=False)
 
 
 def _require_finite(**values: float) -> None:
@@ -71,7 +87,8 @@ class BatteryScenario:
 
     The battery starts empty (both cells down).  If that state is an
     eigenstate of the total Hamiltonian there are no charging dynamics, and
-    the scenario is rejected.
+    the scenario is rejected: H_B and H_int act diagonally on |11>, so
+    Var(H_T) = 2 Omega^2 there.
     """
 
     omega: float
@@ -85,8 +102,7 @@ class BatteryScenario:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if self.big_omega < 0.0:
             raise ValueError(f"Omega must be nonnegative, got {self.big_omega!r}")
-        _, _, _, h_t = battery_hamiltonians(self.omega, self.big_omega, self.j)
-        if moments(h_t, general_product_state(0.0, 0.0, 0.0, 0.0)).variance <= 1e-12:
+        if 2.0 * self.big_omega**2 <= 1e-12:
             raise ValueError(
                 "initial state is an eigenstate of the total Hamiltonian; "
                 "no charging dynamics to bound"
@@ -101,11 +117,7 @@ def canonical_hamiltonian(mu1: float, mu2: float, mu3: float) -> np.ndarray:
             "ordering mu1 >= mu2 >= mu3 >= 0 of the canonical form",
             stacklevel=2,
         )
-    return (
-        mu1 * tensor_product(SIGMA_X, SIGMA_X)
-        + mu2 * tensor_product(SIGMA_Y, SIGMA_Y)
-        + mu3 * tensor_product(SIGMA_Z, SIGMA_Z)
-    )
+    return mu1 * _XX + mu2 * _YY + mu3 * _ZZ
 
 
 def initial_schmidt_state(p: float) -> np.ndarray:
@@ -123,10 +135,11 @@ def entanglement_setup(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(psi0, H, K0) of the two-qubit runs: the Schmidt state, the canonical
     Hamiltonian with couplings (theta + |mu3|, |mu3|, mu3), and the composite
-    modular Hamiltonian -log rho_A(0) (x) I_B."""
+    modular Hamiltonian -log rho_A(0) (x) I_B, which is diagonal because
+    rho_A(0) = diag(p, 1 - p) (clamped as ``measures.modular_hamiltonian``)."""
     psi0 = initial_schmidt_state(p)
     h = canonical_hamiltonian(theta + abs(mu3), abs(mu3), mu3)
-    k0 = tensor_product(modular_hamiltonian(reduced_state(psi0, (2, 2), "A")), IDENTITY_2)
+    k0 = np.diag(-_clamped_log(np.array([p, p, 1.0 - p, 1.0 - p]))).astype(complex)
     return psi0, h, k0
 
 
@@ -168,30 +181,10 @@ def battery_hamiltonians(
     omega: float, big_omega: float, j: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(H_B, H_C, H_int, H_T): stored energy, drive, exchange, and their sum."""
-    sz = tensor_product(SIGMA_Z, IDENTITY_2) + tensor_product(IDENTITY_2, SIGMA_Z)
-    sx = tensor_product(SIGMA_X, IDENTITY_2) + tensor_product(IDENTITY_2, SIGMA_X)
-    h_b = omega * sz
-    h_c = big_omega * sx
-    h_int = j * (
-        tensor_product(SIGMA_X, SIGMA_X)
-        + tensor_product(SIGMA_Y, SIGMA_Y)
-        + tensor_product(SIGMA_Z, SIGMA_Z)
-    )
+    h_b = omega * _Z_SUM
+    h_c = big_omega * _X_SUM
+    h_int = j * _EXCHANGE
     return h_b, h_c, h_int, h_b + h_c + h_int
-
-
-def general_product_state(
-    theta1: float, theta2: float, phi1: float, phi2: float
-) -> np.ndarray:
-    """General two-qubit product state; (0, 0, *, *) is the empty battery."""
-    if not (0.0 <= theta1 <= math.pi and 0.0 <= theta2 <= math.pi):
-        raise ValueError("polar angles must lie in [0, pi]")
-    if not (0.0 <= phi1 <= 2.0 * math.pi and 0.0 <= phi2 <= 2.0 * math.pi):
-        raise ValueError("azimuthal angles must lie in [0, 2 pi]")
-    up1 = math.sin(theta1) * np.exp(1j * phi1)
-    up2 = math.sin(theta2) * np.exp(1j * phi2)
-    down1, down2 = math.cos(theta1), math.cos(theta2)
-    return np.kron(np.array([up1, down1]), np.array([up2, down2]))
 
 
 def ergotropy_closed_form(omega: float, big_omega: float, t):
@@ -210,8 +203,8 @@ def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     the square root of the capacity.
     """
     psi0, h, _ = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    samples = sample_entanglement(h, psi0, (2, 2), scn.grid.points)
-    return ratio_form_curve(scn.grid, samples, moments(h, psi0).std_dev)
+    samples, delta_h = _entanglement(h, psi0, (2, 2), scn.grid.points)
+    return ratio_form_curve(scn.grid, samples, delta_h)
 
 
 def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
@@ -221,15 +214,14 @@ def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
     the propagator, in contrast with the Schroedinger-picture run above.
     """
     psi0, h, k0 = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    samples = sample_heisenberg(h, k0, psi0, scn.grid.points)
-    return qsl_integral(scn.grid, samples, moments(h, psi0).std_dev)
+    samples, delta_h = _heisenberg(h, k0, psi0, scn.grid.points)
+    return qsl_integral(scn.grid, samples, delta_h)
 
 
 def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
     """Direct-integral bound on the battery charging time.  The curve's mean
     values are the stored energy E(t) = <H_B(t)> - <H_B(0)>."""
     h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
-    samples = sample_heisenberg(h_t, h_b, psi0, scn.grid.points)
+    samples, delta_h = _heisenberg(h_t, h_b, _EMPTY_BATTERY, scn.grid.points)
     stored = samples._replace(means=samples.means - samples.means[0])
-    return qsl_integral(scn.grid, stored, moments(h_t, psi0).std_dev)
+    return qsl_integral(scn.grid, stored, delta_h)

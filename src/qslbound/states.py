@@ -72,20 +72,21 @@ class ObservableMoments:
 
 def _spread(psi, *observables) -> tuple:
     """Validate psi and each observable once.  Returns psi, then per
-    observable O the triple (O psi, (O - <O>) psi, moments of O)."""
+    observable O the triple of ``_deviation``."""
     v = require_state(psi)
-    spreads = []
-    for obs in observables:
-        o = require_hermitian(obs)
-        if o.shape[-1] != v.shape[-1]:
-            raise ValueError(f"dimension mismatch: operator {o.shape[-1]}, state {v.shape[-1]}")
-        ov = (o @ v[..., None])[..., 0]
-        mean = _vdot(v, ov).real
-        # ||(O - <O>) psi||^2 stays accurate where <O^2> - <O>^2 would cancel.
-        dev = ov - mean[..., None] * v
-        variance = np.maximum(_vdot(dev, dev).real, 0.0)
-        spreads.append((ov, dev, ObservableMoments(mean, variance, np.sqrt(variance))))
-    return (v, *spreads)
+    return (v, *(_deviation(v, require_hermitian(obs)) for obs in observables))
+
+
+def _deviation(v: np.ndarray, o: np.ndarray) -> tuple:
+    """(O psi, (O - <O>) psi, moments of O) for a validated state and observable."""
+    if o.shape[-1] != v.shape[-1]:
+        raise ValueError(f"dimension mismatch: operator {o.shape[-1]}, state {v.shape[-1]}")
+    ov = (o @ v[..., None])[..., 0]
+    mean = _vdot(v, ov).real
+    # ||(O - <O>) psi||^2 stays accurate where <O^2> - <O>^2 would cancel.
+    dev = ov - mean[..., None] * v
+    variance = np.maximum(_vdot(dev, dev).real, 0.0)
+    return ov, dev, ObservableMoments(mean, variance, np.sqrt(variance))
 
 
 def moments(obs, psi) -> ObservableMoments:

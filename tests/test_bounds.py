@@ -16,7 +16,7 @@ from qslbound.bounds import (
 )
 from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
-from qslbound.scenarios import battery_hamiltonians, general_product_state
+from qslbound.scenarios import _EMPTY_BATTERY, battery_hamiltonians
 from qslbound.states import DegenerateObservableError, moments
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -25,9 +25,8 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 
 def battery_correction_at(t, omega=2.0, big_omega=1.0, j=1.0):
     h_b, _, _, h_t = battery_hamiltonians(omega, big_omega, j)
-    psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
     u = propagator_family(h_t)(t)
-    return correction_r(u.conj().T @ h_b @ u, h_t, psi0)
+    return correction_r(u.conj().T @ h_b @ u, h_t, _EMPTY_BATTERY)
 
 
 class TestCorrectionR:

@@ -7,20 +7,21 @@ from conftest import assert_check
 from qslbound import verify
 from qslbound.bounds import correction_r, qsl_integral
 from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
-from qslbound.linalg import IDENTITY_2, SIGMA_X, tensor_product
+from qslbound.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 from qslbound.measures import (
     capacity_of_entanglement,
     entanglement_entropy,
     modular_hamiltonian,
 )
 from qslbound.scenarios import (
+    _EMPTY_BATTERY,
     BatteryScenario,
     EntanglementScenario,
     battery_hamiltonians,
     canonical_hamiltonian,
     ce_see_closed_form,
+    entanglement_setup,
     ergotropy_closed_form,
-    general_product_state,
     initial_schmidt_state,
     modular_closed_form,
     run_battery_scenario,
@@ -43,6 +44,11 @@ def small_grid(t_max=1.0, n=400):
     return TimeGrid(t_max, n)
 
 
+# Parameter sets for the constant-operator forms: (mu1, mu2, mu3) of the
+# canonical Hamiltonian and (omega, Omega, J) of the battery.
+OPERATOR_PARAMS = [(1.0, 0.5, 0.25), (0.3, 0.3, 0.0), (2.7, 1.1, -0.4)]
+
+
 class TestCanonicalHamiltonian:
     def test_zero(self):
         assert np.allclose(canonical_hamiltonian(0.0, 0.0, 0.0), np.zeros((4, 4)))
@@ -59,6 +65,16 @@ class TestCanonicalHamiltonian:
     def test_ordering_warning(self):
         with pytest.warns(UserWarning, match="ordering"):
             canonical_hamiltonian(0.1, 0.5, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:couplings")
+    @pytest.mark.parametrize("mu", OPERATOR_PARAMS)
+    def test_constant_products_equal_the_kronecker_form(self, mu):
+        kron_form = (
+            mu[0] * tensor_product(SIGMA_X, SIGMA_X)
+            + mu[1] * tensor_product(SIGMA_Y, SIGMA_Y)
+            + mu[2] * tensor_product(SIGMA_Z, SIGMA_Z)
+        )
+        assert np.array_equal(canonical_hamiltonian(*mu), kron_form)
 
 
 class TestInitialSchmidtState:
@@ -77,6 +93,14 @@ class TestInitialSchmidtState:
     def test_range(self):
         with pytest.raises(ValueError):
             initial_schmidt_state(1.2)
+
+
+class TestEntanglementSetup:
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4])
+    def test_closed_form_k0_equals_the_modular_hamiltonian(self, p):
+        psi0, _, k0 = entanglement_setup(p, 1.0, 0.0)
+        k_a = modular_hamiltonian(reduced_state(psi0, (2, 2), "A"))
+        np.testing.assert_allclose(k0, tensor_product(k_a, IDENTITY_2), rtol=0.0, atol=1e-15)
 
 
 class TestEntanglementClosedForms:
@@ -173,35 +197,41 @@ class TestBatteryHamiltonians:
 
     def test_total_spread_in_empty_state(self):
         _, _, _, h_t = battery_hamiltonians(2.0, 1.0, 1.0)
-        psi = general_product_state(0.0, 0.0, 0.0, 0.0)
-        assert moments(h_t, psi).std_dev == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert moments(h_t, _EMPTY_BATTERY).std_dev == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("params", OPERATOR_PARAMS)
+    def test_total_variance_in_empty_state_is_two_omega_squared(self, params):
+        # The closed form behind BatteryScenario's eigenstate refusal.
+        _, _, _, h_t = battery_hamiltonians(*params)
+        variance = moments(h_t, _EMPTY_BATTERY).variance
+        assert variance == pytest.approx(2.0 * params[1] ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("params", OPERATOR_PARAMS)
+    def test_constant_products_equal_the_kronecker_form(self, params):
+        omega, big_omega, j = params
+        x, y, z, i = SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2
+        h_b = omega * (tensor_product(z, i) + tensor_product(i, z))
+        h_c = big_omega * (tensor_product(x, i) + tensor_product(i, x))
+        h_int = j * (tensor_product(x, x) + tensor_product(y, y) + tensor_product(z, z))
+        expected = (h_b, h_c, h_int, h_b + h_c + h_int)
+        for got, want in zip(battery_hamiltonians(*params), expected):
+            assert np.array_equal(got, want)
 
 
-class TestGeneralProductState:
-    def test_empty_battery(self):
-        assert np.allclose(general_product_state(0.0, 0.0, 0.0, 0.0), [0, 0, 0, 1])
+class TestEmptyBattery:
+    def test_is_the_basis_state_11(self):
+        down = np.array([0.0, 1.0], dtype=complex)
+        assert np.array_equal(require_state(_EMPTY_BATTERY), np.kron(down, down))
 
-    def test_full_battery(self):
-        psi = general_product_state(math.pi / 2.0, math.pi / 2.0, 0.0, 0.0)
-        assert np.allclose(psi, [1, 0, 0, 0], atol=1e-12)
+    def test_has_the_lowest_stored_energy(self):
+        h_b, _, _, _ = battery_hamiltonians(2.0, 1.0, 1.0)
+        assert np.array_equal(h_b @ _EMPTY_BATTERY, -4.0 * _EMPTY_BATTERY)
+        assert np.min(np.linalg.eigvalsh(h_b)) == -4.0
 
-    def test_always_unentangled(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            psi = general_product_state(
-                rng.uniform(0, math.pi),
-                rng.uniform(0, math.pi),
-                rng.uniform(0, 2 * math.pi),
-                rng.uniform(0, 2 * math.pi),
-            )
-            psi = require_state(psi)
-            rho = reduced_state(psi, (2, 2), "A")
-            assert capacity_of_entanglement(rho) <= 1e-12
-            assert entanglement_entropy(rho) <= 1e-10
-
-    def test_angle_validation(self):
-        with pytest.raises(ValueError):
-            general_product_state(-0.1, 0.0, 0.0, 0.0)
+    def test_unentangled(self):
+        rho = reduced_state(_EMPTY_BATTERY, (2, 2), "A")
+        assert capacity_of_entanglement(rho) <= 1e-12
+        assert entanglement_entropy(rho) <= 1e-10
 
 
 class TestErgotropy:
@@ -267,6 +297,12 @@ class TestScenarioValidation:
         # With no drive the empty state is stationary under H_T.
         with pytest.raises(ValueError, match="eigenstate"):
             BatteryScenario(omega=2.0, big_omega=0.0, j=0.0, grid=small_grid(2.0))
+
+    def test_battery_refusal_boundary(self):
+        # Refused where Var(H_T) = 2 Omega^2 <= 1e-12.
+        with pytest.raises(ValueError, match="eigenstate"):
+            BatteryScenario(omega=2.0, big_omega=5e-7, j=1.0, grid=small_grid(2.0))
+        BatteryScenario(omega=2.0, big_omega=1e-6, j=1.0, grid=small_grid(2.0))
 
 
 class TestRunEntanglement:
@@ -356,7 +392,7 @@ class TestRunBattery:
         )
         ts = grid.points
         mask = ts >= 0.05
-        assert np.max(np.abs(curve.t_sqslo[mask] - ts[mask]) / ts[mask]) <= 0.02
+        assert np.max(np.abs(curve.t_sqslo[mask] - ts[mask]) / ts[mask]) <= 1e-10
 
     def test_random_product_states_keep_hierarchy(self):
         # Away from the empty battery the dynamics leaves the effective
@@ -364,18 +400,16 @@ class TestRunBattery:
         # hierarchy and monotonicity must survive.
         rng = np.random.default_rng(99)
         for _ in range(5):
-            angles = (
-                float(rng.uniform(0.05, math.pi - 0.05)),
-                float(rng.uniform(0.05, math.pi - 0.05)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-                float(rng.uniform(0.0, 2.0 * math.pi)),
-            )
+            polar = rng.uniform(0.05, math.pi - 0.05, 2)
+            phase = rng.uniform(0.0, 2.0 * math.pi, 2)
             h_b, _, _, h_t = battery_hamiltonians(
                 float(rng.uniform(0.5, 3.0)),
                 float(rng.uniform(0.3, 3.0)),
                 float(rng.uniform(-1.5, 1.5)),
             )
-            psi0 = general_product_state(*angles)
+            # The product of one cell state (sin a e^{i phi}, cos a) per cell.
+            cells = np.stack([np.sin(polar) * np.exp(1j * phase), np.cos(polar)], axis=1)
+            psi0 = np.kron(cells[0], cells[1])
             grid = small_grid(2.0, n=600)
             samples = sample_heisenberg(h_t, h_b, psi0, grid.points)
             curve = qsl_integral(grid, samples, moments(h_t, psi0).std_dev)
@@ -391,7 +425,7 @@ class TestRunBattery:
 
         for big_omega in (1.0, 4.0):
             h_b, _, _, h_t = battery_hamiltonians(2.0, big_omega, 1.0)
-            psi0 = general_product_state(0.0, 0.0, 0.0, 0.0)
+            psi0 = _EMPTY_BATTERY
             u_of_t = propagator_family(h_t)
             healthy = 0
             for t in np.linspace(0.02, 2.0, 100):

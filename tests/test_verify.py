@@ -7,12 +7,14 @@ once however many tests name it.  Tests that patch code build fresh
 contexts and never read that memo.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qslbound.dynamics as dynamics
 from qslbound import reference_forms as ref
-from qslbound import verify
+from qslbound import scenarios, verify
 from qslbound.cli import main
 
 EXPECTED = {
@@ -151,3 +153,26 @@ def test_an_entanglement_sample_without_a_pipeline_r_fails(monkeypatch):
 
     monkeypatch.setattr(verify, "sample_entanglement", losing_one)
     assert_fails_on_comparison("fixtures/entanglement-r")
+
+
+def test_an_all_nan_tensor_product_fails_its_check(monkeypatch):
+    # A NaN deviation must fail the check, not drop out of its maximum.
+    monkeypatch.setattr(verify, "tensor_product", lambda a, b: np.full((6, 6), np.nan))
+    assert_fails_on_comparison("operator-core/tensor-product-trace")
+
+
+def test_a_one_percent_shrink_of_the_sqslo_fails_the_run(monkeypatch, capsys):
+    # t_sqslo = max(t_qslo, 0.99 t_sqslo) in qsl_integral: every
+    # direct-integral curve drops 1% below the diagonal it saturates.
+    original = verify.qsl_integral
+
+    def shrunk(*args):
+        curve = original(*args)
+        return dataclasses.replace(curve, t_sqslo=np.maximum(curve.t_qslo, 0.99 * curve.t_sqslo))
+
+    for module in (scenarios, verify):
+        monkeypatch.setattr(module, "qsl_integral", shrunk)
+    assert main(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1] for line in lines if line.startswith("FAIL ")}
+    assert failed == {"scenarios/modular-saturation", "scenarios/battery-saturation-overlap"}
