@@ -13,12 +13,15 @@ c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) this is the closed form
 
 in [0, 1] by Cauchy-Schwarz.  eta = 1 - r >= |Im c| = |<[A, B]>| / (2 dA dB),
 with equality exactly where |c| = 1, which puts the SQSLO curves of the
-bundled case studies on the diagonal.
+bundled case studies on the diagonal.  ``correction_r`` and the sampler,
+whose ``Samples`` carry c, share one kernel for c, ``_correlation``; the
+commutator side ``rhs`` comes from A psi and B psi, not from c, so each side
+of the relation checks the other.
 
 Bound curves integrate |d<O>/dt| / (dO * eta) by cumulative composite
-Simpson over the sampler's ``Samples`` (r NaN where no correction is
-defined).  Samples where dO or eta degenerate are excluded, replaced by the
-nearest healthy sample and recorded as warnings.
+Simpson over the sampler's ``Samples`` (r NaN where c is).  Samples where dO
+or eta degenerate are excluded, replaced by the nearest healthy sample and
+recorded as warnings.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .linalg import _vdot, spectral_norm
 from .quadrature import RICHARDSON_FACTOR, _halving_gaps, cumulative_simpson
-from .states import VARIANCE_FLOOR, DegenerateObservableError, _spread
+from .states import VARIANCE_FLOOR, DegenerateObservableError, ObservableMoments, _moments, _operands
 
 if TYPE_CHECKING:  # dynamics imports this module at run time
     from .dynamics import Samples, TimeGrid
@@ -114,39 +117,34 @@ def correction_r(a, b, psi) -> CorrectionSample:
     spread in ``psi``, in any member (callers sampling trajectories turn
     that into an excluded sample).
     """
-    _, (a_psi, dev_a, ma), (b_psi, dev_b, mb) = _spread(psi, a, b)
-    if np.any(ma.variance <= VARIANCE_FLOOR) or np.any(mb.variance <= VARIANCE_FLOOR):
+    v, a_psi, b_psi = _operands(psi, a, b)
+    ma, mb, c = _correlation(v, a_psi, b_psi)
+    if np.any(np.isnan(c)):
         raise DegenerateObservableError(
             "one observable has no spread in this state; no correction defined"
         )
-    c = _vdot(dev_a, dev_b) / (ma.std_dev * mb.std_dev)
-    r = 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
+    r, plus = _r_from_c(c)
     eta = 1.0 - r
     # <[A, B]> = 2i Im <A psi | B psi>, so |<[A,B]>|/2 = |Im <A psi|B psi>|.
     rhs = np.abs(_vdot(a_psi, b_psi).imag)
-    sign = np.where(c.imag > 0.0, "plus", "minus")[()]
+    sign = np.where(plus, "plus", "minus")[()]
     return CorrectionSample(r, eta, sign, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
 
 
-def _row_moments(psi, a_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, deviation (A - <A>) psi and variance of A for rows of psi, A psi."""
-    mean = np.sum(psi.conj() * a_psi, axis=1).real
-    dev = a_psi - mean[:, None] * psi
-    return mean, dev, np.sum((dev.conj() * dev).real, axis=1)
-
-
-def correction_rows(psi, a_psi, b_psi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``correction_r`` for rows of psi, A psi and B psi: the mean and
-    spread of A and r per row, r NaN where ``correction_r`` raises
-    DegenerateObservableError.  Rows come from the sampler, unvalidated."""
-    mean_a, dev_a, var_a = _row_moments(psi, a_psi)
-    _, dev_b, var_b = _row_moments(psi, b_psi)
-    std_a = np.sqrt(var_a)
+def _correlation(psi, a_psi, b_psi) -> tuple[ObservableMoments, ObservableMoments, np.ndarray]:
+    """Moments of A, of B and c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) from psi, A psi, B psi
+    (one state or rows, unvalidated); c is NaN where a variance is <= VARIANCE_FLOOR."""
+    dev_a, ma = _moments(psi, a_psi)
+    dev_b, mb = _moments(psi, b_psi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.sum(dev_a.conj() * dev_b, axis=1) / (std_a * np.sqrt(var_b))
-    r = 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
-    r[(var_a <= VARIANCE_FLOOR) | (var_b <= VARIANCE_FLOOR)] = np.nan
-    return mean_a, std_a, r
+        c = _vdot(dev_a, dev_b) / (ma.std_dev * mb.std_dev)
+    degenerate = (ma.variance <= VARIANCE_FLOOR) | (mb.variance <= VARIANCE_FLOOR)
+    return ma, mb, np.where(degenerate, np.nan, c)
+
+
+def _r_from_c(c) -> tuple[np.ndarray, np.ndarray]:
+    """r = (1 + |c|^2)/2 - |Im c| and the sign branch, True for "plus" (Im c > 0)."""
+    return 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag), c.imag > 0.0
 
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:
@@ -276,10 +274,10 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
 def entanglement_rate_bound(c_e, delta_h, r):
     """Cap on |d entropy/dt|: 2 sqrt(C_E) dH (1 - r), hbar = 1; elementwise
     over scalars or arrays."""
-    if np.any(c_e < 0.0):
-        raise ValueError(f"capacity must be nonnegative, got {c_e!r}")
-    if not np.all(delta_h > 0.0):
-        raise ValueError(f"delta_h must be positive, got {delta_h!r}")
+    if not np.all((0.0 <= c_e) & (c_e < math.inf)):
+        raise ValueError(f"capacity must be nonnegative and finite, got {c_e!r}")
+    if not np.all((0.0 < delta_h) & (delta_h < math.inf)):
+        raise ValueError(f"delta_h must be positive and finite, got {delta_h!r}")
     if not np.all((-R_RANGE_ATOL <= r) & (r <= 1.0 + R_RANGE_ATOL)):
         raise ValueError(f"correction r must lie in [0, 1], got {r!r}")
     return 2.0 * np.sqrt(c_e) * delta_h * (1.0 - np.clip(r, 0.0, 1.0))

@@ -2,22 +2,19 @@
 
 One sampler serves every curve.  It diagonalizes H = V diag(E) V^dag once and
 evolves the amplitudes c_t = exp(-iEt) * V^dag psi0 in blocks of SAMPLE_BLOCK
-times, so its working memory is set by the block, not the grid.  From the
-rows psi_t, O psi_t and H psi_t of a block it returns the mean and spread of
-O, the exact d<O>/dt and the correction factor r of the pair (O, H)
-(``bounds.correction_rows``).  ``sample_heisenberg`` takes
-<psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its rows in H's eigenbasis,
-and d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per
-curve; ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every
-sample from a stacked eigendecomposition of the d_A x d_A reduced states
-(Schroedinger picture).  Derivatives come from the commutator identity,
-never from finite differences, so quadrature is the only discretization
-error downstream.  H, O and psi0 are validated once, on entry; the scenario
-runners take the spread dH of H in psi0 from that pass (``_heisenberg``,
-``_entanglement``), not from ``moments``.  The sampler is tested against
-``expectation_derivative``, ``states.moments`` and ``bounds.correction_r``;
-``propagator_family`` and the latter two also take stacks, one validated
-call for many draws.  hbar = 1 throughout.
+times, so its working memory is set by the block, not the grid.  The rows
+psi_t, O psi_t and H psi_t of a block go through ``bounds._correlation``, the
+one kernel ``correction_r`` runs too, for the mean and spread of O and the
+correlation c of the pair (O, H); ``Samples`` carry c and derive r from it.
+``sample_heisenberg`` takes <psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its
+rows in H's eigenbasis, and d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from
+one commutator per curve; ``sample_entanglement`` rebuilds
+O = -log rho_A(t) (x) I_B at every sample from a stacked eigendecomposition
+of the d_A x d_A reduced states (Schroedinger picture).  Derivatives come
+from the commutator identity, never from finite differences, so quadrature
+is the only discretization error downstream.  H, O and psi0 are validated
+once, on entry; the scenario runners take dH of H in psi0 from that pass
+(``_heisenberg``, ``_entanglement``).  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -28,10 +25,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import correction_rows
+from .bounds import _correlation, _r_from_c
 from .linalg import commutator, hermitian_eig, require_hermitian
 from .measures import _clamped_log
-from .states import _deviation, require_state
+from .states import _moments, require_state
 
 # Default sampling density for bound integrals.
 STEPS_PER_UNIT_TIME = 2000
@@ -80,12 +77,17 @@ class TimeGrid:
 
 
 class Samples(NamedTuple):
-    """Per-time mean, spread and d<O>/dt of O, and r (NaN where undefined)."""
+    """Per-time mean, spread and d<O>/dt of O, and c of (O, H), NaN where undefined."""
 
     means: np.ndarray
     std_devs: np.ndarray
     derivatives: np.ndarray
-    r: np.ndarray
+    c: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        """The correction factor of (O, H) per sample, NaN where c is."""
+        return _r_from_c(self.c)[0]
 
 
 def propagator_family(h) -> Callable[[float], np.ndarray]:
@@ -122,7 +124,7 @@ def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     if hm.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between Hamiltonian and state")
     vals, vecs = np.linalg.eigh(hm)
-    return vals, vecs, vecs.conj().T @ v, _deviation(v, hm)[2].std_dev
+    return vals, vecs, vecs.conj().T @ v, _moments(v, (hm @ v[..., None])[..., 0])[1].std_dev
 
 
 def _sample(times, vals, c0, rows) -> Samples:
@@ -133,14 +135,13 @@ def _sample(times, vals, c0, rows) -> Samples:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError("sample times must be a finite 1-D array")
-    out = np.empty((4, t.size))
+    out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)
     for start in range(0, t.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        c = np.exp(-1j * np.outer(t[block], vals)) * c0
-        psi, o_psi, h_psi, derivs = rows(c)
-        means, stds, r = correction_rows(psi, o_psi, h_psi)
-        out[:, block] = means, stds, derivs, r
-    return Samples(*out)
+        psi, o_psi, h_psi, derivs = rows(np.exp(-1j * np.outer(t[block], vals)) * c0)
+        m, _, corr[block] = _correlation(psi, o_psi, h_psi)
+        out[:, block] = m.mean, m.std_dev, derivs
+    return Samples(*out, corr)
 
 
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:

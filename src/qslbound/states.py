@@ -70,29 +70,28 @@ class ObservableMoments:
     std_dev: float
 
 
-def _spread(psi, *observables) -> tuple:
-    """Validate psi and each observable once.  Returns psi, then per
-    observable O the triple of ``_deviation``."""
-    v = require_state(psi)
-    return (v, *(_deviation(v, require_hermitian(obs)) for obs in observables))
+def _operands(psi, *observables) -> tuple:
+    """Validate psi and each observable once; returns psi, then each O psi."""
+    v, out = require_state(psi), []
+    for o in map(require_hermitian, observables):
+        if o.shape[-1] != v.shape[-1]:
+            raise ValueError(f"dimension mismatch: operator {o.shape[-1]}, state {v.shape[-1]}")
+        out.append((o @ v[..., None])[..., 0])
+    return (v, *out)
 
 
-def _deviation(v: np.ndarray, o: np.ndarray) -> tuple:
-    """(O psi, (O - <O>) psi, moments of O) for a validated state and observable."""
-    if o.shape[-1] != v.shape[-1]:
-        raise ValueError(f"dimension mismatch: operator {o.shape[-1]}, state {v.shape[-1]}")
-    ov = (o @ v[..., None])[..., 0]
+def _moments(v: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, ObservableMoments]:
+    """((O - <O>) psi, moments of O) from psi and O psi (one state or rows, unvalidated)."""
     mean = _vdot(v, ov).real
     # ||(O - <O>) psi||^2 stays accurate where <O^2> - <O>^2 would cancel.
     dev = ov - mean[..., None] * v
     variance = np.maximum(_vdot(dev, dev).real, 0.0)
-    return ov, dev, ObservableMoments(mean, variance, np.sqrt(variance))
+    return dev, ObservableMoments(mean, variance, np.sqrt(variance))
 
 
 def moments(obs, psi) -> ObservableMoments:
     """First and second moments of a Hermitian observable in a pure state."""
-    _, (_, _, m) = _spread(psi, obs)
-    return m
+    return _moments(*_operands(psi, obs))[1]
 
 
 def perpendicular_state(obs, psi) -> np.ndarray:
@@ -102,7 +101,7 @@ def perpendicular_state(obs, psi) -> np.ndarray:
     below VARIANCE_FLOOR (``psi`` is then an eigenstate and no direction is
     singled out), in any member of a stack.
     """
-    _, (_, dev, m) = _spread(psi, obs)
+    dev, m = _moments(*_operands(psi, obs))
     if np.any(m.variance <= VARIANCE_FLOOR):
         raise DegenerateObservableError(
             f"variance {float(np.min(m.variance))!r} too small for a perpendicular direction"

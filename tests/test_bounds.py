@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qslbound.bounds import (
     BoundCurve,
+    _correlation,
+    _r_from_c,
     correction_r,
-    correction_rows,
     entanglement_rate_bound,
     norm_rate_comparison,
     qsl_integral,
@@ -73,8 +74,9 @@ class TestCorrectionR:
         assert sample.rhs == pytest.approx(0.1, abs=1e-12)
         assert (1.0 - 0.9) == pytest.approx(sample.rhs, abs=1e-12)  # the other branch
         assert sample.holds and not sample.saturated
-        _, _, rows_r = correction_rows(psi[None], (a @ psi)[None], (b @ psi)[None])
-        assert rows_r[0] == pytest.approx(0.7, abs=1e-12)
+        _, _, rows_c = _correlation(psi[None], (a @ psi)[None], (b @ psi)[None])
+        assert rows_c[0] == pytest.approx(c, abs=1e-12)
+        assert _r_from_c(rows_c)[0][0] == pytest.approx(0.7, abs=1e-12)
 
     def test_selected_r_in_range_randomized(self):
         rng = np.random.default_rng(31)
@@ -139,8 +141,17 @@ def test_closed_form_matches_the_definition(d, seed):
         sample = correction_r(a, b, psi)
         assert abs(sample.r - r) <= 1e-12
         assert sample.sign_branch == name
-    _, _, rows_r = correction_rows(states, states @ a.T, states @ b.T)
+    rows_r, plus = _r_from_c(_correlation(states, states @ a.T, states @ b.T)[2])
     np.testing.assert_allclose(rows_r, [r for r, _ in expected], rtol=0.0, atol=1e-12)
+    assert [("plus" if p else "minus") for p in plus] == [name for _, name in expected]
+
+
+def propagated_c(h, obs, psi, times):
+    """The kernel's c of (O(t), H) in psi, O(t) = U^dag O U from
+    ``propagator_family`` rather than the sampler's eigen-amplitudes."""
+    u = propagator_family(h)(times)
+    o_t = u.conj().swapaxes(-2, -1) @ obs @ u
+    return _correlation(psi, o_t @ psi, h @ psi)[2]
 
 
 class TestQslIntegral:
@@ -150,16 +161,7 @@ class TestQslIntegral:
     def single_qubit_inputs(self):
         grid = self.grid()
         samples = sample_heisenberg(SIGMA_Z, SIGMA_X, PLUS, grid.points)
-        u_of_t = propagator_family(SIGMA_Z)
-        corrections = []
-        for t in grid.points:
-            u = u_of_t(t)
-            o_t = u.conj().T @ SIGMA_X @ u
-            try:
-                corrections.append(correction_r(o_t, SIGMA_Z, PLUS).r)
-            except DegenerateObservableError:
-                corrections.append(np.nan)
-        return grid, samples._replace(r=np.array(corrections))
+        return grid, samples._replace(c=propagated_c(SIGMA_Z, SIGMA_X, PLUS, grid.points))
 
     def test_single_qubit_saturates(self):
         grid, samples = self.single_qubit_inputs()
@@ -183,16 +185,7 @@ class TestQslIntegral:
         psi = random_state(rng, 4)
         grid = TimeGrid(1.0, 400)
         samples = sample_heisenberg(h, obs, psi, grid.points)
-        u_of_t = propagator_family(h)
-        corrections = []
-        for t in grid.points:
-            u = u_of_t(t)
-            o_t = u.conj().T @ obs @ u
-            try:
-                corrections.append(correction_r(o_t, h, psi).r)
-            except DegenerateObservableError:
-                corrections.append(np.nan)
-        samples = samples._replace(r=np.array(corrections))
+        samples = samples._replace(c=propagated_c(h, obs, psi, grid.points))
         curve = qsl_integral(grid, samples, moments(h, psi).std_dev)
         tol = max(1e-6, 2.0 * curve.quad_error)
         assert np.all(curve.t_sqslo <= grid.points + tol)
@@ -232,6 +225,13 @@ class TestEntanglementRateBound:
     def test_out_of_range_r(self):
         with pytest.raises(ValueError):
             entanglement_rate_bound(0.5, 1.0, 1.5)
+        # NaN compares False either way: non-finite inputs are refused too.
+        for c_e, delta_h, r in [
+            (np.nan, 1.0, 0.5), (np.inf, 1.0, 0.5), (-0.1, 1.0, 0.5),
+            (0.5, np.nan, 0.5), (0.5, np.inf, 0.5), (0.5, 1.0, np.nan),
+        ]:
+            with pytest.raises(ValueError):
+                entanglement_rate_bound(c_e, delta_h, r)
 
     def test_arrays_match_scalar_calls(self):
         c_e = np.array([0.0, 0.5, 0.25, 0.1])

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qslbound import verify
+from qslbound import bounds, dynamics, verify
 from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
 from qslbound.linalg import EigenSystem, as_complex_matrix, hermitian_eig, partial_trace, require_hermitian
@@ -28,7 +28,8 @@ from qslbound.measures import (
 )
 from qslbound.states import (
     DegenerateObservableError,
-    _spread,
+    _moments,
+    _operands,
     density_from_pure,
     moments,
     perpendicular_state,
@@ -317,7 +318,7 @@ def wrong_axes_trace(real):
 
 
 def unnormalized_perp(real):
-    return lambda obs, psi: _spread(psi, obs)[1][1]
+    return lambda obs, psi: _moments(*_operands(psi, obs))[0]
 
 
 def uncentred_moments(real):
@@ -336,14 +337,12 @@ def diagonal_entropy(real):
     return s
 
 
-def real_exponent_propagator(real):
-    # exp(-Et) for exp(-iEt): the dropped i makes U far from unitary.  The
-    # sign flip exp(+iEt) is no mutant here: <psi|(U^dag O U) psi> and
-    # <U psi|O U psi> agree for every matrix U.
+def backward_propagator(real):
+    # exp(+iEt) for exp(-iEt): still unitary, but it runs time backwards.
     def family(h):
         vals, vecs = hermitian_eig(h)
         vecs_h = vecs.conj().swapaxes(-2, -1)
-        return lambda t: (vecs * np.exp(-vals * np.asarray(t)[..., None])[..., None, :]) @ vecs_h
+        return lambda t: (vecs * np.exp(1j * vals * np.asarray(t)[..., None])[..., None, :]) @ vecs_h
 
     return family
 
@@ -376,7 +375,7 @@ MUTANTS = {
         lambda real: entanglement_entropy,
     ),
     "info-measures/entropy-unitary-invariance": ("entanglement_entropy", diagonal_entropy),
-    "dynamics/picture-equivalence": ("propagator_family", real_exponent_propagator),
+    "dynamics/picture-equivalence": ("propagator_family", backward_propagator),
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
 }
@@ -387,6 +386,27 @@ def test_a_broken_covered_function_fails_its_stacked_check(name, monkeypatch):
     attr, mutate = MUTANTS[name]
     assert run_named(name).status == "pass"
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
+    result = run_named(name)
+    assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
+
+
+def unconjugated_correlation(psi, a_psi, b_psi):
+    # c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) with the conjugate dropped.
+    dev_a, ma = _moments(psi, a_psi)
+    dev_b, mb = _moments(psi, b_psi)
+    return ma, mb, np.sum(dev_a * dev_b, axis=-1) / (ma.std_dev * mb.std_dev)
+
+
+@pytest.mark.parametrize(
+    "name", ["speed-limits/uncertainty-fuzz-holds", "fixtures/battery-coupled-r", "fixtures/entanglement-r"]
+)
+def test_a_broken_kernel_fails_the_scalar_and_the_sampled_checks(name, monkeypatch):
+    # correction_r and the sampler hold the one kernel, so one broken c
+    # fails the scalar fuzz check and the checks fed by the sampler.
+    assert dynamics._correlation is bounds._correlation
+    assert run_named(name).status == "pass"
+    for module in (bounds, dynamics):
+        monkeypatch.setattr(module, "_correlation", unconjugated_correlation)
     result = run_named(name)
     assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
 

@@ -146,10 +146,10 @@ def test_an_entanglement_sample_without_a_pipeline_r_fails(monkeypatch):
 
     def losing_one(*args):
         samples = original(*args)
-        r = samples.r.copy()
+        c = samples.c.copy()
         in_range = ref.in_range(ref.r_entanglement_printed(0.1, 1.0, args[-1]))
-        r[np.flatnonzero(in_range)[0]] = np.nan
-        return samples._replace(r=r)
+        c[np.flatnonzero(in_range)[0]] = np.nan
+        return samples._replace(c=c)
 
     monkeypatch.setattr(verify, "sample_entanglement", losing_one)
     assert_fails_on_comparison("fixtures/entanglement-r")
