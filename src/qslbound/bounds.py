@@ -136,10 +136,10 @@ def _correlation(psi, a_psi, b_psi) -> tuple[ObservableMoments, ObservableMoment
     (one state or rows, unvalidated); c is NaN where a variance is <= VARIANCE_FLOOR."""
     dev_a, ma = _moments(psi, a_psi)
     dev_b, mb = _moments(psi, b_psi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = _vdot(dev_a, dev_b) / (ma.std_dev * mb.std_dev)
-    degenerate = (ma.variance <= VARIANCE_FLOOR) | (mb.variance <= VARIANCE_FLOOR)
-    return ma, mb, np.where(degenerate, np.nan, c)
+    healthy = ~((ma.variance <= VARIANCE_FLOOR) | (mb.variance <= VARIANCE_FLOOR))
+    c = np.full(healthy.shape, np.nan, dtype=complex)
+    np.divide(_vdot(dev_a, dev_b), ma.std_dev * mb.std_dev, out=c, where=healthy)
+    return ma, mb, c
 
 
 def _r_from_c(c) -> tuple[np.ndarray, np.ndarray]:
@@ -191,9 +191,11 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
     derivs = np.abs(samples.derivatives)
     r_raw = samples.r
     eta = 1.0 - r_raw
-    codes = np.select(
-        [~(stds * stds > VARIANCE_FLOOR), np.isnan(r_raw), eta <= ETA_FLOOR], [1, 2, 3], 0
-    )
+    # Exclusion codes, assigned lowest priority first: 1 > 2 > 3.
+    codes = np.zeros(n, dtype=int)
+    codes[eta <= ETA_FLOOR] = 3
+    codes[np.isnan(r_raw)] = 2
+    codes[~(stds * stds > VARIANCE_FLOOR)] = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         f_q = np.where(codes == 1, np.nan, derivs / stds)
         f_s = np.where(codes == 0, derivs / (stds * eta), np.nan)

@@ -12,9 +12,12 @@ one commutator per curve; ``sample_entanglement`` rebuilds
 O = -log rho_A(t) (x) I_B at every sample from a stacked eigendecomposition
 of the d_A x d_A reduced states (Schroedinger picture).  Derivatives come
 from the commutator identity, never from finite differences, so quadrature
-is the only discretization error downstream.  H, O and psi0 are validated
-once, on entry; the scenario runners take dH of H in psi0 from that pass
-(``_heisenberg``, ``_entanglement``).  hbar = 1 throughout.
+is the only discretization error downstream.  The public samplers validate
+H, O and psi0 once, on entry, and then run the core (``_heisenberg``,
+``_entanglement``).  The scenario runners call the core directly: their
+operators are Hermitian and normalized by construction, from validated
+parameters and constant Pauli products, so the core checks only that H is
+finite, and returns dH of H in psi0 with the samples.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -116,15 +119,33 @@ def expectation_derivative(h, obs_t, psi) -> float:
     return float((1j * np.vdot(v, commutator(hm, o) @ v)).real)
 
 
-def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Validated (E, V, V^dag psi0) of the Hamiltonian and initial state, and
-    the spread dH of H in psi0 by ``states.moments``' arithmetic."""
+def _validated(h, psi0) -> tuple[np.ndarray, np.ndarray]:
+    """The public samplers' checks of H and psi0: Hermitian, normalized, sized alike."""
     hm = require_hermitian(h)
     v = require_state(psi0)
     if hm.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between Hamiltonian and state")
-    vals, vecs = np.linalg.eigh(hm)
-    return vals, vecs, vecs.conj().T @ v, _moments(v, (hm @ v[..., None])[..., 0])[1].std_dev
+    return hm, v
+
+
+def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(E, V, V^dag psi0) of a Hermitian H and a normalized psi0, and the
+    spread dH of H in psi0 by ``states.moments``' arithmetic.  Only H's
+    finiteness is checked: the runners build H from finite parameters, and
+    a product of them may still overflow."""
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
+    vals, vecs = np.linalg.eigh(h)
+    return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, (h @ psi0[..., None])[..., 0])[1].std_dev
+
+
+def _phases(t, vals) -> np.ndarray:
+    """exp(-iEt) for every (t, E), written as cos and -sin into one complex array."""
+    angle = np.outer(t, vals)
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(-angle, out=out.imag)
+    return out
 
 
 def _sample(times, vals, c0, rows) -> Samples:
@@ -138,7 +159,7 @@ def _sample(times, vals, c0, rows) -> Samples:
     out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)
     for start in range(0, t.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        psi, o_psi, h_psi, derivs = rows(np.exp(-1j * np.outer(t[block], vals)) * c0)
+        psi, o_psi, h_psi, derivs = rows(_phases(t[block], vals) * c0)
         m, _, corr[block] = _correlation(psi, o_psi, h_psi)
         out[:, block] = m.mean, m.std_dev, derivs
     return Samples(*out, corr)
@@ -146,16 +167,18 @@ def _sample(times, vals, c0, rows) -> Samples:
 
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     """Samples of the Heisenberg-evolved observable U^dag O U in psi0."""
-    return _heisenberg(h, obs0, psi0, times)[0]
+    hm, v = _validated(h, psi0)
+    o = require_hermitian(obs0)
+    if o.shape != hm.shape:
+        raise ValueError("dimension mismatch between Hamiltonian and observable")
+    return _heisenberg(hm, o, v, times)[0]
 
 
 def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
-    """``sample_heisenberg`` and the spread dH of H in psi0."""
+    """``sample_heisenberg`` of operands valid by construction, and the
+    spread dH of H in psi0."""
     vals, vecs, c0, delta_h = _eigen_start(h, psi0)
-    o = require_hermitian(obs0)
-    if o.shape[0] != vals.size:
-        raise ValueError("dimension mismatch between Hamiltonian and observable")
-    o_eig = vecs.conj().T @ o @ vecs
+    o_eig = vecs.conj().T @ obs0 @ vecs
     rate = 1j * commutator(np.diag(vals), o_eig)
 
     def rows(c):
@@ -169,11 +192,12 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
     evolved bipartite state (Schroedinger picture): the means are entanglement
     entropies, the variances capacities of entanglement, and the derivatives
     i<[H, O]> = 2 Im <O psi_t|H psi_t> with O frozen at each sample."""
-    return _entanglement(h, psi0, dims, times)[0]
+    return _entanglement(*_validated(h, psi0), dims, times)[0]
 
 
 def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float]:
-    """``sample_entanglement`` and the spread dH of H in psi0."""
+    """``sample_entanglement`` of operands valid by construction, and the
+    spread dH of H in psi0."""
     vals, vecs, c0, delta_h = _eigen_start(h, psi0)
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:

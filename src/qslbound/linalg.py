@@ -77,8 +77,11 @@ def commutator(a, b) -> np.ndarray:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product of two operators, per member of stacks; elementwise
+    products, so each member is ``np.kron`` of its pair bit for bit."""
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
 
 def partial_trace(m, dims: tuple[int, int], keep: str = "A") -> np.ndarray:

@@ -21,6 +21,11 @@ def cumulative_simpson(values, dx: float) -> np.ndarray:
         raise ValueError("need a 1-D array or (k, n) stack of at least two samples")
     if not np.all(np.isfinite(y)):
         raise ValueError("integrand samples must be finite")
+    return _simpson(y, dx)
+
+
+def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """``cumulative_simpson`` of a validated float array."""
     n = y.shape[-1]
     out = np.zeros(y.shape)
     if n == 2:
@@ -59,9 +64,10 @@ def cumulative_richardson_gaps(values, dx: float) -> np.ndarray:
 def _halving_gaps(y: np.ndarray, integral: np.ndarray, dx: float) -> np.ndarray:
     """``cumulative_richardson_gaps`` of y from its cumulative integral on the
     full grid, whose even prefixes are those over y[..., :m + 1] because
-    cumsum is sequential: one quadrature call, on the coarse grid."""
+    cumsum is sequential: one quadrature call, on the coarse grid.  y is the
+    validated integrand of that integral, so its coarse rows are too."""
     if y.shape[-1] < 5:
         return np.full(y.shape[:-1] + (1,), np.inf)
     m = (y.shape[-1] - 1) // 2 * 2
-    coarse = cumulative_simpson(y[..., : m + 1 : 2], 2.0 * dx)
+    coarse = _simpson(y[..., : m + 1 : 2], 2.0 * dx)
     return np.abs(integral[..., : m + 1 : 2] - coarse)

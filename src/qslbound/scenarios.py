@@ -13,9 +13,11 @@ Three two-qubit settings exercise the bounds engine end to end:
 
 Every Hamiltonian is a weighted sum of two-qubit Pauli products built once
 at import; the battery starts in the constant |11>, and the t = 0 modular
-Hamiltonian K0 is written down from rho_A(0) = diag(p, 1 - p).  Each runner
-takes the energy spread dH from the sampler's validated pass over (H, psi0)
-(``dynamics._heisenberg`` / ``_entanglement``), not from ``moments``.
+Hamiltonian K0 is written down from rho_A(0) = diag(p, 1 - p).  These
+operators are Hermitian and normalized by construction, so each runner
+passes them straight to the sampler core (``dynamics._heisenberg`` /
+``_entanglement``), which checks only that H is finite, and takes the
+energy spread dH from it, not from ``moments``.
 
 The closed forms below (capacity and entropy, modular variance and energy,
 stored energy) are numpy expressions in a scalar or array t.  No runner

@@ -189,6 +189,14 @@ class TestMainExitCodes:
         assert err.startswith("qslbound: failure:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_hamiltonian_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        argv = "battery --omega 1e308 --Omega 1 --J 0 --t-max 1 --steps 16".split()
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qslbound: failure: matrix entries must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", ["modular --the 2", "verify --st 64"])
     def test_flag_prefix_exits_1(self, argv, tmp_path, capsys):
         out = tmp_path / "curve.csv"

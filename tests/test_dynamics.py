@@ -6,9 +6,10 @@ from qslbound.dynamics import (
     TimeGrid,
     expectation_derivative,
     propagator_family,
+    sample_entanglement,
     sample_heisenberg,
 )
-from qslbound.linalg import SIGMA_X, SIGMA_Z, tensor_product
+from qslbound.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, tensor_product
 from qslbound.scenarios import initial_schmidt_state
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -102,3 +103,62 @@ class TestTrackObservable:
 
     def test_energy_conservation(self, run):
         assert_check(run, "dynamics/energy-conservation")
+
+
+def spoiled(m, at, value):
+    out = np.array(m, dtype=complex)
+    out[at] = value
+    return out
+
+
+H4 = tensor_product(SIGMA_X, SIGMA_X) + 0.5 * tensor_product(SIGMA_Z, SIGMA_Z)
+O4 = tensor_product(SIGMA_Z, IDENTITY_2)
+PSI4 = initial_schmidt_state(0.3)
+TIMES = TimeGrid(1.0, 16).points
+
+BAD_H = {
+    "non-hermitian": (spoiled(H4, (0, 1), 2.0), "not Hermitian"),
+    "nan": (spoiled(H4, (1, 1), np.nan), "must be finite"),
+}
+BAD_O = {
+    "non-hermitian": (spoiled(O4, (0, 3), 1.0), "not Hermitian"),
+    "nan": (spoiled(O4, (2, 2), np.nan), "must be finite"),
+    "dimension": (SIGMA_Z, "dimension mismatch"),
+}
+BAD_PSI = {
+    "unnormalized": (2.0 * PSI4, "not normalized"),
+    "nan": (spoiled(PSI4, 1, np.nan), "must be finite"),
+    "dimension": (PLUS, "dimension mismatch"),
+}
+
+
+class TestPublicSamplersRefuseBadInput:
+    """The public samplers validate every operand; only the scenario runners,
+    whose operators are valid by construction, skip that."""
+
+    @pytest.mark.parametrize("case", list(BAD_H))
+    def test_hamiltonian(self, case):
+        h, reason = BAD_H[case]
+        with pytest.raises(ValueError, match=reason):
+            sample_heisenberg(h, O4, PSI4, TIMES)
+        with pytest.raises(ValueError, match=reason):
+            sample_entanglement(h, PSI4, (2, 2), TIMES)
+
+    @pytest.mark.parametrize("case", list(BAD_O))
+    def test_observable(self, case):
+        obs, reason = BAD_O[case]
+        with pytest.raises(ValueError, match=reason):
+            sample_heisenberg(H4, obs, PSI4, TIMES)
+
+    @pytest.mark.parametrize("case", list(BAD_PSI))
+    def test_initial_state(self, case):
+        psi, reason = BAD_PSI[case]
+        with pytest.raises(ValueError, match=reason):
+            sample_heisenberg(H4, O4, psi, TIMES)
+        with pytest.raises(ValueError, match=reason):
+            sample_entanglement(H4, psi, (2, 2), TIMES)
+
+    def test_valid_operands_are_sampled(self):
+        # The spoiled operands above differ from these in one entry.
+        assert np.all(np.isfinite(sample_heisenberg(H4, O4, PSI4, TIMES).means))
+        assert np.all(np.isfinite(sample_entanglement(H4, PSI4, (2, 2), TIMES).means))

@@ -385,6 +385,13 @@ class TestRunBattery:
     def test_parallel_collective_qslo_overlap(self, run):
         assert_check(run, "scenarios/battery-qslo-parallel-collective")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_hamiltonian_is_refused(self):
+        # omega is finite; omega (Z x I + I x Z) overflows to inf.
+        scn = BatteryScenario(omega=1e308, big_omega=1.0, j=0.0, grid=small_grid(1.0, 16))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            run_battery_scenario(scn)
+
     def test_long_window_stays_on_diagonal(self):
         grid = small_grid(6.0, n=2400)
         curve = run_battery_scenario(

@@ -19,7 +19,14 @@ import pytest
 from qslbound import bounds, dynamics, verify
 from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
-from qslbound.linalg import EigenSystem, as_complex_matrix, hermitian_eig, partial_trace, require_hermitian
+from qslbound.linalg import (
+    EigenSystem,
+    as_complex_matrix,
+    hermitian_eig,
+    partial_trace,
+    require_hermitian,
+    tensor_product,
+)
 from qslbound.measures import (
     capacity_of_entanglement,
     entanglement_entropy,
@@ -152,6 +159,7 @@ STACKED = {
     "as_complex_matrix": (as_complex_matrix, (ref_hermitian,)),
     "require_hermitian": (require_hermitian, (ref_hermitian,)),
     "hermitian_eig": (hermitian_eig, (ref_hermitian,)),
+    "tensor_product": (tensor_product, (ref_hermitian, ref_hermitian)),
     "require_state": (require_state, (ref_state,)),
     "require_density": (require_density, (ref_density,)),
     "density_from_pure": (density_from_pure, (ref_state,)),
@@ -265,6 +273,7 @@ STACKED_CHECKS = [
     "operator-core/eig-reconstruction",
     "operator-core/propagator-unitarity",
     "operator-core/partial-trace-density",
+    "operator-core/tensor-product-trace",
     "quantum-state/perpendicular-orthogonality",
     "quantum-state/moments-density-crosscheck",
     "quantum-state/two-qubit-schmidt-rank",
@@ -315,6 +324,15 @@ def wrong_axes_trace(real):
         return np.einsum("...ijkl->...ik" if keep == "A" else "...ijkl->...jl", blocks)
 
     return trace
+
+
+def row_major_kron(real):
+    # Lays a_ij b_kl out in (i, j, k, l) order: the right entries in the wrong places.
+    def kron(a, b):
+        d = a.shape[-1] * b.shape[-1]
+        return (a[..., :, :, None, None] * b[..., None, None, :, :]).reshape(*a.shape[:-2], d, d)
+
+    return kron
 
 
 def unnormalized_perp(real):
@@ -368,6 +386,7 @@ def flipped_sign(real):
 MUTANTS = {
     "operator-core/eig-reconstruction": ("hermitian_eig", perturbed_eig),
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
+    "operator-core/tensor-product-trace": ("tensor_product", row_major_kron),
     "quantum-state/perpendicular-orthogonality": ("perpendicular_state", unnormalized_perp),
     "quantum-state/moments-density-crosscheck": ("moments", uncentred_moments),
     "info-measures/capacity-equals-modular-variance": (
