@@ -43,7 +43,8 @@ from .measures import _clamped_log
 DEGENERATE_P_ATOL = 1e-9
 
 # Two-qubit Pauli products, built once: every Hamiltonian below is a
-# weighted sum of these constants.
+# weighted sum of these constants, formed quietly: finite weights that
+# overflow it to inf or NaN are refused by ``dynamics._eigen_start``.
 _XX, _YY, _ZZ = (tensor_product(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 _EXCHANGE = _XX + _YY + _ZZ
 _Z_SUM = tensor_product(SIGMA_Z, IDENTITY_2) + tensor_product(IDENTITY_2, SIGMA_Z)
@@ -119,7 +120,8 @@ def canonical_hamiltonian(mu1: float, mu2: float, mu3: float) -> np.ndarray:
             "ordering mu1 >= mu2 >= mu3 >= 0 of the canonical form",
             stacklevel=2,
         )
-    return mu1 * _XX + mu2 * _YY + mu3 * _ZZ
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mu1 * _XX + mu2 * _YY + mu3 * _ZZ
 
 
 def initial_schmidt_state(p: float) -> np.ndarray:
@@ -183,10 +185,9 @@ def battery_hamiltonians(
     omega: float, big_omega: float, j: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(H_B, H_C, H_int, H_T): stored energy, drive, exchange, and their sum."""
-    h_b = omega * _Z_SUM
-    h_c = big_omega * _X_SUM
-    h_int = j * _EXCHANGE
-    return h_b, h_c, h_int, h_b + h_c + h_int
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_b, h_c, h_int = omega * _Z_SUM, big_omega * _X_SUM, j * _EXCHANGE
+        return h_b, h_c, h_int, h_b + h_c + h_int
 
 
 def ergotropy_closed_form(omega: float, big_omega: float, t):

@@ -6,8 +6,8 @@ generator, derived from the run's seed and the check's name, and of the
 run's ``RunContext``.  It returns (outcome, detail): outcome True or False
 for pass or fail, or ``KNOWN`` for a recorded closed-form fixture that is
 known to disagree with the pipeline, bookkept apart from failures.
-Random checks draw as single ``_random`` draws would, then evaluate stacks
-(``_draws``): one validated library call per dimension and chunk of draws.
+Random checks draw blocks, a few generator calls per chunk of draws, and
+evaluate stacks (``_draws``): one validated library call per dimension and chunk.
 """
 
 from __future__ import annotations
@@ -188,27 +188,26 @@ _DRAW_CHUNK = 250  # draws per stack; bounds a check's working memory
 
 
 def _draws(rng, n: int, dims, kinds, floor=None, span=None):
-    """Yield (d, stacks) of n draws in a scalar loop's order, _DRAW_CHUNK
-    draws at a time, grouped by d: per draw d = dims[rng.integers(len(dims))],
-    as rng.choice(dims) draws it (one dim draws nothing), ``_random(kind, rng,
-    d)`` per kind, then with ``span`` a time rng.uniform(*span), stacked last.
-    With ``floor``, a draw where an observable has variance <= floor in the
-    state (the last kind) is replaced by the next; n counts kept draws."""
+    """Yield (d, stacks) of n draws, _DRAW_CHUNK at a time, grouped by d.  A
+    chunk of m draws takes its dims from rng.integers(len(dims), size=m), with
+    ``span`` its times from rng.uniform(*span, size=m) (stacked last), then per
+    d in ``dims`` order one rng.standard_normal((count, k)), split by
+    ``_gaussians`` into a stack per kind.  With ``floor``, a draw where an
+    observable has variance <= floor in the state (the last kind) is dropped;
+    chunks follow until n draws are kept."""
     shapes = {d: [(d,) if k is _state else (d, d) for k in kinds] for d in dims}
     while n > 0:
-        rows, times = {d: [] for d in dims}, {d: [] for d in dims}
-        for _ in range(min(n, _DRAW_CHUNK)):
-            d = dims[rng.integers(len(dims))]
-            rows[d].append(rng.standard_normal(2 * sum(map(math.prod, shapes[d]))))
-            if span:
-                times[d].append(rng.uniform(*span))
-        for d in [d for d in dims if rows[d]]:
-            x = _gaussians(np.array(rows.pop(d)), *shapes[d])
-            stacks = [k(x.pop(0)) for k in kinds]
-            mask = np.ones(len(stacks[0]), bool)
+        which = rng.integers(len(dims), size=min(n, _DRAW_CHUNK))
+        times = rng.uniform(*span, size=which.size) if span else None
+        for d, picked in zip(dims, np.arange(len(dims))[:, None] == which):
+            if not np.any(picked):
+                continue
+            x = rng.standard_normal((np.sum(picked), 2 * sum(map(math.prod, shapes[d]))))
+            stacks = [k(g) for k, g in zip(kinds, _gaussians(x, *shapes[d]))]
+            mask = np.ones(len(x), bool)
             for obs in stacks[:-1] if floor else ():
                 mask &= moments(obs, stacks[-1]).variance > floor
-            stacks += [np.array(times[d])] if span else []
+            stacks += [times[picked]] if span else []
             n -= int(np.sum(mask))
             if np.all(mask):
                 yield d, stacks

@@ -189,10 +189,19 @@ class TestMainExitCodes:
         assert err.startswith("qslbound: failure:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_hamiltonian_exits_2(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         argv = "battery --omega 1e308 --Omega 1 --J 0 --t-max 1 --steps 16".split()
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "qslbound: failure: matrix entries must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["entanglement", "modular"])
+    def test_overflowing_entanglement_hamiltonian_exits_2(self, kind, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        argv = f"{kind} --p 0.1 --theta 1e308 --mu3 1e308 --t-max 1 --steps 16".split()
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == "qslbound: failure: matrix entries must be finite\n"
         assert not out.exists()

@@ -332,6 +332,14 @@ class TestRunEntanglement:
         _, expected = ce_see_closed_form(0.1, 1.0, curve.grid.points)
         assert np.allclose(curve.mean_values, expected, atol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run_scenario", [run_entanglement_scenario, run_modular_scenario])
+    def test_an_overflowing_hamiltonian_is_refused(self, run_scenario):
+        # theta + |mu3| overflows to inf, and inf * 0 in theta XX is NaN.
+        scn = EntanglementScenario(p=0.1, theta=1e308, mu3=1e308, grid=small_grid(1.0, 16))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            run_scenario(scn)
+
     def test_flat_spectrum_sample_is_excluded_with_warning(self):
         # A grid hitting t = pi/4 exactly lands on the zero of the capacity,
         # where no correction is defined; the sample must be warned about.
@@ -385,7 +393,7 @@ class TestRunBattery:
     def test_parallel_collective_qslo_overlap(self, run):
         assert_check(run, "scenarios/battery-qslo-parallel-collective")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_an_overflowing_hamiltonian_is_refused(self):
         # omega is finite; omega (Z x I + I x Z) overflows to inf.
         scn = BatteryScenario(omega=1e308, big_omega=1.0, j=0.0, grid=small_grid(1.0, 16))

@@ -1,11 +1,11 @@
 """Stacked evaluation: the same draws, the same bits, one validated call.
 
-The random-draw checks of ``verify`` draw as loops of single draws would and
+The random-draw checks of ``verify`` draw their operators in blocks and
 evaluate stacks of them.  These tests pin that the stacked draws are the
-single draws, that every member of a stacked library call has the bits of
-its single call, that a stack with one bad member is refused, that each
-stacked check stays small in memory and that it fails when the function it
-covers is broken.
+documented block calls, each row a single reference draw, that every member
+of a stacked library call has the bits of its single call, that a stack with
+one bad member is refused, that each stacked check stays small in memory and
+that it fails when the function it covers is broken.
 """
 
 import dataclasses
@@ -92,45 +92,48 @@ class TestSameDraws:
         assert_same_stream(mine, ref)
 
     @pytest.mark.parametrize("dims", [(2, 3, 4, 8), (4,)], ids=["choice", "one-dim"])
-    def test_stacked_draws_are_the_scalar_loop_grouped_by_dimension(self, dims):
-        # 300 draws cross a chunk boundary; a single dimension draws no index.
-        n = verify._DRAW_CHUNK + 50
+    def test_stacked_draws_are_the_documented_block_calls(self, dims):
+        # 300 draws make a chunk of 250 and one of 50; a single dimension
+        # draws no index.  Each standard_normal block is its rows' single
+        # reference draws in turn.
+        n, span = verify._DRAW_CHUNK + 50, (-1.0, 2.0)
         mine, ref = np.random.default_rng(5), np.random.default_rng(5)
-        expected = {d: [] for d in dims}
-        for _ in range(n):
-            d = int(ref.choice(dims))
-            expected[d].append([REFERENCE[kind](ref, d) for kind in KINDS] + [ref.uniform(-1.0, 2.0)])
-        got = {d: [] for d in dims}
-        for d, stacks in verify._draws(mine, n, dims, KINDS, span=(-1.0, 2.0)):
-            got[d].extend(zip(*stacks))
-        for d in dims:
-            assert len(got[d]) == len(expected[d])
-            for row, ref_row in zip(got[d], expected[d]):
-                assert all(np.array_equal(a, b) for a, b in zip(row, ref_row))
+        expected = []
+        for m in (verify._DRAW_CHUNK, 50):
+            which, times = ref.integers(len(dims), size=m), ref.uniform(*span, size=m)
+            for i, d in enumerate(dims):
+                for t in times[which == i]:
+                    expected.append((d, [REFERENCE[kind](ref, d) for kind in KINDS] + [t]))
+        got = [
+            (d, row)
+            for d, stacks in verify._draws(mine, n, dims, KINDS, span=span)
+            for row in zip(*stacks)
+        ]
+        assert len(got) == len(expected) == n
+        for (d, row), (ref_d, ref_row) in zip(got, expected):
+            assert d == ref_d
+            assert all(np.array_equal(a, b) for a, b in zip(row, ref_row, strict=True))
         assert_same_stream(mine, ref)
 
-    def test_a_skipped_draw_is_replaced_in_stream_order(self):
-        # A floor most two-level draws miss: the stacked draws keep exactly the
-        # draws a scalar loop keeps, and stop where it stops.
+    def test_a_floored_draw_is_dropped_until_n_are_kept(self):
+        # A floor most two-level draws miss; every draw takes one index.
         floor, n, dims = 0.5, 400, (2, 3)
-        mine, ref = np.random.default_rng(9), np.random.default_rng(9)
-        expected, skipped = {d: [] for d in dims}, 0
-        while sum(map(len, expected.values())) < n:
-            d = int(ref.choice(dims))
-            obs, psi = ref_hermitian(ref, d), ref_state(ref, d)
-            if moments(obs, psi).variance > floor:
-                expected[d].append((obs, psi))
-            else:
-                skipped += 1
-        assert skipped > 100
-        got = {d: [] for d in dims}
-        for d, stacks in verify._draws(mine, n, dims, (verify._hermitian, verify._state), floor):
-            got[d].extend(zip(*stacks))
-        for d in dims:
-            assert len(got[d]) == len(expected[d])
-            for row, ref_row in zip(got[d], expected[d]):
-                assert all(np.array_equal(a, b) for a, b in zip(row, ref_row))
-        assert_same_stream(mine, ref)
+        rng, drawn = np.random.default_rng(9), []
+
+        class Counting:
+            def integers(self, high, size):
+                drawn.append(size)
+                return rng.integers(high, size=size)
+
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+        kinds = (verify._hermitian, verify._state)
+        draws = verify._draws(Counting(), n, dims, kinds, floor)
+        kept = [row for _, stacks in draws for row in zip(*stacks)]
+        assert len(kept) == n
+        assert all(moments(obs, psi).variance > floor for obs, psi in kept)
+        assert sum(drawn) - n > 100
 
     def test_fixed_layout_rows_are_consecutive_draws(self):
         # The layout of operator-core/eig-reconstruction: one row per loop pass.
