@@ -103,8 +103,8 @@ class BoundCurve:
                 raise ValueError(f"{name} must have one entry per grid point")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        if np.any(self.t_sqslo < self.t_qslo - HIERARCHY_ATOL):
-            worst = float(np.max(self.t_qslo - self.t_sqslo))
+        if (self.t_sqslo < self.t_qslo - HIERARCHY_ATOL).any():
+            worst = float((self.t_qslo - self.t_sqslo).max())
             raise ValueError(f"bound hierarchy violated by {worst:.3e}")
 
 
@@ -119,15 +119,15 @@ def correction_r(a, b, psi) -> CorrectionSample:
     """
     v, a_psi, b_psi = _operands(psi, a, b)
     ma, mb, c = _correlation(v, a_psi, b_psi)
-    if np.any(np.isnan(c)):
+    if np.isnan(c).any():
         raise DegenerateObservableError(
             "one observable has no spread in this state; no correction defined"
         )
-    r, plus = _r_from_c(c)
+    r = _r_from_c(c)
     eta = 1.0 - r
     # <[A, B]> = 2i Im <A psi | B psi>, so |<[A,B]>|/2 = |Im <A psi|B psi>|.
     rhs = np.abs(_vdot(a_psi, b_psi).imag)
-    sign = np.where(plus, "plus", "minus")[()]
+    sign = np.where(c.imag > 0.0, "plus", "minus")[()]
     return CorrectionSample(r, eta, sign, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
 
 
@@ -136,15 +136,15 @@ def _correlation(psi, a_psi, b_psi) -> tuple[ObservableMoments, ObservableMoment
     (one state or rows, unvalidated); c is NaN where a variance is <= VARIANCE_FLOOR."""
     dev_a, ma = _moments(psi, a_psi)
     dev_b, mb = _moments(psi, b_psi)
-    healthy = ~((ma.variance <= VARIANCE_FLOOR) | (mb.variance <= VARIANCE_FLOOR))
+    healthy = (ma.variance > VARIANCE_FLOOR) & (mb.variance > VARIANCE_FLOOR)
     c = np.full(healthy.shape, np.nan, dtype=complex)
     np.divide(_vdot(dev_a, dev_b), ma.std_dev * mb.std_dev, out=c, where=healthy)
     return ma, mb, c
 
 
-def _r_from_c(c) -> tuple[np.ndarray, np.ndarray]:
-    """r = (1 + |c|^2)/2 - |Im c| and the sign branch, True for "plus" (Im c > 0)."""
-    return 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag), c.imag > 0.0
+def _r_from_c(c) -> np.ndarray:
+    """r = (1 + |c|^2)/2 - |Im c|; its sign branch is "plus" iff Im c > 0."""
+    return 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
 
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:
@@ -152,9 +152,10 @@ def _fill_nearest(values: np.ndarray) -> np.ndarray:
     a leading NaN run copies the first healthy sample from the right.  Each
     row of a (k, n) stack is filled on its own; an all-NaN row stays NaN."""
     healthy = ~np.isnan(values)
-    source = np.maximum.accumulate(np.where(healthy, np.arange(values.shape[-1]), 0), axis=-1)
-    source = np.maximum(source, np.argmax(healthy, axis=-1)[..., None])
-    return np.take_along_axis(values, source, axis=-1)
+    flat = np.arange(values.size).reshape(values.shape)
+    source = np.maximum.accumulate(flat * healthy, axis=-1)
+    np.maximum(source, flat[..., :1] + healthy.argmax(axis=-1)[..., None], out=source)
+    return values.take(source)
 
 
 def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
@@ -169,7 +170,7 @@ _REASONS = (None, "zero-variance sample", "degenerate correction", "correction s
 
 def _warnings(grid: TimeGrid, codes: np.ndarray) -> tuple[tuple[float, str], ...]:
     """(time, reason) for every excluded sample, by its code in _REASONS."""
-    return tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in np.flatnonzero(codes))
+    return tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in codes.nonzero()[0])
 
 
 def _running_average(r_filled: np.ndarray, r_integral: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -196,22 +197,20 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
     codes[eta <= ETA_FLOOR] = 3
     codes[np.isnan(r_raw)] = 2
     codes[~(stds * stds > VARIANCE_FLOOR)] = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_q = np.where(codes == 1, np.nan, derivs / stds)
-        f_s = np.where(codes == 0, derivs / (stds * eta), np.nan)
+    # Integrand rows f_q, f_s and r; each divides only where its sample is kept.
+    rows = np.full((3, n), np.nan)
+    np.divide(derivs, stds, out=rows[0], where=codes != 1)
+    np.divide(derivs, stds * eta, out=rows[1], where=codes == 0)
+    rows[2] = r_raw
     warnings = _warnings(grid, codes)
 
-    if np.all(np.isnan(f_q)):
-        if np.max(derivs) <= 1e-12 * max(1.0, float(np.max(np.abs(samples.means)))):
+    if np.isnan(rows[0]).all():
+        if derivs.max() <= 1e-12 * max(1.0, float(np.abs(samples.means).max())):
             # Observable never moves: the bound is identically zero.
-            zeros = np.zeros(n)
-            return BoundCurve(
-                grid, zeros, zeros.copy(), samples.means.copy(), np.zeros(n),
-                warnings, 0.0,
-            )
+            return BoundCurve(grid, *np.zeros((2, n)), samples.means.copy(), np.zeros(n), warnings, 0.0)
         raise ValueError("all integrand samples are degenerate")
 
-    rows = _fill_nearest(np.stack([f_q, f_s, r_raw]))
+    rows = _fill_nearest(rows)
     integrals = cumulative_simpson(rows, grid.dx)
     gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
     prefactor = 0.5 / delta_h
@@ -222,7 +221,7 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
         mean_values=samples.means.copy(),
         r_bar=_running_average(rows[2], integrals[2], grid),
         warnings=warnings,
-        quad_error=float(prefactor * (np.max(gaps) / RICHARDSON_FACTOR)),
+        quad_error=float(prefactor * (gaps.max() / RICHARDSON_FACTOR)),
     )
 
 
@@ -237,7 +236,7 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     _require_inputs(grid, samples, delta_h)
     means, f_q, r_raw = samples.means, samples.std_devs, samples.r
     warnings = _warnings(grid, np.where(np.isnan(r_raw), 2, 0))
-    if np.all(np.isnan(r_raw)):
+    if np.isnan(r_raw).all():
         raise ValueError("all correction samples are degenerate")
     r_filled = _fill_nearest(r_raw)
     rows = np.stack([f_q, f_q * (1.0 - r_filled), r_filled])
@@ -245,23 +244,19 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
     net_change = np.abs(means - means[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_qslo = np.where(
-            int_q > 0.0, grid.points * net_change / (2.0 * delta_h * int_q), 0.0
-        )
-        t_sqslo = np.where(
-            int_s > 0.0, grid.points * net_change / (2.0 * delta_h * int_s), 0.0
-        )
+        ratios = grid.points * net_change / (2.0 * delta_h * integrals[:2])
+    t_qslo, t_sqslo = np.where(integrals[:2] > 0.0, ratios, 0.0)
 
     quad_error = 0.0
     for gap, integral, bound in zip(gaps / RICHARDSON_FACTOR, (int_q, int_s), (t_qslo, t_sqslo)):
-        if not np.all(np.isfinite(gap)):
+        if not np.isfinite(gap).all():
             quad_error = math.inf
             continue
         idx = np.arange(gap.size) * 2
         mask = integral[idx] > 0.0
-        if np.any(mask):
+        if mask.any():
             propagated = bound[idx][mask] * gap[mask] / integral[idx][mask]
-            quad_error = max(quad_error, float(np.max(propagated)))
+            quad_error = max(quad_error, float(propagated.max()))
     return BoundCurve(
         grid=grid,
         t_qslo=t_qslo,

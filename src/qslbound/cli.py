@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -49,6 +50,7 @@ class RunConfig:
         return TimeGrid.with_resolution(self.t_max, self.steps)
 
 
+@cache  # argparse keeps no state between parse_args calls: one parser per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qslbound", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)

@@ -90,7 +90,7 @@ class Samples(NamedTuple):
     @property
     def r(self) -> np.ndarray:
         """The correction factor of (O, H) per sample, NaN where c is."""
-        return _r_from_c(self.c)[0]
+        return _r_from_c(self.c)
 
 
 def propagator_family(h) -> Callable[[float], np.ndarray]:
@@ -136,15 +136,15 @@ def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     vals, vecs = np.linalg.eigh(h)
-    return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, (h @ psi0[..., None])[..., 0])[1].std_dev
+    return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, h @ psi0)[1].std_dev
 
 
 def _phases(t, vals) -> np.ndarray:
-    """exp(-iEt) for every (t, E), written as cos and -sin into one complex array."""
-    angle = np.outer(t, vals)
+    """exp(-iEt) for every (t, E), written as cos and sin of -Et into one complex array."""
+    angle = -vals * t[:, None]
     out = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=out.real)
-    np.sin(-angle, out=out.imag)
+    np.sin(angle, out=out.imag)
     return out
 
 
@@ -154,14 +154,14 @@ def _sample(times, vals, c0, rows) -> Samples:
     ``rows(c)`` returns (psi, O psi, H psi, d<O>/dt) for a block of c_t.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
+    if t.ndim != 1 or not np.isfinite(t).all():
         raise ValueError("sample times must be a finite 1-D array")
     out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)
     for start in range(0, t.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
         psi, o_psi, h_psi, derivs = rows(_phases(t[block], vals) * c0)
         m, _, corr[block] = _correlation(psi, o_psi, h_psi)
-        out[:, block] = m.mean, m.std_dev, derivs
+        out[0, block], out[1, block], out[2, block] = m.mean, m.std_dev, derivs
     return Samples(*out, corr)
 
 
@@ -182,7 +182,7 @@ def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
     rate = 1j * commutator(np.diag(vals), o_eig)
 
     def rows(c):
-        return c, c @ o_eig.T, c * vals, np.sum(c.conj() * (c @ rate.T), axis=1).real
+        return c, c @ o_eig.T, c * vals, (c.conj() * (c @ rate.T)).sum(axis=1).real
 
     return _sample(times, vals, c0, rows), delta_h
 
@@ -210,6 +210,6 @@ def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float
         weights, basis = np.linalg.eigh(amps @ amps.conj().transpose(0, 2, 1))
         modular = (basis * -_clamped_log(weights)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
         k_psi = (modular @ amps).reshape(psi.shape)
-        return psi, k_psi, h_psi, 2.0 * np.sum(k_psi.conj() * h_psi, axis=1).imag
+        return psi, k_psi, h_psi, 2.0 * (k_psi.conj() * h_psi).sum(axis=1).imag
 
     return _sample(times, vals, c0, rows), delta_h

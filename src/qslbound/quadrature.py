@@ -19,7 +19,7 @@ def cumulative_simpson(values, dx: float) -> np.ndarray:
     y = np.asarray(values, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] < 2:
         raise ValueError("need a 1-D array or (k, n) stack of at least two samples")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("integrand samples must be finite")
     return _simpson(y, dx)
 
@@ -32,14 +32,16 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
         out[..., 1] = 0.5 * dx * (y[..., 0] + y[..., 1])
         return out
     increments = np.empty(y.shape[:-1] + (n - 1,))
-    f0, f1, f2 = y[..., 0:-2:2], y[..., 1:-1:2], y[..., 2::2]
-    pairs = f0.shape[-1]
-    increments[..., 0 : 2 * pairs : 2] = dx / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
-    increments[..., 1 : 2 * pairs : 2] = dx / 12.0 * (-f0 + 8.0 * f1 + 5.0 * f2)
+    # The two half-steps of each triple (f0, f1, f2), scaled by dx/12 below.
+    five, eight_f1 = 5.0 * y, 8.0 * y[..., 1:-1:2]
+    pairs = eight_f1.shape[-1]
+    increments[..., 0 : 2 * pairs : 2] = five[..., 0:-2:2] + eight_f1 - y[..., 2::2]
+    increments[..., 1 : 2 * pairs : 2] = eight_f1 - y[..., 0:-2:2] + five[..., 2::2]
     if (n - 1) % 2 == 1:
         # Odd interval count: close with the quadratic through the last triple.
-        increments[..., -1] = dx / 12.0 * (-y[..., -3] + 8.0 * y[..., -2] + 5.0 * y[..., -1])
-    out[..., 1:] = np.cumsum(increments, axis=-1)
+        increments[..., -1] = 8.0 * y[..., -2] - y[..., -3] + five[..., -1]
+    increments *= dx / 12.0
+    out[..., 1:] = increments.cumsum(axis=-1)
     return out
 
 

@@ -29,7 +29,7 @@ def require_state(psi) -> np.ndarray:
     if v.ndim < 1 or v.size < 1 or not np.isfinite(v).all():
         raise ValueError("state amplitudes must be finite")
     norm = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(norm - 1.0) > NORM_ATOL):
+    if (np.abs(norm - 1.0) > NORM_ATOL).any():
         k = np.argmax(np.abs(norm - 1.0))
         raise ValueError(f"state is not normalized: ||psi|| = {np.ravel(norm)[k]!r}")
     return v
@@ -40,11 +40,11 @@ def require_density(rho) -> tuple[np.ndarray, np.ndarray]:
     NORM_ATOL.  Returns the matrix and its ascending eigenvalues."""
     a = require_hermitian(rho)
     tr = np.trace(a, axis1=-2, axis2=-1).real
-    if np.any(np.abs(tr - 1.0) > NORM_ATOL):
+    if (np.abs(tr - 1.0) > NORM_ATOL).any():
         k = np.argmax(np.abs(tr - 1.0))
         raise ValueError(f"density operator trace is {np.ravel(tr)[k]!r}, expected 1")
     eigenvalues = np.linalg.eigvalsh(a)
-    lowest = np.min(eigenvalues[..., 0])
+    lowest = eigenvalues[..., 0].min()
     if lowest < -NORM_ATOL:
         raise ValueError(f"density operator has negative eigenvalue {float(lowest)!r}")
     return a, eigenvalues
@@ -102,8 +102,8 @@ def perpendicular_state(obs, psi) -> np.ndarray:
     singled out), in any member of a stack.
     """
     dev, m = _moments(*_operands(psi, obs))
-    if np.any(m.variance <= VARIANCE_FLOOR):
+    if (m.variance <= VARIANCE_FLOOR).any():
         raise DegenerateObservableError(
-            f"variance {float(np.min(m.variance))!r} too small for a perpendicular direction"
+            f"variance {float(m.variance.min())!r} too small for a perpendicular direction"
         )
     return dev / m.std_dev[..., None]

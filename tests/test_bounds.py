@@ -76,7 +76,7 @@ class TestCorrectionR:
         assert sample.holds and not sample.saturated
         _, _, rows_c = _correlation(psi[None], (a @ psi)[None], (b @ psi)[None])
         assert rows_c[0] == pytest.approx(c, abs=1e-12)
-        assert _r_from_c(rows_c)[0][0] == pytest.approx(0.7, abs=1e-12)
+        assert _r_from_c(rows_c)[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_selected_r_in_range_randomized(self):
         rng = np.random.default_rng(31)
@@ -141,9 +141,9 @@ def test_closed_form_matches_the_definition(d, seed):
         sample = correction_r(a, b, psi)
         assert abs(sample.r - r) <= 1e-12
         assert sample.sign_branch == name
-    rows_r, plus = _r_from_c(_correlation(states, states @ a.T, states @ b.T)[2])
+    rows_r = _r_from_c(_correlation(states, states @ a.T, states @ b.T)[2])
     np.testing.assert_allclose(rows_r, [r for r, _ in expected], rtol=0.0, atol=1e-12)
-    assert [("plus" if p else "minus") for p in plus] == [name for _, name in expected]
+    assert list(correction_r(a, b, states).sign_branch) == [name for _, name in expected]
 
 
 def propagated_c(h, obs, psi, times):

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qslbound
 from qslbound.bounds import BoundCurve
 from qslbound.cli import UsageError, main, parse_config
 from qslbound.dynamics import SAMPLE_BLOCK, TimeGrid
@@ -371,6 +376,37 @@ class TestEmission:
         assert run_cli(args + ["--out", str(out1)]) == 0
         assert run_cli(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_back_to_back_calls_write_what_lone_calls_write(self, tmp_path, monkeypatch, capsys):
+        # One process runs the calls in turn; each lone call gets a process of
+        # its own.  Exit codes, stdout, stderr and every file must agree.
+        calls = (
+            ["battery", "--J", "0", "--steps", "64", "--out", "j0.csv"],
+            ["modular", "--config", "run.json", "--out", "bad.csv"],
+            ["modular", "--preset", "fig5", "--format", "csv+svg", "--out", "fig5.csv"],
+        )
+        for where in ("together", "alone"):
+            (tmp_path / where).mkdir()
+            (tmp_path / where / "run.json").write_text(json.dumps({"thetta": 1.0}))
+        monkeypatch.chdir(tmp_path / "together")
+        together = []
+        for argv in calls:
+            code = run_cli(argv)
+            together.append((code, *capsys.readouterr()))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(qslbound.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        alone = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "qslbound.cli", *argv], cwd=tmp_path / "alone",
+                                  env=env, capture_output=True, text=True, timeout=120)
+            alone.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in together] == [0, 1, 0]
+        assert together == alone
+        files = [{f.name: f.read_bytes() for f in (tmp_path / where).iterdir()}
+                 for where in ("together", "alone")]
+        assert sorted(files[0]) == ["fig5.csv", "fig5.svg", "j0.csv", "run.json"]
+        assert files[0] == files[1]
 
     def test_every_preset_is_byte_identical_across_runs(self, tmp_path):
         for attempt in ("one", "two"):

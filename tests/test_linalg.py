@@ -7,6 +7,7 @@ from qslbound.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _vdot,
     commutator,
     hermitian_eig,
     partial_trace,
@@ -130,3 +131,30 @@ class TestSpectralNorm:
         h = tensor_product(SIGMA_X, SIGMA_X)
         assert spectral_norm(h) == pytest.approx(1.0)
         assert np.allclose(np.linalg.eigvalsh(h), [-1, -1, 1, 1])
+
+
+class TestVdot:
+    # Every member of a stack gets np.vdot's bits, so stacked moments and
+    # correlations equal their single calls (README, numerical policies).
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_each_member_is_np_vdot_bit_for_bit(self, d, dtype):
+        rng = np.random.default_rng(d)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        u, v = draw((40, 3 * d)), draw((40, 3 * d))
+        pairs = [
+            (u[:, :d], v[:, :d]),  # contiguous rows
+            (u[:, ::3], v[:, 1::3]),  # strided rows
+            (u[::2, d : 2 * d], v[1::2, 2 * d :]),  # strided members
+        ]
+        for a, b in pairs:
+            got = _vdot(a, b)
+            assert got.shape == (a.shape[0],)
+            assert got.tobytes() == np.array([np.vdot(x, y) for x, y in zip(a, b)]).tobytes()
+        one = _vdot(u[0, :d], v[0, :d])
+        assert np.ndim(one) == 0
+        assert np.asarray(one).tobytes() == np.asarray(np.vdot(u[0, :d], v[0, :d])).tobytes()

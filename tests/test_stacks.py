@@ -9,7 +9,6 @@ that it fails when the function it covers is broken.
 """
 
 import dataclasses
-import itertools
 import re
 import tracemalloc
 
@@ -431,10 +430,3 @@ def test_a_broken_kernel_fails_the_scalar_and_the_sampled_checks(name, monkeypat
         monkeypatch.setattr(module, "_correlation", unconjugated_correlation)
     result = run_named(name)
     assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
-
-
-def test_the_draw_index_consumes_the_generator_as_choice_does():
-    a, b = np.random.default_rng(2), np.random.default_rng(2)
-    for dims in itertools.islice(itertools.cycle([(2, 4, 8), (2, 3, 4, 8), (2, 3, 4), (4,)]), 400):
-        assert dims[a.integers(len(dims))] == int(b.choice(dims))
-    assert_same_stream(a, b)
