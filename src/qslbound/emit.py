@@ -1,10 +1,13 @@
 """Deterministic CSV and SVG renderers for bound curves.
 
 CSV floats carry 17 significant digits, so values round-trip exactly and
-identical runs emit byte-identical files.  Rows are formatted a block of
-SAMPLE_BLOCK rows at a time, with one %-format per block; '%.17g' of a
-Python float is the same string as its f"{x:.17g}", so the text is the same
-as one formatted field by field.
+identical runs emit byte-identical files.  Each field is '%.17g' of its
+float.  A numpy kernel writes the fields SAMPLE_BLOCK rows at a time: for
+1e-11 <= |x| < 1e15 and k = floor(log10|x|) it rounds the exact product
+|x| * 10**(16 - k) (Dekker) to the integer N, whose 17 digits it certifies
+when the product is at least 10**16, N < 10**17 and the dropped fraction is
+more than 1e-9 from one half.  Every other field (zeros, NaN, infinities,
+subnormals, values out of range, a wrong k, ties) is '%.17g' itself.
 
 An SVG draws each bound as the envelope of its pixel columns: the first,
 lowest, highest and last sample of every column of the plot, in time
@@ -15,18 +18,91 @@ diagonal T is a straight line, drawn from the first sample to the last.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import cache
 
 import numpy as np
 
 from .bounds import BoundCurve
 from .dynamics import SAMPLE_BLOCK
 
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+# A field's text is at most 24 bytes ('%.17g' of -2.2250738585072014e-308).
+_WIDTH = 24
+# A certified field's source bytes: 20 digits (N's 17 from column 3), its
+# sign ('-' or NUL), then this alphabet; the columns are named below.
+_ALPHABET = np.frombuffer(b"-0123456789.e\0", np.uint8)
+_SIGN, _MINUS, _ZERO, _POINT, _E, _NUL = 20, 21, 22, 32, 33, 34
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _two_product(a, b):
+    """p = fl(a * b) and e with p + e = a * b exactly (Dekker, Veltkamp)."""
+    p, ca, cb = a * b, 134217729.0 * a, 134217729.0 * b  # 2**27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@cache  # built on first use, which keeps them out of the import
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0000..9999 as four ASCII digits to a uint32; 10**(16 - k) as hi + lo
+    for k = -11..14; and the source column of each text byte of a certified
+    field per (k, kept digits): sign, then fixed notation for k >= -4, else
+    a mantissa and 'e-XX'."""
+    quads = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view(np.uint32)
+    exact = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # each product exact
+    s = np.arange(27, 1, -1)  # 16 - k
+    tens = np.stack(_two_product(exact[np.minimum(s, 22)], exact[np.maximum(s - 22, 0)]))
+    k, kept = np.arange(-11, 15)[:, None, None], np.arange(1, 18)[:, None]
+    q = np.arange(-1, _WIDTH - 1)  # bytes after the sign
+    e = np.where(k >= -4, k, 0)  # the exponent of the integer part
+    whole = np.maximum(e, 0) + 1  # its bytes; then a point and the digits after it,
+    frac = np.maximum(kept - 1 - e, 0)  # which for e < 0 start in the zeros before N
+    end = whole + frac + (frac > 0)
+    layout = np.select(
+        [q < 0, q < whole, (q == whole) & (q < end), q < end, (e != k) & (q < end + 4)],
+        [_SIGN, np.where(e < 0, _ZERO, 3 + q), _POINT, 3 + e + q - whole,
+         np.choose(np.clip(q - end, 0, 3), (_E, _MINUS, _ZERO + (-k) // 10, _ZERO + (-k) % 10))],
+        _NUL,
+    )
+    return quads.ravel(), tens, layout.reshape(-1, _WIDTH)
+
+
+def _decimal(n: np.ndarray) -> np.ndarray:
+    """(n.size, 20) ASCII digits of non-negative integers, zero-filled."""
+    quads = np.stack([n // 10**e for e in (16, 12, 8, 4, 0)], axis=1) % 10000
+    return _tables()[0].take(quads).view(np.uint8)
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """(x.size, _WIDTH) bytes: '%.17g' % x per field, NUL-padded."""
+    ax = np.abs(x)
+    inside = (ax >= 1e-11) & (ax < 1e15)
+    ax = np.where(inside, ax, 1.0)
+    row = np.clip(np.floor(np.log10(ax)), -11, 14).astype(np.intp) + 11  # k's table row
+    _, tens, layout = _tables()
+    hi, lo = tens.take(row, axis=1)
+    prod, tail = _two_product(ax, hi)
+    tail += ax * lo
+    whole, frac = np.divmod(tail, 1.0)
+    n = prod.astype(np.int64) + whole.astype(np.int64)
+    certified = inside & (n >= 10**16) & (np.abs(frac - 0.5) > 1e-9)
+    n += frac > 0.5
+    certified &= n < 10**17
+    src = np.empty((x.size, _NUL + 1), np.uint8)
+    src[:, :_SIGN] = _decimal(n)
+    src[:, _SIGN] = (x < 0) * ord("-")
+    src[:, _MINUS:] = _ALPHABET
+    kept = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing zeros go
+    index = layout.take(row * 17 + kept - 1, axis=0)
+    index += np.arange(0, src.size, src.shape[1])[:, None]
+    text = src.take(index)
+    if not certified.all():
+        fallback = ["%.17g" % v for v in x[~certified].tolist()]
+        text[~certified] = np.array(fallback, f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return text
 
 
 def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]]) -> str:
@@ -39,11 +115,18 @@ def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]]) -> str:
     ts = curve.grid.points
     warn_times = np.sort(np.array([t for t, _ in curve.warnings]))
     counts = np.searchsorted(warn_times, ts, side="right")
-    columns = (ts, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar, counts)
+    floats = (ts, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)
     for start in range(0, ts.size, SAMPLE_BLOCK):
-        block = [c[start : start + SAMPLE_BLOCK].tolist() for c in columns]
-        flat = tuple(chain.from_iterable(zip(*block)))
-        parts.append((_CSV_ROW * len(block[0])) % flat)
+        block = slice(start, start + SAMPLE_BLOCK)
+        x = np.stack([c[block] for c in floats], axis=1)
+        # Six fields a row, each _WIDTH NUL-padded bytes and its separator.
+        rows = np.zeros((x.shape[0], 6, _WIDTH + 1), np.uint8)
+        rows[:, :5, :_WIDTH] = _float_text(x.ravel()).reshape(-1, 5, _WIDTH)
+        count = rows[:, 5, 4:_WIDTH]
+        count[:] = _decimal(counts[block])
+        count[:, :-1][np.logical_and.accumulate(count[:, :-1] == ord("0"), axis=1)] = 0
+        rows[:, :, _WIDTH] = np.frombuffer(b",,,,,\n", np.uint8)
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 

@@ -36,7 +36,7 @@ def _vdot(u, v) -> np.ndarray:
     return np.vecdot(u, v)
 
 
-def as_complex_matrix(m) -> np.ndarray:
+def _as_complex_matrix(m) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
@@ -48,7 +48,7 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity: ||M - M^dag||_max <= HERMITICITY_RTOL * ||M||_max."""
-    a = as_complex_matrix(m)
+    a = _as_complex_matrix(m)
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-30)
     defect = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
     if (defect > HERMITICITY_RTOL * scale).any():
@@ -69,8 +69,8 @@ def hermitian_eig(m) -> EigenSystem:
 
 def commutator(a, b) -> np.ndarray:
     """Commutator AB - BA."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
+    a = _as_complex_matrix(a)
+    b = _as_complex_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
@@ -79,7 +79,7 @@ def commutator(a, b) -> np.ndarray:
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two operators, per member of stacks; elementwise
     products, so each member is ``np.kron`` of its pair bit for bit."""
-    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    a, b = _as_complex_matrix(a), _as_complex_matrix(b)
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
     return prod.reshape(*prod.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
@@ -90,7 +90,7 @@ def partial_trace(m, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     ``dims = (d_A, d_B)`` must satisfy d_A * d_B == dim(m); ``keep`` selects
     the surviving subsystem ("A" or "B").  The total trace is preserved.
     """
-    a = as_complex_matrix(m)
+    a = _as_complex_matrix(m)
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != a.shape[-1]:
         raise ValueError(f"dims {dims} inconsistent with matrix size {a.shape[-1]}")

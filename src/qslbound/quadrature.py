@@ -52,22 +52,16 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
 RICHARDSON_FACTOR = 3.0
 
 
-def cumulative_richardson_gaps(values, dx: float) -> np.ndarray:
+def _halving_gaps(y: np.ndarray, integral: np.ndarray, dx: float) -> np.ndarray:
     """Per-prefix gap |I_h - I_2h| at the even samples (entry k = prefix 2k),
-    per row of a (k, n) stack.
+    per row of a (k, n) stack, from y's cumulative integral on the full grid,
+    whose even prefixes are those over y[..., :m + 1] because cumsum is
+    sequential: one quadrature call, on the coarse grid.  y is the validated
+    integrand of that integral, so its coarse rows are too.
 
     Grids with fewer than five samples cannot be halved; a single inf is
     returned (per row) so downstream tolerances stay conservative.
     """
-    y = np.asarray(values, dtype=float)
-    return _halving_gaps(y, cumulative_simpson(y, dx), dx)
-
-
-def _halving_gaps(y: np.ndarray, integral: np.ndarray, dx: float) -> np.ndarray:
-    """``cumulative_richardson_gaps`` of y from its cumulative integral on the
-    full grid, whose even prefixes are those over y[..., :m + 1] because
-    cumsum is sequential: one quadrature call, on the coarse grid.  y is the
-    validated integrand of that integral, so its coarse rows are too."""
     if y.shape[-1] < 5:
         return np.full(y.shape[:-1] + (1,), np.inf)
     m = (y.shape[-1] - 1) // 2 * 2

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import reference_forms as ref
 from .bounds import (
+    BoundCurve,
     CorrectionSample,
     correction_r,
     entanglement_rate_bound,
@@ -30,7 +31,7 @@ from .bounds import (
     qsl_integral,
 )
 from .dynamics import TimeGrid, propagator_family, sample_entanglement, sample_heisenberg
-from .emit import render_csv
+from .emit import fmt, render_csv
 from .linalg import (
     IDENTITY_2,
     SIGMA_X,
@@ -554,15 +555,30 @@ def _entanglement_rate(rng, run):
     return ok, f"worst rate excess {worst_violation:.2e} over {share:.2%} healthy samples"
 
 
+def _rows_by_field(curve) -> str:
+    """The CSV rows of ``curve`` with every field formatted on its own."""
+    counts = np.searchsorted(np.sort([t for t, _ in curve.warnings]), curve.grid.points, "right")
+    columns = (curve.grid.points, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)
+    rows = zip(*(c.tolist() for c in columns), counts.tolist())
+    return "".join(",".join([*map(fmt, row), str(n)]) + "\n" for *row, n in rows)
+
+
 @_check("cli/determinism")
 def _determinism(rng, run):
     meta = [("scenario", "entanglement"), ("p", "0.1"), ("theta", "1.0")]
-    first, second = (
-        render_csv(build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2], meta)
-        for _ in range(2)
-    )
-    ok = first == second
-    return ok, "byte-identical render" if ok else "renders differ"
+    curve, again = (build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2] for _ in range(2))
+    if render_csv(curve, meta) != render_csv(again, meta):
+        return False, "renders differ"
+    # Floats at the edges of render_csv's kernel as mean_value and, negated, as
+    # r_bar: 17-digit ties (the second rounds up, to even), the 1e-4 notation
+    # cut-over, the ends of its range and what it leaves to '%.17g'.
+    probes = np.resize([100000000001 / 1024, 100000000003 / 1024, 1e-4, np.nextafter(1e-4, 0.0),
+                        1e-11, np.nextafter(1e-11, 0.0), 1e15, np.nextafter(1e15, 0.0), 0.1 + 0.2,
+                        -0.0, 5e-324, np.nan, np.inf], 17)
+    warned = ((0.5, ""),) * 10  # warnings_count 0, then 10
+    probed = BoundCurve(TimeGrid(1.0, 16), *np.zeros((2, 17)), probes, -probes, warned, 0.0)
+    ok = all(render_csv(c, []).partition("\n")[2] == _rows_by_field(c) for c in (curve, probed))
+    return ok, f"byte-identical render, {'equal to' if ok else 'differs from'} a field-by-field one"
 
 
 # Recorded closed forms against the pipeline: an r form passes when it matches

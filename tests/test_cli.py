@@ -1,13 +1,17 @@
 import dataclasses
+import decimal
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qslbound
 from qslbound.bounds import BoundCurve
@@ -259,6 +263,77 @@ def field_by_field_csv(curve, metadata):
     return "\n".join(lines) + "\n"
 
 
+def decimal_g17(v, rounding):
+    """'%.17g' % v from the exact decimal value of v, rounded to 17 digits
+    by ``rounding``: an oracle that shares nothing with render_csv."""
+    d = decimal.Decimal(v)
+    if not d.is_finite() or not d:
+        return "%.17g" % v
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 800, rounding  # a double has at most 767 digits
+        exp = d.adjusted()
+        n = int(abs(d).scaleb(16 - exp).quantize(decimal.Decimal(1)))
+    if n == 10**17:
+        n, exp = 10**16, exp + 1
+    digits = str(n).rstrip("0")
+    sign = "-" if d.is_signed() else ""
+    if exp < -4 or exp >= 17:
+        return f"{sign}{digits[0]}{'.' * (len(digits) > 1)}{digits[1:]}e{exp:+03d}"
+    if exp < 0:
+        return f"{sign}0.{'0' * (-exp - 1)}{digits}"
+    whole, frac = digits[: exp + 1].ljust(exp + 1, "0"), digits[exp + 1 :]
+    return f"{sign}{whole}{'.' * bool(frac)}{frac}"
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-11, 17)])
+# Floats where render_csv's kernel changes course: neighbours of 10**k, the
+# 1e-4 / 1e-5 notation cut-over, exact 17-digit ties, the smallest
+# subnormal, signed zeros and the non-finite values.
+KERNEL_EDGES = np.concatenate((
+    POWERS_OF_TEN,
+    np.nextafter(POWERS_OF_TEN, 0.0),
+    np.nextafter(POWERS_OF_TEN, np.inf),
+    [1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 0.0), 9.99999999999999e-5],
+    [100000000001 / 1024, 100000000003 / 1024, 2.5e-11, 1.5, 0.1 + 0.2],
+    [5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf],
+))
+# warnings_count values at the digit boundaries of the count column.
+EDGE_COUNTS = (0, 9, 10, 9999, 10000, 123456)
+
+
+def curve_of(ts, values, warn_times=()):
+    """A stand-in with what render_csv reads, of any floats: the T column
+    ``ts``, the four value columns of ``values`` (rows, 4) and a warning at
+    each of ``warn_times``."""
+    columns = np.asarray(values, float).reshape(-1, 4).T
+    return SimpleNamespace(
+        grid=SimpleNamespace(points=np.asarray(ts, float)),
+        mean_values=columns[0], t_qslo=columns[1], t_sqslo=columns[2], r_bar=columns[3],
+        warnings=tuple((t, "w") for t in warn_times),
+        quad_error=0.0,
+    )
+
+
+def kernel_edge_curve():
+    """Every kernel edge, of both signs, in each column; T first steps
+    through 0..5, where warnings_count takes the values of EDGE_COUNTS."""
+    edges = np.concatenate((KERNEL_EDGES, -KERNEL_EDGES))
+    ts = np.concatenate((np.arange(len(EDGE_COUNTS)), edges))
+    values = np.stack([np.roll(ts, shift) for shift in (1, 2, 3, 4)], axis=1)
+    return curve_of(ts, values, np.repeat(ts[: len(EDGE_COUNTS)], np.diff(EDGE_COUNTS, prepend=0)))
+
+
+# Any float, with more weight on the kernel's range (both signs), its edges
+# and exact ties n/1024.
+ANY_FLOAT = (
+    st.floats()
+    | st.floats(1e-12, 1e17)
+    | st.floats(-1e17, -1e-12)
+    | st.sampled_from(KERNEL_EDGES.tolist())
+    | st.integers(-(2**53), 2**53).map(lambda n: n / 1024)
+)
+
+
 def polyline_points(svg):
     """The point lists of an SVG's polylines, in drawing order."""
     return [points.split() for points in re.findall(r'<polyline [^>]*points="([^"]*)"', svg)]
@@ -303,12 +378,16 @@ class TestEmission:
         assert float(row[2]) == curve.t_qslo[k]
         assert float(row[3]) == curve.t_sqslo[k]
 
-    @pytest.mark.parametrize("case", ["partial-last-block", "warnings-after-zero", "edge-floats"])
+    @pytest.mark.parametrize(
+        "case", ["partial-last-block", "warnings-after-zero", "edge-floats", "kernel-edges"]
+    )
     def test_csv_matches_a_field_by_field_render(self, case):
         # A grid of 2 * SAMPLE_BLOCK + 1 points ends in a one-row block.
         grid = TimeGrid(1.0, 2 * SAMPLE_BLOCK)
         curve = run_modular_scenario(EntanglementScenario(p=0.1, theta=1.0, grid=grid))
-        if case == "warnings-after-zero":
+        if case == "kernel-edges":
+            curve = kernel_edge_curve()
+        elif case == "warnings-after-zero":
             ts = grid.points
             warnings = ((0.0, "a"), (ts[5], "b"), ((ts[7] + ts[8]) / 2, "c"), (ts[-1], "d"))
             curve = dataclasses.replace(curve, warnings=warnings)
@@ -323,6 +402,20 @@ class TestEmission:
             curve = dataclasses.replace(curve, **columns)
         meta = [("scenario", "modular"), ("quad_error", fmt(curve.quad_error))]
         assert render_csv(curve, meta) == field_by_field_csv(curve, meta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[ANY_FLOAT] * 5), min_size=1, max_size=32), st.sampled_from(EDGE_COUNTS))
+    def test_csv_of_any_floats_matches_a_field_by_field_render(self, rows, count):
+        values = np.array(rows)
+        curve = curve_of(values[:, 0], values[:, 1:])
+        curve.warnings = ((-np.inf, "w"),) * count  # each row's warnings_count is count
+        assert render_csv(curve, []) == field_by_field_csv(curve, [])
+
+    def test_the_decimal_oracle_is_python_formatting(self):
+        values = np.concatenate((KERNEL_EDGES, -KERNEL_EDGES, np.random.default_rng(5).random(200)))
+        assert [decimal_g17(v, decimal.ROUND_HALF_EVEN) for v in values.tolist()] == [
+            fmt(v) for v in values
+        ]
 
     def test_svg_is_self_contained(self):
         curve = self.small_curve()
@@ -509,6 +602,36 @@ class TestVerifyCommand:
         assert any(
             name.startswith(("speed-limits", "scenarios", "dynamics")) for name in failed
         )
+
+    @pytest.mark.parametrize("mutant", ["ties-up", "zero-without-fallback"])
+    def test_determinism_check_catches_a_wrong_csv_kernel(self, mutant, monkeypatch, capsys):
+        # Kernels wrong the same way on every run: one rounds exact 17-digit
+        # ties away from zero, one writes zeros itself and loses -0.0's sign.
+        import qslbound.emit as emit
+        from qslbound import verify
+
+        kernel = emit._float_text
+
+        def ties_up(x):
+            texts = [decimal_g17(v, decimal.ROUND_HALF_UP) for v in x.tolist()]
+            return np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
+
+        def zero_without_fallback(x):
+            text = kernel(x)
+            text[x == 0] = np.frombuffer(b"0".ljust(24, b"\0"), np.uint8)
+            return text
+
+        wrong = {"ties-up": ties_up, "zero-without-fallback": zero_without_fallback}[mutant]
+        monkeypatch.setattr(emit, "_float_text", wrong)
+        curve = kernel_edge_curve()
+        assert render_csv(curve, []) != field_by_field_csv(curve, [])
+        check = next(check for check in verify.CHECKS if check.name == "cli/determinism")
+        result = verify.run_check(check, verify.RunContext(64))
+        assert result.status == "fail"
+        assert result.detail == "byte-identical render, differs from a field-by-field one"
+        assert run_cli(["verify", "--steps", "64"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "cli/determinism" in failed[0]
 
     def test_determinism_check_catches_a_drifting_runner(self, monkeypatch):
         import dataclasses

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from qslbound.bounds import _fill_nearest
-from qslbound.quadrature import (
-    RICHARDSON_FACTOR,
-    _halving_gaps,
-    cumulative_richardson_gaps,
-    cumulative_simpson,
-)
+from qslbound.quadrature import RICHARDSON_FACTOR, _halving_gaps, cumulative_simpson
+
+
+def halving_gaps(values, dx):
+    """Per-prefix Richardson gaps of values, from the one integral that
+    qsl_integral also hands to _halving_gaps."""
+    y = np.asarray(values, dtype=float)
+    return _halving_gaps(y, cumulative_simpson(y, dx), dx)
 
 
 def richardson_error_estimate(values, dx):
     """Worst per-prefix quadrature-error estimate, as qsl_integral takes it."""
-    return float(np.max(cumulative_richardson_gaps(values, dx))) / RICHARDSON_FACTOR
+    return float(np.max(halving_gaps(values, dx))) / RICHARDSON_FACTOR
 
 
 def test_constant_integrand_is_exact():
@@ -66,7 +68,7 @@ def test_richardson_gaps_cover_kink_error():
 def test_short_input_rejected():
     with pytest.raises(ValueError):
         cumulative_simpson(np.array([1.0]), 0.1)
-    assert cumulative_richardson_gaps(np.array([1.0, 1.0, 1.0]), 0.1)[0] == np.inf
+    assert halving_gaps(np.array([1.0, 1.0, 1.0]), 0.1)[0] == np.inf
 
 
 def test_non_finite_rejected():
@@ -103,10 +105,10 @@ def reference_gaps(y, dx):
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_gaps_from_the_reused_fine_integral_are_the_separate_integrals(n):
     y, dx = rows_of(n), 0.37
-    stacked = cumulative_richardson_gaps(y, dx)
+    stacked = halving_gaps(y, dx)
     reused = _halving_gaps(y[:2], cumulative_simpson(y[:2], dx), dx)
     for k, row in enumerate(y):
-        single = cumulative_richardson_gaps(row, dx)
+        single = halving_gaps(row, dx)
         assert np.array_equal(stacked[k], single)
         if n < 5:
             assert single.tolist() == [np.inf]

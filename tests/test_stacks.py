@@ -20,7 +20,7 @@ from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
 from qslbound.linalg import (
     EigenSystem,
-    as_complex_matrix,
+    _as_complex_matrix,
     hermitian_eig,
     partial_trace,
     require_hermitian,
@@ -158,7 +158,7 @@ def fields(result):
 
 # Generalized function -> argument makers, one stack each.
 STACKED = {
-    "as_complex_matrix": (as_complex_matrix, (ref_hermitian,)),
+    "as_complex_matrix": (_as_complex_matrix, (ref_hermitian,)),
     "require_hermitian": (require_hermitian, (ref_hermitian,)),
     "hermitian_eig": (hermitian_eig, (ref_hermitian,)),
     "tensor_product": (tensor_product, (ref_hermitian, ref_hermitian)),
@@ -222,7 +222,7 @@ class TestStackRefusals:
         a, psi = self.members(ref_hermitian), self.members(ref_state)
         a[at, 1, 1], psi[at, 2] = np.nan, np.nan
         with pytest.raises(ValueError, match="finite"):
-            as_complex_matrix(a)
+            _as_complex_matrix(a)
         with pytest.raises(ValueError, match="finite"):
             moments(a, self.members(ref_state))
         with pytest.raises(ValueError, match="finite"):
