@@ -240,29 +240,22 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
         raise ValueError("all correction samples are degenerate")
     r_filled = _fill_nearest(r_raw)
     rows = np.stack([f_q, f_q * (1.0 - r_filled), r_filled])
-    int_q, int_s, int_r = integrals = cumulative_simpson(rows, grid.dx)
+    integrals = cumulative_simpson(rows, grid.dx)
     gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
     net_change = np.abs(means - means[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = grid.points * net_change / (2.0 * delta_h * integrals[:2])
+        propagated = ratios[:, ::2] * (gaps / RICHARDSON_FACTOR) / integrals[:2, ::2]
     t_qslo, t_sqslo = np.where(integrals[:2] > 0.0, ratios, 0.0)
-
-    quad_error = 0.0
-    for gap, integral, bound in zip(gaps / RICHARDSON_FACTOR, (int_q, int_s), (t_qslo, t_sqslo)):
-        if not np.isfinite(gap).all():
-            quad_error = math.inf
-            continue
-        idx = np.arange(gap.size) * 2
-        mask = integral[idx] > 0.0
-        if mask.any():
-            propagated = bound[idx][mask] * gap[mask] / integral[idx][mask]
-            quad_error = max(quad_error, float(propagated.max()))
+    # Each bound times its relative halving gap at the even prefixes; inf if a grid can't halve.
+    finite = np.isfinite(gaps).all()
+    quad_error = float(propagated.max(where=integrals[:2, ::2] > 0.0, initial=0.0)) if finite else math.inf
     return BoundCurve(
         grid=grid,
         t_qslo=t_qslo,
         t_sqslo=t_sqslo,
         mean_values=means.copy(),
-        r_bar=_running_average(r_filled, int_r, grid),
+        r_bar=_running_average(r_filled, integrals[2], grid),
         warnings=warnings,
         quad_error=quad_error,
     )

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _correlation, _r_from_c
-from .linalg import commutator, hermitian_eig, require_hermitian
+from .linalg import _vdot, commutator, hermitian_eig, require_hermitian
 from .measures import _clamped_log
 from .states import _moments, require_state
 
@@ -104,21 +104,6 @@ def propagator_family(h) -> Callable[[float], np.ndarray]:
     return u_of_t
 
 
-def expectation_derivative(h, obs_t, psi) -> float:
-    """d<O>/dt = i <psi| [H, O(t)] |psi>, evaluated exactly.
-
-    Both pictures share this form: in the Heisenberg picture O(t) evolves,
-    in the Schroedinger picture ``psi`` is the evolved state and O(t) the
-    frozen current operator.
-    """
-    hm = require_hermitian(h)
-    o = require_hermitian(obs_t)
-    v = require_state(psi)
-    if hm.shape != o.shape or hm.shape[0] != v.size:
-        raise ValueError("dimension mismatch in expectation derivative")
-    return float((1j * np.vdot(v, commutator(hm, o) @ v)).real)
-
-
 def _validated(h, psi0) -> tuple[np.ndarray, np.ndarray]:
     """The public samplers' checks of H and psi0: Hermitian, normalized, sized alike."""
     hm = require_hermitian(h)
@@ -182,7 +167,7 @@ def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
     rate = 1j * commutator(np.diag(vals), o_eig)
 
     def rows(c):
-        return c, c @ o_eig.T, c * vals, (c.conj() * (c @ rate.T)).sum(axis=1).real
+        return c, c @ o_eig.T, c * vals, _vdot(c, c @ rate.T).real
 
     return _sample(times, vals, c0, rows), delta_h
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Pauli matrices and the qubit identity, building blocks for every
@@ -22,13 +20,6 @@ HERMITICITY_RTOL = 1e-12
 # entropy-like sums (the lambda * log(lambda) -> 0 convention).
 LOG_EIG_FLOOR = 1e-300
 ENTROPY_WEIGHT_CUTOFF = 1e-15
-
-
-class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _vdot(u, v) -> np.ndarray:
@@ -60,11 +51,9 @@ def require_hermitian(m) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    a = require_hermitian(m)
-    vals, vecs = np.linalg.eigh(a)
-    return EigenSystem(vals, vecs)
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix: numpy's (eigenvalues, eigenvectors), ascending."""
+    return np.linalg.eigh(require_hermitian(m))
 
 
 def commutator(a, b) -> np.ndarray:

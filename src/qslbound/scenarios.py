@@ -28,7 +28,6 @@ compares with the runners' samples on whole grids.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,12 +113,6 @@ class BatteryScenario:
 
 def canonical_hamiltonian(mu1: float, mu2: float, mu3: float) -> np.ndarray:
     """mu1 XX + mu2 YY + mu3 ZZ, the canonical two-qubit interaction."""
-    if not (mu1 >= mu2 >= mu3 >= 0.0):
-        _warnings.warn(
-            f"couplings ({mu1}, {mu2}, {mu3}) violate the singular-value "
-            "ordering mu1 >= mu2 >= mu3 >= 0 of the canonical form",
-            stacklevel=2,
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         return mu1 * _XX + mu2 * _YY + mu3 * _ZZ
 

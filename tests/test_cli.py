@@ -98,6 +98,16 @@ class TestMainExitCodes:
         assert out.exists()
         assert str(out) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["entanglement", "modular"])
+    @pytest.mark.parametrize("flags", ["--mu3 -0.5", "--theta -1"])
+    def test_negative_couplings_run_quietly(self, kind, flags, tmp_path, capsys):
+        # Couplings (theta + |mu3|, |mu3|, mu3) are canonical for either sign of
+        # mu3 and theta; under warnings-as-errors a warning would end the run.
+        out = tmp_path / "curve.csv"
+        assert run_cli([kind, *flags.split(), "--steps", "64", "--out", str(out)]) == 0
+        assert out.exists()
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv, reason",
         [

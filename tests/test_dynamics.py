@@ -4,7 +4,6 @@ from conftest import assert_check, random_hermitian, random_state
 
 from qslbound.dynamics import (
     TimeGrid,
-    expectation_derivative,
     propagator_family,
     sample_entanglement,
     sample_heisenberg,
@@ -62,24 +61,23 @@ class TestPropagator:
 
 
 class TestExpectationDerivative:
+    """d<O>/dt as the sampler's derivative row, against closed forms."""
+
     def test_conserved_observable(self):
         rng = np.random.default_rng(13)
         h = random_hermitian(rng, 3)
         psi = random_state(rng, 3)
-        assert expectation_derivative(h, h, psi) == pytest.approx(0.0, abs=1e-12)
+        derivs = sample_heisenberg(h, h, psi, [0.0, 0.4, 1.3]).derivatives
+        assert np.allclose(derivs, 0.0, atol=1e-12)
 
     def test_extremum_at_zero(self):
-        assert expectation_derivative(SIGMA_Z, SIGMA_X, PLUS) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        derivs = sample_heisenberg(SIGMA_Z, SIGMA_X, PLUS, [0.0]).derivatives
+        assert derivs[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_analytic_oracle_at_pi_over_8(self):
         # <sigma_x(t)> = cos 2t in |+>, so the slope at pi/8 is -2 sin(pi/4).
-        t = np.pi / 8.0
-        u = propagator_family(SIGMA_Z)(t)
-        o_t = u.conj().T @ SIGMA_X @ u
-        got = expectation_derivative(SIGMA_Z, o_t, PLUS)
-        assert got == pytest.approx(-2.0 * np.sin(np.pi / 4.0), abs=1e-12)
+        derivs = sample_heisenberg(SIGMA_Z, SIGMA_X, PLUS, [np.pi / 8.0]).derivatives
+        assert derivs[0] == pytest.approx(-2.0 * np.sin(np.pi / 4.0), abs=1e-12)
 
 
 class TestTrackObservable:

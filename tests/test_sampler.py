@@ -1,9 +1,9 @@
 """The eigenbasis sampler against the scalar reference implementations.
 
 For random (H, O, psi) and a few times t, the sampler's mean, spread,
-derivative and correction factor must equal ``moments``,
-``expectation_derivative`` and ``correction_r`` evaluated one sample at a
-time, in both pictures.
+derivative and correction factor must equal ``moments``, the commutator
+form d<O>/dt = i <psi| [H, O] |psi> and ``correction_r`` evaluated one
+sample at a time, in both pictures.
 """
 
 import numpy as np
@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from qslbound.bounds import correction_r
 from qslbound.dynamics import (
     SAMPLE_BLOCK,
-    expectation_derivative,
     propagator_family,
     sample_entanglement,
     sample_heisenberg,
 )
-from qslbound.linalg import tensor_product
+from qslbound.linalg import commutator, tensor_product
 from qslbound.measures import modular_hamiltonian
 from qslbound.states import DegenerateObservableError, moments, reduced_state
 
@@ -40,7 +39,7 @@ def scalar_reference(obs, h, psi):
         r = correction_r(obs, h, psi).r
     except DegenerateObservableError:
         r = np.nan
-    return m.mean, m.std_dev, expectation_derivative(h, obs, psi), r
+    return m.mean, m.std_dev, (1j * np.vdot(psi, commutator(h, obs) @ psi)).real, r
 
 
 def assert_matches(samples, expected):

@@ -62,11 +62,6 @@ class TestCanonicalHamiltonian:
             canonical_hamiltonian(1.0, 0.0, 0.0), tensor_product(SIGMA_X, SIGMA_X)
         )
 
-    def test_ordering_warning(self):
-        with pytest.warns(UserWarning, match="ordering"):
-            canonical_hamiltonian(0.1, 0.5, 0.0)
-
-    @pytest.mark.filterwarnings("ignore:couplings")
     @pytest.mark.parametrize("mu", OPERATOR_PARAMS)
     def test_constant_products_equal_the_kronecker_form(self, mu):
         kron_form = (

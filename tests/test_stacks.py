@@ -19,7 +19,6 @@ from qslbound import bounds, dynamics, verify
 from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
 from qslbound.linalg import (
-    EigenSystem,
     _as_complex_matrix,
     hermitian_eig,
     partial_trace,
@@ -314,7 +313,7 @@ def perturbed_eig(real):
         vals, vecs = real(m)
         vecs = vecs.copy()
         vecs[..., :, 0] *= 1.0 + 1e-6
-        return EigenSystem(vals, vecs)
+        return vals, vecs
 
     return eig
 
