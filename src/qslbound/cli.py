@@ -21,7 +21,7 @@ from typing import Optional
 from .bounds import BoundCurve
 from .dynamics import MIN_GRID_STEPS, TimeGrid
 from .emit import fmt, render_csv, render_svg
-from .presets import KINDS, PRESETS, build_preset_curves, build_scenario, plain_run
+from .presets import KINDS, PRESETS, Preset, build_preset_curves, build_scenario, plain_run
 
 
 class UsageError(Exception):
@@ -35,19 +35,12 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one CLI invocation."""
+    """Validated description of one CLI invocation: its curves (None for verify) and their output."""
 
-    kind: str
-    params: dict
-    t_max: float
+    preset: Optional[Preset]
     steps: Optional[int]
     out: Optional[Path]
     format: str
-    preset: Optional[str]
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid.with_resolution(self.t_max, self.steps)
 
 
 @cache  # argparse keeps no state between parse_args calls: one parser per process
@@ -71,15 +64,22 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str, keys: set) -> dict:
-    """The flat JSON object in ``path``; every key must be one of ``keys``."""
+    """The flat JSON object in ``path``; every key must be one of ``keys``, named once."""
+
+    def named_once(pairs):  # a key repeated, or both t-max and t_max
+        names = [key.replace("-", "_") for key, _ in pairs]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise UsageError(f"config file {path} names {', '.join(twice)} twice")
+        return dict(zip(names, (value for _, value in pairs)))
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            values = json.load(fh, object_pairs_hook=named_once)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(values, dict):
         raise UsageError("config file must hold a flat JSON object")
-    values = {str(k).replace("-", "_"): v for k, v in doc.items()}
     unknown = sorted(set(values) - keys)
     if unknown:
         raise UsageError(f"config file {path}: unknown keys {', '.join(unknown)}")
@@ -120,7 +120,7 @@ def parse_config(argv) -> RunConfig:
     if kind == "verify":
         out = _text("out", args.out)
         out = Path(out) if out else None
-        return RunConfig("verify", {}, 1.0, _steps(args.steps), out, "csv", None)
+        return RunConfig(None, _steps(args.steps), out, "csv")
 
     flags = vars(args)
     # A config file may set every flag of the subcommand but --config.
@@ -130,14 +130,16 @@ def parse_config(argv) -> RunConfig:
     def pick(name, default):
         return file_values.get(name, default) if flags[name] is None else flags[name]
 
+    steps = _steps(pick("steps", None))
+    out_format = _text("format", pick("format", "csv"))
+    if out_format not in ("csv", "csv+svg"):
+        raise UsageError(f"--format must be csv or csv+svg, got {out_format!r}")
+    out = Path(_text("out", pick("out", None)) or f"{kind}.csv")
+
     preset = _text("preset", pick("preset", None))
     if preset is not None:
-        if preset not in PRESETS:
-            raise UsageError(f"unknown preset {preset!r}")
-        if PRESETS[preset].kind != kind:
-            raise UsageError(
-                f"preset {preset!r} belongs to the {PRESETS[preset].kind} scenario"
-            )
+        if preset not in PRESETS or PRESETS[preset].kind != kind:
+            raise UsageError(f"no {kind} preset is named {preset!r}")
         # A preset fixes the scenario and its window; only the grid
         # resolution and the output stay settable.
         fixed = [p.flag for p in KINDS[kind].params] + ["t_max"]
@@ -145,26 +147,16 @@ def parse_config(argv) -> RunConfig:
         if given:
             names = ", ".join("--" + name.replace("_", "-") for name in given)
             raise UsageError(f"preset {preset!r} fixes {names}; drop them or the preset")
+        return RunConfig(PRESETS[preset], steps, out, out_format)
 
     params = {p.flag: _finite(p.flag, pick(p.flag, p.default)) for p in KINDS[kind].params}
     t_max = _finite("t-max", pick("t_max", 1.0))
-    steps = _steps(pick("steps", None))
-    out_format = _text("format", pick("format", "csv"))
-
-    if t_max <= 0.0:
-        raise UsageError(f"--t-max must be positive, got {t_max}")
-    if out_format not in ("csv", "csv+svg"):
-        raise UsageError(f"--format must be csv or csv+svg, got {out_format!r}")
-
-    out = Path(_text("out", pick("out", None)) or f"{kind}.csv")
-    cfg = RunConfig(kind, params, t_max, steps, out, out_format, preset)
-    if preset is None:
-        # Validate scenario preconditions now so bad parameters exit with 1.
-        try:
-            build_scenario(kind, params, cfg.grid)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return cfg
+    # Validate scenario preconditions now so bad parameters exit with 1.
+    try:
+        build_scenario(kind, params, TimeGrid.with_resolution(t_max, steps))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return RunConfig(plain_run(kind, params, t_max), steps, out, out_format)
 
 
 def emit_curves(
@@ -175,7 +167,7 @@ def emit_curves(
         path = cfg.out.with_name(f"{cfg.out.stem}_{label}{cfg.out.suffix or '.csv'}")
     else:
         path = cfg.out if cfg.out.suffix else cfg.out.with_suffix(".csv")
-    meta = [("scenario", cfg.kind)] + ([("curve", label)] if label else [])
+    meta = [("scenario", cfg.preset.kind)] + ([("curve", label)] if label else [])
     meta += [(key, str(params[key])) for key in sorted(params)]
     meta += [
         ("t_max", fmt(curve.grid.t_max)),
@@ -187,16 +179,15 @@ def emit_curves(
     written = [path]
     if cfg.format == "csv+svg":
         svg_path = path.with_suffix(".svg")
-        title = f"{cfg.kind}" + (f" ({label})" if label else "")
+        title = cfg.preset.kind + (f" ({label})" if label else "")
         svg_path.write_text(render_svg(curve, title), encoding="utf-8", newline="\n")
         written.append(svg_path)
     return written
 
 
 def _run_scenarios(cfg: RunConfig) -> list[Path]:
-    preset = PRESETS[cfg.preset] if cfg.preset else plain_run(cfg.kind, cfg.params, cfg.t_max)
     written = []
-    for label, params, curve in build_preset_curves(preset, cfg.steps):
+    for label, params, curve in build_preset_curves(cfg.preset, cfg.steps):
         written.extend(emit_curves(curve, cfg, label, params))
     return written
 
@@ -215,7 +206,7 @@ def _run_verify(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
-        if cfg.kind == "verify":
+        if cfg.preset is None:
             return _run_verify(cfg)
         written = _run_scenarios(cfg)
     except UsageError as exc:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _correlation, _r_from_c
-from .linalg import _vdot, commutator, hermitian_eig, require_hermitian
+from .linalg import _vdot, commutator, require_hermitian
 from .measures import _clamped_log
 from .states import _moments, require_state
 
@@ -95,7 +95,7 @@ class Samples(NamedTuple):
 
 def propagator_family(h) -> Callable[[float], np.ndarray]:
     """U(t) = exp(-iHt) from one eigendecomposition of ``h``; a stack takes a t each."""
-    vals, vecs = hermitian_eig(h)
+    vals, vecs = np.linalg.eigh(require_hermitian(h))
     vecs_h = vecs.conj().swapaxes(-2, -1)
 
     def u_of_t(t) -> np.ndarray:

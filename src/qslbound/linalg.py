@@ -51,11 +51,6 @@ def require_hermitian(m) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: numpy's (eigenvalues, eigenvectors), ascending."""
-    return np.linalg.eigh(require_hermitian(m))
-
-
 def commutator(a, b) -> np.ndarray:
     """Commutator AB - BA."""
     a = _as_complex_matrix(a)
@@ -93,5 +88,5 @@ def partial_trace(m, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
 
 def spectral_norm(m) -> float:
     """Operator norm of a Hermitian matrix: max |eigenvalue|."""
-    vals, _ = hermitian_eig(m)
+    vals, _ = np.linalg.eigh(require_hermitian(m))
     return float(np.abs(vals).max())

@@ -37,7 +37,6 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Z,
     _vdot,
-    hermitian_eig,
     partial_trace,
     spectral_norm,
     tensor_product,
@@ -233,19 +232,6 @@ def _saturation_gap(curve) -> float:
     return float(np.max(np.abs(curve.t_sqslo[mask] - ts[mask]) / ts[mask]))
 
 
-@_check("operator-core/eig-reconstruction")
-def _eig_reconstruction(rng, run):
-    worst, dims = 0.0, (2, 4, 8, 16)
-    for _ in range(25):  # 10 draws a chunk: a stack of 16 x 16 matrices is large
-        x = rng.standard_normal((10, sum(2 * d * d for d in dims)))
-        for d, g in zip(dims, _gaussians(x, *((d, d) for d in dims))):
-            m = _hermitian(g)
-            vals, vecs = hermitian_eig(m)
-            recon = (vecs * vals[..., None, :]) @ _dag(vecs)
-            worst = _worst(worst, recon - m, _dag(vecs) @ vecs - np.eye(d))
-    return worst <= 1e-10, f"max reconstruction/unitarity defect {worst:.2e}"
-
-
 @_check("operator-core/propagator-unitarity")
 def _propagator_unitarity(rng, run):
     worst = 0.0
@@ -299,9 +285,11 @@ def _moments_density_crosscheck(rng, run):
 @_check("quantum-state/two-qubit-schmidt-rank")
 def _schmidt_rank(rng, run):
     (g,) = _gaussians(rng.standard_normal((200, 8)), (4,))
-    lam = np.linalg.eigvalsh(reduced_state(_state(g), (2, 2), "A"))
-    worst = _worst(0.0, lam.sum(axis=-1) - 1.0) if lam.shape[-1] == 2 else math.inf
-    return worst <= 1e-12, f"max weight-sum defect {worst:.2e}"
+    psi = _state(g)
+    lam_a, lam_b = (np.linalg.eigvalsh(reduced_state(psi, (2, 2), keep)) for keep in "AB")
+    # The Schmidt weights: rho_A and rho_B share them, and they sum to 1.
+    worst = _worst(0.0, lam_a.sum(axis=-1) - 1.0, lam_a - lam_b) if lam_a.shape[-1] == 2 else math.inf
+    return worst <= 1e-12, f"max Schmidt-weight defect {worst:.2e}"
 
 
 @_check("info-measures/capacity-equals-modular-variance")

@@ -35,14 +35,16 @@ class TestParseConfig:
         cfg = parse_config(
             "entanglement --p 0.1 --theta 1.0 --t-max 1.0 --steps 2000 --out fig2.csv".split()
         )
-        assert cfg.kind == "entanglement"
-        assert cfg.params == {"p": 0.1, "theta": 1.0, "mu3": 0.0}
-        assert cfg.grid.n_steps == 2000
+        (run,) = cfg.preset.runs
+        assert cfg.preset.kind == "entanglement"
+        assert run.params == {"p": 0.1, "theta": 1.0, "mu3": 0.0}
+        assert run.t_max == 1.0 and cfg.steps == 2000
         assert cfg.out.name == "fig2.csv"
 
     def test_battery_flags(self):
         cfg = parse_config("battery --omega 2 --Omega 1 --J 1".split())
-        assert cfg.params == {"omega": 2.0, "Omega": 1.0, "J": 1.0}
+        (run,) = cfg.preset.runs
+        assert run.params == {"omega": 2.0, "Omega": 1.0, "J": 1.0, "mode": "collective"}
 
     def test_out_of_range_p_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -73,10 +75,11 @@ class TestParseConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         cfg = parse_config(["entanglement", "--config", str(path), "--p", "0.2"])
-        assert cfg.params["p"] == 0.2  # flag wins
-        assert cfg.params["theta"] == 2.0
-        assert cfg.t_max == 0.5
-        assert cfg.grid.n_steps == 64
+        (run,) = cfg.preset.runs
+        assert run.params["p"] == 0.2  # flag wins
+        assert run.params["theta"] == 2.0
+        assert run.t_max == 0.5
+        assert cfg.steps == 64
 
     def test_unreadable_config(self, tmp_path):
         with pytest.raises(UsageError):
@@ -149,6 +152,22 @@ class TestMainExitCodes:
         assert run_cli([kind, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert all(key in err for key in doc)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [('{"t-max": 0.5, "t_max": 2.0}', "t_max"), ('{"p": 0.1, "p": 0.3}', "p")],
+        ids=["both-spellings", "repeated-key"],
+    )
+    def test_config_file_naming_a_flag_twice_exits_1(self, text, named, tmp_path, capsys):
+        # Neither value may silently win.
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        out = tmp_path / "curve.csv"
+        assert run_cli(["modular", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: error:") and err.count("\n") == 1
+        assert f"names {named} twice" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from qslbound.linalg import (
     SIGMA_Z,
     _vdot,
     commutator,
-    hermitian_eig,
     partial_trace,
     require_hermitian,
     spectral_norm,
@@ -17,25 +16,7 @@ from qslbound.linalg import (
 )
 
 
-class TestHermitianEig:
-    def test_diagonal_input(self):
-        vals, vecs = hermitian_eig(np.diag([1.0, 2.0]))
-        assert np.allclose(vals, [1.0, 2.0])
-        assert np.allclose(np.abs(vecs), np.eye(2))
-
-    def test_pauli_spectrum(self):
-        vals, _ = hermitian_eig(SIGMA_X)
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(7)
-        m = random_hermitian(rng, 4)
-        vals, vecs = hermitian_eig(m)
-        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) <= 1e-10
-
-    def test_reconstruction_invariant_randomized(self, run):
-        assert_check(run, "operator-core/eig-reconstruction")
-
+class TestRequireHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -20,7 +20,6 @@ from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
 from qslbound.linalg import (
     _as_complex_matrix,
-    hermitian_eig,
     partial_trace,
     require_hermitian,
     tensor_product,
@@ -134,7 +133,8 @@ class TestSameDraws:
         assert sum(drawn) - n > 100
 
     def test_fixed_layout_rows_are_consecutive_draws(self):
-        # The layout of operator-core/eig-reconstruction: one row per loop pass.
+        # A fixed layout, as operator-core/partial-trace-density and
+        # tensor-product-trace draw: each row holds one draw of each shape.
         dims = (2, 4, 8, 16)
         mine, ref = np.random.default_rng(3), np.random.default_rng(3)
         x = mine.standard_normal((6, sum(2 * d * d for d in dims)))
@@ -159,7 +159,6 @@ def fields(result):
 STACKED = {
     "as_complex_matrix": (_as_complex_matrix, (ref_hermitian,)),
     "require_hermitian": (require_hermitian, (ref_hermitian,)),
-    "hermitian_eig": (hermitian_eig, (ref_hermitian,)),
     "tensor_product": (tensor_product, (ref_hermitian, ref_hermitian)),
     "require_state": (require_state, (ref_state,)),
     "require_density": (require_density, (ref_density,)),
@@ -214,7 +213,7 @@ class TestStackRefusals:
         a[at, 0, 1] += 1e-3
         worst = np.max(np.abs(a[at] - a[at].conj().T))
         with pytest.raises(ValueError, match=re.escape(f"not Hermitian: defect {worst:.3e}")):
-            hermitian_eig(a)
+            require_hermitian(a)
 
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_nan(self, at):
@@ -271,7 +270,6 @@ def run_named(name, run=None):
 
 
 STACKED_CHECKS = [
-    "operator-core/eig-reconstruction",
     "operator-core/propagator-unitarity",
     "operator-core/partial-trace-density",
     "operator-core/tensor-product-trace",
@@ -308,16 +306,6 @@ def test_a_stacked_check_peaks_below_a_megabyte(name):
     assert peak <= 1_000_000
 
 
-def perturbed_eig(real):
-    def eig(m):
-        vals, vecs = real(m)
-        vecs = vecs.copy()
-        vecs[..., :, 0] *= 1.0 + 1e-6
-        return vals, vecs
-
-    return eig
-
-
 def wrong_axes_trace(real):
     # Sums every entry of the traced-out blocks, not their diagonals.
     def trace(m, dims, keep):
@@ -348,6 +336,15 @@ def uncentred_moments(real):
     return m
 
 
+def diagonal_reduced(real):
+    # Keeps the populations of the reduced state and drops its coherences.
+    def rho(psi, dims, keep):
+        out = real(psi, dims, keep)
+        return out * np.eye(out.shape[-1])
+
+    return rho
+
+
 def diagonal_entropy(real):
     def s(rho):
         p = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 1e-300, 1.0)
@@ -359,7 +356,7 @@ def diagonal_entropy(real):
 def backward_propagator(real):
     # exp(+iEt) for exp(-iEt): still unitary, but it runs time backwards.
     def family(h):
-        vals, vecs = hermitian_eig(h)
+        vals, vecs = np.linalg.eigh(h)
         vecs_h = vecs.conj().swapaxes(-2, -1)
         return lambda t: (vecs * np.exp(1j * vals * np.asarray(t)[..., None])[..., None, :]) @ vecs_h
 
@@ -385,11 +382,11 @@ def flipped_sign(real):
 
 
 MUTANTS = {
-    "operator-core/eig-reconstruction": ("hermitian_eig", perturbed_eig),
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
     "operator-core/tensor-product-trace": ("tensor_product", row_major_kron),
     "quantum-state/perpendicular-orthogonality": ("perpendicular_state", unnormalized_perp),
     "quantum-state/moments-density-crosscheck": ("moments", uncentred_moments),
+    "quantum-state/two-qubit-schmidt-rank": ("reduced_state", diagonal_reduced),
     "info-measures/capacity-equals-modular-variance": (
         "capacity_of_entanglement",
         lambda real: entanglement_entropy,

@@ -18,7 +18,6 @@ from qslbound import scenarios, verify
 from qslbound.cli import main
 
 EXPECTED = {
-    "operator-core/eig-reconstruction": "pass",
     "operator-core/propagator-unitarity": "pass",
     "operator-core/partial-trace-density": "pass",
     "operator-core/tensor-product-trace": "pass",
