@@ -10,7 +10,9 @@ correlation c of the pair (O, H); ``Samples`` carry c and derive r from it.
 rows in H's eigenbasis, and d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from
 one commutator per curve; ``sample_entanglement`` rebuilds
 O = -log rho_A(t) (x) I_B at every sample from a stacked eigendecomposition
-of the d_A x d_A reduced states (Schroedinger picture).  Derivatives come
+of the d_A x d_A reduced states (Schroedinger picture), whose products
+(rho_A, O, O psi_t) are broadcast multiply-adds over the contracted axis:
+a stacked matmul pays a fixed cost per matrix.  Derivatives come
 from the commutator identity, never from finite differences, so quadrature
 is the only discretization error downstream.  The public samplers validate
 H, O and psi0 once, on entry, and then run the core (``_heisenberg``,
@@ -150,6 +152,12 @@ def _sample(times, vals, c0, rows) -> Samples:
     return Samples(*out, corr)
 
 
+def _products(a, b) -> np.ndarray:
+    """a @ b over stacks of small matrices, summed over the contracted axis in order."""
+    terms = (a[:, :, k, None] * b[:, None, k] for k in range(a.shape[2]))
+    return sum(terms, next(terms))
+
+
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     """Samples of the Heisenberg-evolved observable U^dag O U in psi0."""
     hm, v = _validated(h, psi0)
@@ -192,9 +200,9 @@ def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float
         psi = c @ vecs.T
         h_psi = (c * vals) @ vecs.T
         amps = psi.reshape(-1, d_a, d_b)
-        weights, basis = np.linalg.eigh(amps @ amps.conj().transpose(0, 2, 1))
-        modular = (basis * -_clamped_log(weights)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-        k_psi = (modular @ amps).reshape(psi.shape)
+        weights, basis = np.linalg.eigh(_products(amps, amps.conj().transpose(0, 2, 1)))
+        modular = _products(basis * -_clamped_log(weights)[:, None, :], basis.conj().transpose(0, 2, 1))
+        k_psi = _products(modular, amps).reshape(psi.shape)
         return psi, k_psi, h_psi, 2.0 * (k_psi.conj() * h_psi).sum(axis=1).imag
 
     return _sample(times, vals, c0, rows), delta_h

@@ -14,6 +14,10 @@ lowest, highest and last sample of every column of the plot, in time
 order.  Every other sample lies between a kept column minimum and maximum,
 so the picture is the full curve's at pixel resolution.  The dotted
 diagonal T is a straight line, drawn from the first sample to the last.
+Each point is '%.2f,%.2f' of its pixel coordinates, from a kernel of the
+same parts: it rounds the exact v * 100 to N, certified for 0 <= v < 1e4
+when N < 10**6 and the dropped fraction is more than 1e-9 from one half.
+Every other field (ties, negative values, values out of range) is '%.2f'.
 """
 
 from __future__ import annotations
@@ -46,12 +50,15 @@ def _two_product(a, b):
 
 
 @cache  # built on first use, which keeps them out of the import
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tables() -> tuple[np.ndarray, ...]:
     """0000..9999 as four ASCII digits to a uint32; 10**(16 - k) as hi + lo
-    for k = -11..14; and the source column of each text byte of a certified
+    for k = -11..14; the source column of each text byte of a certified
     field per (k, kept digits): sign, then fixed notation for k >= -4, else
-    a mantissa and 'e-XX'."""
-    quads = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view(np.uint32)
+    a mantissa and 'e-XX'; and 0..9999 (NUL leading zeros), '.00'..'.99'."""
+    ascii = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+    lead = np.logical_and.accumulate(ascii == ord("0"), axis=1) & (np.arange(4) < 3)
+    ints = np.where(lead, 0, ascii).view(np.uint32)
+    cents = np.frombuffer(b"".join(b".%02d\0" % c for c in range(100)), np.uint32)
     exact = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # each product exact
     s = np.arange(27, 1, -1)  # 16 - k
     tens = np.stack(_two_product(exact[np.minimum(s, 22)], exact[np.maximum(s - 22, 0)]))
@@ -67,12 +74,13 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
          np.choose(np.clip(q - end, 0, 3), (_E, _MINUS, _ZERO + (-k) // 10, _ZERO + (-k) % 10))],
         _NUL,
     )
-    return quads.ravel(), tens, layout.reshape(-1, _WIDTH)
+    return ascii.view(np.uint32).ravel(), tens, layout.reshape(-1, _WIDTH), ints.ravel(), cents
 
 
 def _decimal(n: np.ndarray) -> np.ndarray:
-    """(n.size, 20) ASCII digits of non-negative integers, zero-filled."""
-    quads = np.stack([n // 10**e for e in (16, 12, 8, 4, 0)], axis=1) % 10000
+    """(n.size, 20) ASCII digits of 0 <= n < 10**17, zero-filled, from uint32 halves."""
+    hi, lo = (half.astype(np.uint32) for half in np.divmod(n, 10**8))
+    quads = np.stack([hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4], axis=1)
     return _tables()[0].take(quads).view(np.uint8)
 
 
@@ -82,7 +90,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     inside = (ax >= 1e-11) & (ax < 1e15)
     ax = np.where(inside, ax, 1.0)
     row = np.clip(np.floor(np.log10(ax)), -11, 14).astype(np.intp) + 11  # k's table row
-    _, tens, layout = _tables()
+    _, tens, layout, _, _ = _tables()
     hi, lo = tens.take(row, axis=1)
     prod, tail = _two_product(ax, hi)
     tail += ax * lo
@@ -103,6 +111,25 @@ def _float_text(x: np.ndarray) -> np.ndarray:
         fallback = ["%.17g" % v for v in x[~certified].tolist()]
         text[~certified] = np.array(fallback, f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
     return text
+
+
+def _points(xy: np.ndarray) -> str:
+    """'%.2f,%.2f' of each (x, y) row, the rows joined by spaces."""
+    v = xy.ravel()
+    inside = ~np.signbit(v) & (v < 1e4)
+    prod, tail = _two_product(np.where(inside, v, 0.0), 100.0)
+    n = np.rint(prod)
+    certified = inside & (n < 1e6) & (np.abs(np.abs(prod - n + tail) - 0.5) > 1e-9)
+    fallback = ["%.2f" % f for f in v[~certified].tolist()]
+    words = max([2, *(len(f) // 4 + 1 for f in fallback)])  # uint32s per field and separator
+    *_, ints, cents = _tables()
+    whole, cent = np.divmod(np.where(certified, n, 0).astype(np.uint32), 100)
+    text = np.zeros((v.size, words), np.uint32)
+    text[:, 0], text[:, 1] = ints.take(whole), cents.take(cent)
+    text[~certified] = np.array(fallback, f"S{4 * words}").view(np.uint32).reshape(-1, words)
+    text = text.view(np.uint8)
+    text[0::2, -1], text[1::2, -1] = ord(","), ord(" ")
+    return text.tobytes().translate(None, b"\0").decode("ascii")[:-1]
 
 
 def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]]) -> str:
@@ -135,14 +162,15 @@ def _column_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     of each pixel column floor(x); x must not decrease.  A column whose
     extreme is NaN keeps only its first and last sample."""
     column = np.floor(x)
-    first = np.concatenate(([True], column[1:] != column[:-1]))
-    starts = np.flatnonzero(first)
-    which = np.cumsum(first) - 1
-    kept = [starts, np.append(starts[1:] - 1, x.size - 1)]
-    for reduce in (np.minimum, np.maximum):
-        hits = np.flatnonzero(y == reduce.reduceat(y, starts)[which])
-        kept.append(hits[np.unique(which[hits], return_index=True)[1]])
-    return np.unique(np.concatenate(kept))
+    starts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    last = np.append(starts[1:] - 1, x.size - 1)
+    kept = np.stack((starts, starts, starts, last), axis=1)  # per column: first, min, max, last
+    for j, reduce in ((1, np.minimum), (2, np.maximum)):  # the first hit; no hit (NaN): the last
+        hit = y == np.repeat(reduce.reduceat(y, starts), last - starts + 1)
+        kept[:, j] = np.minimum.reduceat(np.where(hit, np.arange(x.size), x.size), starts).clip(max=last)
+    kept[:, 1:3].sort(axis=1)
+    kept = kept.ravel()
+    return kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
 
 
 def render_svg(curve: BoundCurve, title: str) -> str:
@@ -159,8 +187,7 @@ def render_svg(curve: BoundCurve, title: str) -> str:
 
     def polyline(keep, values, color, dash=""):
         keep = keep[np.isfinite(values[keep])]  # a non-finite sample is left out
-        xy = np.column_stack((x[keep], sy(values[keep])))
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        pts = _points(np.column_stack((x[keep], sy(values[keep]))))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'

@@ -539,8 +539,13 @@ def _entanglement_rate(rng, run):
     limits = entanglement_rate_bound(samples.std_devs[healthy] ** 2, delta_h, samples.r[healthy])
     worst_violation = float(np.max(gamma[healthy] - limits, initial=-math.inf))
     share = float(np.mean(healthy))
-    ok = worst_violation <= 1e-9 and worst_norm <= 1e-9 and share > 0.99
-    return ok, f"worst rate excess {worst_violation:.2e} over {share:.2%} healthy samples"
+    live = limits > 1e-6  # psi_t stays in span{|00>, |11>}, so |c| = 1 and the bound is tight
+    gap = float(np.max(np.abs(gamma[healthy] - limits)[live] / limits[live], initial=0.0))
+    c_defect = float(np.max(np.abs(np.abs(samples.c[healthy]) - 1.0), initial=0.0))
+    ok = worst_violation <= 1e-9 and worst_norm <= 1e-9 and share > 0.99 and live.any()
+    ok = ok and gap <= 1e-10 and c_defect <= 1e-12
+    detail = f"tightness gap {gap:.2e}, max ||c| - 1| {c_defect:.2e}"
+    return ok, f"worst rate excess {worst_violation:.2e}, {detail} over {share:.2%} healthy samples"
 
 
 def _rows_by_field(curve) -> str:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qslbound
+from qslbound import emit
 from qslbound.bounds import BoundCurve
 from qslbound.cli import UsageError, main, parse_config
 from qslbound.dynamics import SAMPLE_BLOCK, TimeGrid
@@ -368,6 +369,65 @@ def polyline_points(svg):
     return [points.split() for points in re.findall(r'<polyline [^>]*points="([^"]*)"', svg)]
 
 
+# '%.2f' edges: exact binary ties, which '%.2f' rounds to even; one ulp either
+# side of them and of decimal .xx5 points; the ends of the plot; and fields
+# the SVG point kernel leaves to '%.2f' (at least 1e4, negative, -0.0).
+POINT_TIES = np.array([0.125, 60.125, 100.625, 419.375, 579.875])
+POINT_EDGES = np.concatenate((
+    POINT_TIES,
+    np.nextafter(POINT_TIES, 0.0),
+    np.nextafter(POINT_TIES, np.inf),
+    [0.005, 60.005, np.nextafter(60.005, 0.0), np.nextafter(60.005, np.inf), 9999.995],
+    [0.0, 60.0, 580.0, 9999.99, 1e4, 12345.678, 1e20, -0.0, -1e-9, -3.2, -419.375],
+))
+
+
+def points_by_field(xy):
+    """'%.2f,%.2f' of each (x, y) row on its own, the rows joined by spaces."""
+    return " ".join("%.2f,%.2f" % (x, y) for x, y in xy.tolist())
+
+
+def ties_up_points(xy):
+    """A wrong SVG point kernel: it rounds exact ties away from zero."""
+    def cents(v):
+        return str(decimal.Decimal(v).quantize(decimal.Decimal("0.01"), decimal.ROUND_HALF_UP))
+
+    return " ".join(f"{cents(x)},{cents(y)}" for x, y in xy.tolist())
+
+
+def point_mismatches(kernel, curves, monkeypatch):
+    """Polylines whose points ``kernel`` writes other than a field-by-field
+    render, over the SVGs of ``curves`` and an edge probe; and how many
+    polylines the SVGs drew."""
+    seen = []
+
+    def spy(xy):
+        seen.append((xy, kernel(xy)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(emit, "_points", spy)
+    drawn = [points for c in curves for points in re.findall(r'points="([^"]*)"', render_svg(c, "demo"))]
+    assert drawn == [text for _, text in seen]
+    probe = np.column_stack((POINT_EDGES, POINT_EDGES[::-1]))
+    wrong = [k for k, (xy, text) in enumerate(seen) if text != points_by_field(xy)]
+    return wrong + (["probe"] if kernel(probe) != points_by_field(probe) else []), len(seen)
+
+
+def envelope_by_column(x, y):
+    """_column_envelope by brute force: per pixel column its first sample,
+    first lowest, first highest and last sample, or only the first and last
+    where the column holds a NaN."""
+    column = np.floor(x)
+    kept = []
+    for c in np.unique(column):
+        members = np.flatnonzero(column == c)
+        picks = {members[0], members[-1]}
+        if not np.isnan(y[members]).any():
+            picks |= {members[np.argmin(y[members])], members[np.argmax(y[members])]}
+        kept += sorted(picks)
+    return np.array(kept)
+
+
 def fig8_coupled():
     return next(c for label, _, c in build_preset_curves(PRESETS["fig8"], None) if label == "coupled")
 
@@ -489,6 +549,30 @@ class TestEmission:
             svg = render_svg(dataclasses.replace(curve, **{bound: values}), "demo")
             assert len(polyline_points(svg)[0]) == 2
             assert not re.search(r"nan|inf", svg, re.IGNORECASE)
+
+    def test_svg_points_match_a_field_by_field_render(self, monkeypatch):
+        curves = [c for p in PRESETS.values() for _, _, c in build_preset_curves(p, None)]
+        assert len(curves) == 12
+        assert point_mismatches(emit._points, curves, monkeypatch) == ([], 36)
+
+    def test_a_point_kernel_that_rounds_ties_up_is_caught(self, monkeypatch):
+        assert point_mismatches(ties_up_points, [], monkeypatch)[0] == ["probe"]
+
+    def test_column_envelope_matches_a_per_column_reference(self):
+        # Columns from one sample to a few dozen, extremes repeated (the
+        # first must win) and NaNs inside otherwise finite columns.
+        rng = np.random.default_rng(19)
+        cases = [([0.1, 0.5, 0.9, 1.2, 2.0, 2.5, 2.7, 2.9, 3.3], [1, 0, 0, 5, 2, np.nan, 7, 1, 4])]
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            x = np.sort(rng.uniform(0.0, rng.uniform(1.0, 100.0), n))
+            y = rng.integers(0, 3, n).astype(float)
+            y[rng.random(n) < 0.02] = np.nan
+            cases.append((x, y))
+        for x, y in cases:
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            assert emit._column_envelope(x, y).tolist() == envelope_by_column(x, y).tolist()
+        assert emit._column_envelope(*map(np.asarray, cases[0])).tolist() == [0, 1, 2, 3, 4, 7, 8]
 
     def test_determinism_through_cli(self, tmp_path):
         args = ["battery", "--omega", "2", "--Omega", "1", "--J", "1",

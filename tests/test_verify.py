@@ -175,3 +175,16 @@ def test_a_one_percent_shrink_of_the_sqslo_fails_the_run(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[1] for line in lines if line.startswith("FAIL ")}
     assert failed == {"scenarios/modular-saturation", "scenarios/battery-saturation-overlap"}
+
+
+def test_a_loose_entanglement_rate_bound_fails_its_check(monkeypatch):
+    # 2 sqrt(C_E) dH (1 - 0.99 r) still caps |dS/dt|, so the check's <= side
+    # passes it; the bound is an equality along the canonical evolution, so
+    # the tightness gate must not.
+    def loose(c_e, delta_h, r):
+        return 2.0 * np.sqrt(c_e) * delta_h * (1.0 - 0.99 * np.clip(r, 0.0, 1.0))
+
+    monkeypatch.setattr(verify, "entanglement_rate_bound", loose)
+    check = next(check for check in verify.CHECKS if check.name == "scenarios/entanglement-rate-bound")
+    result = verify.run_check(check, verify.RunContext())
+    assert result.status == "fail" and "tightness gap 1.00e+00" in result.detail, result.detail
