@@ -8,6 +8,13 @@ float.  A numpy kernel writes the fields SAMPLE_BLOCK rows at a time: for
 when the product is at least 10**16, N < 10**17 and the dropped fraction is
 more than 1e-9 from one half.  Every other field (zeros, NaN, infinities,
 subnormals, values out of range, a wrong k, ties) is '%.17g' itself.
+N's digits are its five 4-digit groups, each one uint32 word of ASCII from
+a 10,000-entry table; the same groups give the count of digits kept once
+trailing zeros go, through a table of each group value's last non-zero
+digit.  A byte layout per (k, kept digits) then gathers the field's text
+from those words, its sign and an alphabet.  The warnings_count column is
+one lookup in a table of 0..9999 when every count of a block is below
+10**4, and zero-stripped digit groups otherwise.
 
 An SVG draws each bound as the envelope of its pixel columns: the first,
 lowest, highest and last sample of every column of the plot, in time
@@ -31,9 +38,10 @@ from .dynamics import SAMPLE_BLOCK
 
 # A field's text is at most 24 bytes ('%.17g' of -2.2250738585072014e-308).
 _WIDTH = 24
-# A certified field's source bytes: 20 digits (N's 17 from column 3), its
-# sign ('-' or NUL), then this alphabet; the columns are named below.
-_ALPHABET = np.frombuffer(b"-0123456789.e\0", np.uint8)
+# A certified field's source bytes, nine uint32 words: 20 digits (N's 17
+# from column 3), its sign ('-' or NUL), then this alphabet and a NUL pad;
+# the columns are named below.
+_ALPHABET = b"-0123456789.e\0"
 _SIGN, _MINUS, _ZERO, _POINT, _E, _NUL = 20, 21, 22, 32, 33, 34
 
 
@@ -51,14 +59,21 @@ def _two_product(a, b):
 
 @cache  # built on first use, which keeps them out of the import
 def _tables() -> tuple[np.ndarray, ...]:
-    """0000..9999 as four ASCII digits to a uint32; 10**(16 - k) as hi + lo
-    for k = -11..14; the source column of each text byte of a certified
-    field per (k, kept digits): sign, then fixed notation for k >= -4, else
-    a mantissa and 'e-XX'; and 0..9999 (NUL leading zeros), '.00'..'.99'."""
+    """0000..9999 as four ASCII digits to a uint32; for each of N's digit
+    groups 1-4 and its 10,000 values, how many of N's digits end at the
+    group's last non-zero digit (0 for 0000); the last four source words of
+    a positive field; 10**(16 - k) as hi + lo for k = -11..14; the source
+    column of each text byte of a certified field per (k, kept digits):
+    sign, then fixed notation for k >= -4, else a mantissa and 'e-XX'; and
+    0..9999 (NUL leading zeros), '.00'..'.99'."""
     ascii = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
-    lead = np.logical_and.accumulate(ascii == ord("0"), axis=1) & (np.arange(4) < 3)
+    zeros = ascii == ord("0")
+    trailing = np.logical_and.accumulate(zeros[:, ::-1], axis=1).sum(axis=1)
+    group_kept = np.where(trailing < 4, np.arange(5, 18, 4)[:, None] - trailing, 0).astype(np.uint8)
+    lead = np.logical_and.accumulate(zeros, axis=1) & (np.arange(4) < 3)
     ints = np.where(lead, 0, ascii).view(np.uint32)
     cents = np.frombuffer(b"".join(b".%02d\0" % c for c in range(100)), np.uint32)
+    alphabet = np.frombuffer(b"\0" + _ALPHABET + b"\0", np.uint32)  # with a NUL sign
     exact = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # each product exact
     s = np.arange(27, 1, -1)  # 16 - k
     tens = np.stack(_two_product(exact[np.minimum(s, 22)], exact[np.maximum(s - 22, 0)]))
@@ -74,14 +89,23 @@ def _tables() -> tuple[np.ndarray, ...]:
          np.choose(np.clip(q - end, 0, 3), (_E, _MINUS, _ZERO + (-k) // 10, _ZERO + (-k) % 10))],
         _NUL,
     )
-    return ascii.view(np.uint32).ravel(), tens, layout.reshape(-1, _WIDTH), ints.ravel(), cents
+    return (ascii.view(np.uint32).ravel(), group_kept.ravel(), alphabet, tens,
+            layout.reshape(-1, _WIDTH), ints.ravel(), cents)
+
+
+def _groups(n: np.ndarray) -> np.ndarray:
+    """(5, n.size) intp: the 4-digit groups of 0 <= n < 10**19, n // 10**16 first."""
+    groups = np.empty((5, n.size), np.intp)
+    groups[4] = n
+    for j in range(4, 0, -1):
+        np.floor_divide(groups[j], 10**4, out=groups[j - 1])
+        groups[j] -= groups[j - 1] * 10**4
+    return groups
 
 
 def _decimal(n: np.ndarray) -> np.ndarray:
-    """(n.size, 20) ASCII digits of 0 <= n < 10**17, zero-filled, from uint32 halves."""
-    hi, lo = (half.astype(np.uint32) for half in np.divmod(n, 10**8))
-    quads = np.stack([hi // 10**8, hi // 10**4 % 10**4, hi % 10**4, lo // 10**4, lo % 10**4], axis=1)
-    return _tables()[0].take(quads).view(np.uint8)
+    """(n.size, 20) ASCII digits of 0 <= n < 10**17, zero-filled."""
+    return _tables()[0].take(_groups(n).T).view(np.uint8)
 
 
 def _float_text(x: np.ndarray) -> np.ndarray:
@@ -90,20 +114,24 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     inside = (ax >= 1e-11) & (ax < 1e15)
     ax = np.where(inside, ax, 1.0)
     row = np.clip(np.floor(np.log10(ax)), -11, 14).astype(np.intp) + 11  # k's table row
-    _, tens, layout, _, _ = _tables()
+    ascii, group_kept, alphabet, tens, layout, _, _ = _tables()
     hi, lo = tens.take(row, axis=1)
-    prod, tail = _two_product(ax, hi)
-    tail += ax * lo
-    whole, frac = np.divmod(tail, 1.0)
+    prod, frac = _two_product(ax, hi)
+    frac += ax * lo
+    whole = np.floor(frac)
+    frac -= whole  # now the fraction that rounding drops
     n = prod.astype(np.int64) + whole.astype(np.int64)
     certified = inside & (n >= 10**16) & (np.abs(frac - 0.5) > 1e-9)
     n += frac > 0.5
     certified &= n < 10**17
-    src = np.empty((x.size, _NUL + 1), np.uint8)
-    src[:, :_SIGN] = _decimal(n)
+    groups = _groups(n)
+    # Trailing zeros go: N's digits up to its last non-zero group's last non-zero digit.
+    kept = np.max(group_kept.take(groups[1:] + np.arange(0, 40000, 10000)[:, None]), axis=0, initial=1)
+    src = np.empty((x.size, 9), np.uint32)
+    src[:, :5] = ascii.take(groups).T
+    src[:, 5:] = alphabet
+    src = src.view(np.uint8)
     src[:, _SIGN] = (x < 0) * ord("-")
-    src[:, _MINUS:] = _ALPHABET
-    kept = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)  # trailing zeros go
     index = layout.take(row * 17 + kept - 1, axis=0)
     index += np.arange(0, src.size, src.shape[1])[:, None]
     text = src.take(index)
@@ -143,16 +171,23 @@ def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]]) -> str:
     warn_times = np.sort(np.array([t for t, _ in curve.warnings]))
     counts = np.searchsorted(warn_times, ts, side="right")
     floats = (ts, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)
+    *_, ints, _ = _tables()
     for start in range(0, ts.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
         x = np.stack([c[block] for c in floats], axis=1)
-        # Six fields a row, each _WIDTH NUL-padded bytes and its separator.
-        rows = np.zeros((x.shape[0], 6, _WIDTH + 1), np.uint8)
-        rows[:, :5, :_WIDTH] = _float_text(x.ravel()).reshape(-1, 5, _WIDTH)
-        count = rows[:, 5, 4:_WIDTH]
-        count[:] = _decimal(counts[block])
-        count[:, :-1][np.logical_and.accumulate(count[:, :-1] == ord("0"), axis=1)] = 0
-        rows[:, :, _WIDTH] = np.frombuffer(b",,,,,\n", np.uint8)
+        if counts[block].max() < 10**4:
+            count = ints.take(counts[block]).view(np.uint8).reshape(-1, 4)
+        else:
+            count = _decimal(counts[block])
+            count[:, :-1][np.logical_and.accumulate(count[:, :-1] == ord("0"), axis=1)] = 0
+        # Five fields a row, each _WIDTH NUL-padded bytes and a comma, then
+        # the NUL-padded count and a newline.
+        rows = np.empty((x.shape[0], 5 * (_WIDTH + 1) + count.shape[1] + 1), np.uint8)
+        fields = rows[:, : 5 * (_WIDTH + 1)].reshape(-1, 5, _WIDTH + 1)
+        fields[:, :, :_WIDTH] = _float_text(x.ravel()).reshape(-1, 5, _WIDTH)
+        fields[:, :, _WIDTH] = ord(",")
+        rows[:, -1 - count.shape[1] : -1] = count
+        rows[:, -1] = ord("\n")
         parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import emit
 from . import reference_forms as ref
 from .bounds import (
     BoundCurve,
@@ -31,7 +32,6 @@ from .bounds import (
     qsl_integral,
 )
 from .dynamics import TimeGrid, propagator_family, sample_entanglement, sample_heisenberg
-from .emit import fmt, render_csv
 from .linalg import (
     IDENTITY_2,
     SIGMA_X,
@@ -553,14 +553,39 @@ def _rows_by_field(curve) -> str:
     counts = np.searchsorted(np.sort([t for t, _ in curve.warnings]), curve.grid.points, "right")
     columns = (curve.grid.points, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)
     rows = zip(*(c.tolist() for c in columns), counts.tolist())
-    return "".join(",".join([*map(fmt, row), str(n)]) + "\n" for *row, n in rows)
+    return "".join(",".join([*map(emit.fmt, row), str(n)]) + "\n" for *row, n in rows)
+
+
+def _envelope_by_column(x, y) -> list:
+    """emit._column_envelope one pixel column at a time: the first sample,
+    the first lowest, the first highest and the last, or only the first and
+    last where the column holds a NaN."""
+    kept, values = [], y.tolist()
+    for _, column in itertools.groupby(range(len(values)), np.floor(x).tolist().__getitem__):
+        members = list(column)
+        ys = [values[i] for i in members]
+        picks = {members[0], members[-1]}
+        if not any(map(math.isnan, ys)):
+            picks |= {members[ys.index(min(ys))], members[ys.index(max(ys))]}
+        kept += sorted(picks)
+    return kept
+
+
+# '%.2f' edges of the SVG point kernel: exact binary ties, which '%.2f' rounds
+# to even, one ulp either side of them, and fields it leaves to '%.2f'
+# (9999.995 and up, -0.0, negative values).
+_POINT_TIES = np.array([0.125, 0.375, 60.125, 100.625, 419.375, 579.875, 9999.875])
+_POINT_PROBES = np.concatenate((
+    _POINT_TIES, np.nextafter(_POINT_TIES, 0.0), np.nextafter(_POINT_TIES, np.inf),
+    [0.0, 60.0, 580.0, 9999.99, 9999.995, 1e4, -0.0, -1e-9, -0.125, -419.375],
+))
 
 
 @_check("cli/determinism")
 def _determinism(rng, run):
     meta = [("scenario", "entanglement"), ("p", "0.1"), ("theta", "1.0")]
     curve, again = (build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2] for _ in range(2))
-    if render_csv(curve, meta) != render_csv(again, meta):
+    if emit.render_csv(curve, meta) != emit.render_csv(again, meta):
         return False, "renders differ"
     # Floats at the edges of render_csv's kernel as mean_value and, negated, as
     # r_bar: 17-digit ties (the second rounds up, to even), the 1e-4 notation
@@ -570,8 +595,27 @@ def _determinism(rng, run):
                         -0.0, 5e-324, np.nan, np.inf], 17)
     warned = ((0.5, ""),) * 10  # warnings_count 0, then 10
     probed = BoundCurve(TimeGrid(1.0, 16), *np.zeros((2, 17)), probes, -probes, warned, 0.0)
-    ok = all(render_csv(c, []).partition("\n")[2] == _rows_by_field(c) for c in (curve, probed))
-    return ok, f"byte-identical render, {'equal to' if ok else 'differs from'} a field-by-field one"
+    csv_ok = all(emit.render_csv(c, []).partition("\n")[2] == _rows_by_field(c) for c in (curve, probed))
+    xy = np.column_stack((_POINT_PROBES, _POINT_PROBES[::-1]))
+    points_ok = emit._points(xy) == " ".join("%.2f,%.2f" % (a, b) for a, b in xy.tolist())
+    # The SVG's envelopes of fig2's bounds on its 520 pixel columns; and, so
+    # that columns hold many samples and tied extremes, the bounds rounded
+    # to 0.1 on columns a quarter of the run wide, with a NaN in one.
+    ts = curve.grid.points
+    drawn = [(60.0 + 520.0 * ts / ts[-1], y) for y in (curve.t_qslo, curve.t_sqslo)]
+    for y in (curve.t_qslo, curve.t_sqslo):
+        y = np.round(y, 1)
+        y[ts.size // 2] = np.nan
+        drawn.append((4.0 * ts / ts[-1], y))
+    envelope_ok = all(emit._column_envelope(x, y).tolist() == _envelope_by_column(x, y) for x, y in drawn)
+    wrong = [text for ok, text in (
+        (csv_ok, "byte-identical render, differs from a field-by-field one"),
+        (points_ok, "SVG points differ from a '%.2f,%.2f' join"),
+        (envelope_ok, "SVG envelopes differ from a per-column reference"),
+    ) if not ok]
+    if wrong:
+        return False, "; ".join(wrong)
+    return True, "byte-identical render, equal to a field-by-field one; SVG points and envelopes too"
 
 
 # Recorded closed forms against the pipeline: an r form passes when it matches

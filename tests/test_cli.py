@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import itertools
 import json
 import os
 import re
@@ -353,6 +354,35 @@ def kernel_edge_curve():
     return curve_of(ts, values, np.repeat(ts[: len(EDGE_COUNTS)], np.diff(EDGE_COUNTS, prepend=0)))
 
 
+def kept_digits(text):
+    """The significant digits a '%.17g' text keeps, trailing zeros gone."""
+    return len(text.lstrip("-").partition("e")[0].replace(".", "").strip("0"))
+
+
+def kept_digit_floats():
+    """Floats whose '%.17g' keeps each count of digits from 1 to 17, as
+    (fixed, exponent) notation.  Fixed notation takes k = -4..14 wherever an
+    exact value D * 10**e keeps that many digits: an integer, or for e < 0
+    m / 2**-e with D = 5**-e * m and m odd.  Exponent notation takes
+    k = -11..-5 and the first decimal D * 10**e, if any, that '%.17g'
+    writes with as many digits as D."""
+    fixed, exponent = [], []
+    for kept in range(1, 18):
+        for k in range(-4, 15):
+            e = k - kept + 1
+            if e >= 0:
+                fixed.append(float(int("7" * kept) * 10**e))
+            else:
+                m = -(-(10 ** (kept - 1)) // 5**-e) | 1  # the least odd m with D >= 10**(kept - 1)
+                if 5**-e * m < 10**kept:
+                    fixed.append(m / 2**-e)
+        for k in range(-11, -4):
+            e = k - kept + 1
+            candidates = (float(f"{d}e{e}") for d in range(10 ** (kept - 1), 10**kept) if d % 10)
+            exponent += itertools.islice((v for v in candidates if kept_digits(fmt(v)) == kept), 1)
+    return np.array(fixed), np.array(exponent)
+
+
 # Any float, with more weight on the kernel's range (both signs), its edges
 # and exact ties n/1024.
 ANY_FLOAT = (
@@ -413,17 +443,19 @@ def point_mismatches(kernel, curves, monkeypatch):
     return wrong + (["probe"] if kernel(probe) != points_by_field(probe) else []), len(seen)
 
 
-def envelope_by_column(x, y):
+def envelope_by_column(x, y, tied=0):
     """_column_envelope by brute force: per pixel column its first sample,
     first lowest, first highest and last sample, or only the first and last
-    where the column holds a NaN."""
+    where the column holds a NaN.  ``tied=-1`` keeps the last of tied
+    extremes instead, as a wrong kernel would."""
     column = np.floor(x)
     kept = []
     for c in np.unique(column):
         members = np.flatnonzero(column == c)
         picks = {members[0], members[-1]}
-        if not np.isnan(y[members]).any():
-            picks |= {members[np.argmin(y[members])], members[np.argmax(y[members])]}
+        values = y[members]
+        if not np.isnan(values).any():
+            picks |= {members[np.flatnonzero(values == extreme)[tied]] for extreme in (values.min(), values.max())}
         kept += sorted(picks)
     return np.array(kept)
 
@@ -498,6 +530,17 @@ class TestEmission:
         values = np.array(rows)
         curve = curve_of(values[:, 0], values[:, 1:])
         curve.warnings = ((-np.inf, "w"),) * count  # each row's warnings_count is count
+        assert render_csv(curve, []) == field_by_field_csv(curve, [])
+
+    def test_csv_keeps_every_count_of_digits(self):
+        # The kernel drops trailing zeros per 4-digit group of N: each kept
+        # count from 1 to 17, both signs, in fixed and exponent notation.
+        fixed, exponent = kept_digit_floats()
+        for values, notation in ((fixed, False), (exponent, True)):
+            assert sorted({kept_digits(fmt(v)) for v in values}) == list(range(1, 18))
+            assert {"e" in fmt(v) for v in values} == {notation}
+        edges = np.concatenate((fixed, exponent, -fixed, -exponent))
+        curve = curve_of(edges, np.stack([np.roll(edges, shift) for shift in (1, 2, 3, 4)], axis=1))
         assert render_csv(curve, []) == field_by_field_csv(curve, [])
 
     def test_the_decimal_oracle_is_python_formatting(self):
@@ -745,6 +788,20 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--steps", "64"]) == 2
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert len(failed) == 1 and "cli/determinism" in failed[0]
+
+    @pytest.mark.parametrize("mutant", ["ties-up-points", "last-tied-extreme"])
+    def test_determinism_check_catches_a_wrong_svg_kernel(self, mutant, monkeypatch, capsys):
+        # A point kernel that rounds exact '%.2f' ties away from zero, and an
+        # envelope that keeps each column's last lowest and highest sample
+        # where the extremes tie.  No other check draws an SVG.
+        name, wrong = {
+            "ties-up-points": ("_points", ties_up_points),
+            "last-tied-extreme": ("_column_envelope", lambda x, y: envelope_by_column(x, y, tied=-1)),
+        }[mutant]
+        monkeypatch.setattr(emit, name, wrong)
+        assert run_cli(["verify", "--steps", "64"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "cli/determinism" in failed[0] and "SVG" in failed[0]
 
     def test_determinism_check_catches_a_drifting_runner(self, monkeypatch):
         import dataclasses
