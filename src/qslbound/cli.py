@@ -135,6 +135,8 @@ def parse_config(argv) -> RunConfig:
     if out_format not in ("csv", "csv+svg"):
         raise UsageError(f"--format must be csv or csv+svg, got {out_format!r}")
     out = Path(_text("out", pick("out", None)) or f"{kind}.csv")
+    if out_format == "csv+svg" and out.suffix == ".svg":  # each CSV keeps --out's suffix
+        raise UsageError(f"--out {out} would write each CSV where its SVG goes; give it another suffix")
 
     preset = _text("preset", pick("preset", None))
     if preset is not None:

@@ -43,6 +43,7 @@ _WIDTH = 24
 # the columns are named below.
 _ALPHABET = b"-0123456789.e\0"
 _SIGN, _MINUS, _ZERO, _POINT, _E, _NUL = 20, 21, 22, 32, 33, 34
+_FRAME = 640, 480, 60  # an SVG's width, height and plot margin, in pixels
 
 
 def fmt(x: float) -> str:
@@ -208,28 +209,32 @@ def _column_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return kept[np.concatenate(([True], kept[1:] != kept[:-1]))]
 
 
-def render_svg(curve: BoundCurve, title: str) -> str:
-    """Minimal self-contained line chart with a dotted diagonal reference."""
-    width, height, margin = 640, 480, 60
+def _polylines(curve: BoundCurve) -> tuple[np.ndarray, ...]:
+    """The (n, 2) pixel coordinates render_svg draws, non-finite samples left
+    out: the diagonal T, then the column envelopes of t_qslo and t_sqslo."""
+    width, height, margin = _FRAME
     ts = curve.grid.points
     t_hi = float(ts[-1])
     bounds = np.concatenate((curve.t_sqslo, curve.t_qslo))
     y_hi = max(float(np.max(bounds, where=np.isfinite(bounds), initial=t_hi)), 1e-12)
     x = margin + (width - 2 * margin) * ts / t_hi
 
-    def sy(y):
-        return height - margin - (height - 2 * margin) * y / y_hi
+    def xy(keep, values):
+        keep = keep[np.isfinite(values[keep])]
+        return np.column_stack((x[keep], height - margin - (height - 2 * margin) * values[keep] / y_hi))
 
-    def polyline(keep, values, color, dash=""):
-        keep = keep[np.isfinite(values[keep])]  # a non-finite sample is left out
-        pts = _points(np.column_stack((x[keep], sy(values[keep]))))
+    return xy(np.array([0, ts.size - 1]), ts), *(xy(_column_envelope(x, y), y) for y in (curve.t_qslo, curve.t_sqslo))
+
+
+def render_svg(curve: BoundCurve, title: str) -> str:
+    """Minimal self-contained line chart with a dotted diagonal reference."""
+    width, height, margin = _FRAME
+    diagonal, qslo, sqslo = _polylines(curve)
+
+    def polyline(xy, color, dash=""):
         extra = f' stroke-dasharray="{dash}"' if dash else ""
-        return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f'{extra} points="{pts}"/>'
-        )
+        return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{extra} points="{_points(xy)}"/>'
 
-    ends = np.array([0, ts.size - 1])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}"'
@@ -237,9 +242,9 @@ def render_svg(curve: BoundCurve, title: str) -> str:
         f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" font-size="14">{title}</text>',
         f'<text x="{width / 2:.0f}" y="{height - 16}" text-anchor="middle" font-size="12">T</text>',
         f'<text x="16" y="{height / 2:.0f}" font-size="12" transform="rotate(-90 16 {height / 2:.0f})">bound</text>',
-        polyline(ends, ts, "#999999", dash="4 4"),
-        polyline(_column_envelope(x, curve.t_qslo), curve.t_qslo, "#1f77b4"),
-        polyline(_column_envelope(x, curve.t_sqslo), curve.t_sqslo, "#d62728"),
+        polyline(diagonal, "#999999", dash="4 4"),
+        polyline(qslo, "#1f77b4"),
+        polyline(sqslo, "#d62728"),
         f'<text x="{width - margin - 4}" y="{margin + 16}" text-anchor="end" font-size="11" fill="#1f77b4">t_qslo</text>',
         f'<text x="{width - margin - 4}" y="{margin + 32}" text-anchor="end" font-size="11" fill="#d62728">t_sqslo</text>',
         "</svg>",

@@ -17,6 +17,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from . import emit
 from . import reference_forms as ref
 from .bounds import (
-    BoundCurve,
     CorrectionSample,
     correction_r,
     entanglement_rate_bound,
@@ -553,7 +553,7 @@ def _rows_by_field(curve) -> str:
     counts = np.searchsorted(np.sort([t for t, _ in curve.warnings]), curve.grid.points, "right")
     columns = (curve.grid.points, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)
     rows = zip(*(c.tolist() for c in columns), counts.tolist())
-    return "".join(",".join([*map(emit.fmt, row), str(n)]) + "\n" for *row, n in rows)
+    return "".join(["%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in rows])
 
 
 def _envelope_by_column(x, y) -> list:
@@ -571,14 +571,64 @@ def _envelope_by_column(x, y) -> list:
     return kept
 
 
+def _points_by_field(xy) -> str:
+    """'%.2f,%.2f' of each (x, y) row on its own, the rows joined by spaces."""
+    return " ".join("%.2f,%.2f" % (x, y) for x, y in xy.tolist())
+
+
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-11, 17)])
+# Floats where render_csv's kernel changes course: neighbours of 10**k, the
+# 1e-4 / 1e-5 notation cut-over, exact 17-digit ties (the second rounds up,
+# to even), the smallest subnormal, signed zeros and the non-finite values.
+_KERNEL_EDGES = np.concatenate((
+    _POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, 0.0), np.nextafter(_POWERS_OF_TEN, np.inf),
+    [1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 0.0), 9.99999999999999e-5, 100000000001 / 1024,
+     100000000003 / 1024, 2.5e-11, 1.5, 0.1 + 0.2, 5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf],
+))
+_EDGE_COUNTS = (0, 9, 10, 9999, 10000, 10001)  # warnings_count at its digit boundaries
 # '%.2f' edges of the SVG point kernel: exact binary ties, which '%.2f' rounds
-# to even, one ulp either side of them, and fields it leaves to '%.2f'
-# (9999.995 and up, -0.0, negative values).
+# to even, one ulp either side of them and of decimal .xx5 points, the ends of
+# the plot, and fields it leaves to '%.2f' (9999.995 and up, -0.0, negative).
 _POINT_TIES = np.array([0.125, 0.375, 60.125, 100.625, 419.375, 579.875, 9999.875])
 _POINT_PROBES = np.concatenate((
     _POINT_TIES, np.nextafter(_POINT_TIES, 0.0), np.nextafter(_POINT_TIES, np.inf),
-    [0.0, 60.0, 580.0, 9999.99, 9999.995, 1e4, -0.0, -1e-9, -0.125, -419.375],
+    [0.005, 60.005, np.nextafter(60.005, 0.0), np.nextafter(60.005, np.inf), 0.0, 60.0, 580.0, 9999.99,
+     9999.995, 1e4, 12345.678, 1e20, -0.0, -1e-9, -0.125, -3.2, -419.375],
 ))
+
+
+def _curve_of(columns, warnings=()):
+    """A stand-in for render_csv: any floats as T, mean_value, t_qslo, t_sqslo and r_bar, and ``warnings``."""
+    ts, mean_values, t_qslo, t_sqslo, r_bar = np.asarray(columns, float)
+    return SimpleNamespace(grid=SimpleNamespace(points=ts), mean_values=mean_values, t_qslo=t_qslo,
+                           t_sqslo=t_sqslo, r_bar=r_bar, warnings=tuple(warnings))
+
+
+def _emit_mismatches(curves) -> list[str]:
+    """What of render_csv and render_svg differs from its reference on ``curves``
+    and the edge probes; envelopes also of the bounds rounded to 0.1, with a NaN,
+    on columns a quarter of the run wide, so that extremes tie in many samples."""
+    drawn = []
+    for curve in curves:
+        ts = curve.grid.points
+        for y in (curve.t_qslo, curve.t_sqslo):
+            rounded = np.where(np.arange(ts.size) == ts.size // 2, np.nan, np.round(y, 1))
+            drawn += [(60.0 + 520.0 * ts / ts[-1], y), (4.0 * ts / ts[-1], rounded)]
+    # Each kernel edge in every column, the positive ones with counts render_csv takes from
+    # a table (0, 9, 10), the negative ones with those in digit groups; rows T = 0, 1, .. count them.
+    probes = []
+    for edges, counts in ((_KERNEL_EDGES, _EDGE_COUNTS[:3]), (-_KERNEL_EDGES, _EDGE_COUNTS[3:])):
+        ts = np.concatenate((np.arange(len(counts)), edges))
+        warned = sum((((t, "w"),) * n for t, n in zip(ts.tolist(), np.diff(counts, prepend=0).tolist())), ())
+        probes.append(_curve_of([np.roll(ts, k) for k in range(5)], warned))
+    polylines = [np.column_stack((_POINT_PROBES, _POINT_PROBES[::-1])), *(xy for c in curves for xy in emit._polylines(c))]
+    return [text for ok, text in (
+        (all(emit.render_csv(c, []).partition("\n")[2] == _rows_by_field(c) for c in [*curves, *probes]),
+         "byte-identical render, differs from a field-by-field one"),
+        (all(emit._points(xy) == _points_by_field(xy) for xy in polylines), "SVG points differ from a '%.2f,%.2f' join"),
+        (all(emit._column_envelope(x, y).tolist() == _envelope_by_column(x, y) for x, y in drawn),
+         "SVG envelopes differ from a per-column reference"),
+    ) if not ok]
 
 
 @_check("cli/determinism")
@@ -587,35 +637,8 @@ def _determinism(rng, run):
     curve, again = (build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2] for _ in range(2))
     if emit.render_csv(curve, meta) != emit.render_csv(again, meta):
         return False, "renders differ"
-    # Floats at the edges of render_csv's kernel as mean_value and, negated, as
-    # r_bar: 17-digit ties (the second rounds up, to even), the 1e-4 notation
-    # cut-over, the ends of its range and what it leaves to '%.17g'.
-    probes = np.resize([100000000001 / 1024, 100000000003 / 1024, 1e-4, np.nextafter(1e-4, 0.0),
-                        1e-11, np.nextafter(1e-11, 0.0), 1e15, np.nextafter(1e15, 0.0), 0.1 + 0.2,
-                        -0.0, 5e-324, np.nan, np.inf], 17)
-    warned = ((0.5, ""),) * 10  # warnings_count 0, then 10
-    probed = BoundCurve(TimeGrid(1.0, 16), *np.zeros((2, 17)), probes, -probes, warned, 0.0)
-    csv_ok = all(emit.render_csv(c, []).partition("\n")[2] == _rows_by_field(c) for c in (curve, probed))
-    xy = np.column_stack((_POINT_PROBES, _POINT_PROBES[::-1]))
-    points_ok = emit._points(xy) == " ".join("%.2f,%.2f" % (a, b) for a, b in xy.tolist())
-    # The SVG's envelopes of fig2's bounds on its 520 pixel columns; and, so
-    # that columns hold many samples and tied extremes, the bounds rounded
-    # to 0.1 on columns a quarter of the run wide, with a NaN in one.
-    ts = curve.grid.points
-    drawn = [(60.0 + 520.0 * ts / ts[-1], y) for y in (curve.t_qslo, curve.t_sqslo)]
-    for y in (curve.t_qslo, curve.t_sqslo):
-        y = np.round(y, 1)
-        y[ts.size // 2] = np.nan
-        drawn.append((4.0 * ts / ts[-1], y))
-    envelope_ok = all(emit._column_envelope(x, y).tolist() == _envelope_by_column(x, y) for x, y in drawn)
-    wrong = [text for ok, text in (
-        (csv_ok, "byte-identical render, differs from a field-by-field one"),
-        (points_ok, "SVG points differ from a '%.2f,%.2f' join"),
-        (envelope_ok, "SVG envelopes differ from a per-column reference"),
-    ) if not ok]
-    if wrong:
-        return False, "; ".join(wrong)
-    return True, "byte-identical render, equal to a field-by-field one; SVG points and envelopes too"
+    wrong = "; ".join(_emit_mismatches([curve]))
+    return not wrong, wrong or "byte-identical render, equal to a field-by-field one; SVG points and envelopes too"
 
 
 # Recorded closed forms against the pipeline: an r form passes when it matches

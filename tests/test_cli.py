@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qslbound
-from qslbound import emit
+from qslbound import emit, verify
 from qslbound.bounds import BoundCurve
 from qslbound.cli import UsageError, main, parse_config
 from qslbound.dynamics import SAMPLE_BLOCK, TimeGrid
@@ -262,6 +261,16 @@ class TestMainExitCodes:
         assert captured.out == ""  # no check ran
         assert "--steps must be >= 16" in captured.err
 
+    @pytest.mark.parametrize("argv", ["entanglement --steps 16", "modular --preset fig6 --steps 16"])
+    def test_svg_out_path_with_csv_and_svg_exits_1(self, argv, tmp_path, monkeypatch, capsys):
+        # Each CSV keeps the suffix of --out, so its SVG would overwrite it.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv.split() + ["--format", "csv+svg", "--out", "curve.svg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: error:") and err.count("\n") == 1
+        assert "curve.svg" in err
+        assert not list(tmp_path.iterdir())
+
     def test_unwritable_path_exits_2(self, tmp_path):
         target = tmp_path / "no-such-dir" / "curve.csv"
         code = run_cli(
@@ -269,29 +278,6 @@ class TestMainExitCodes:
              "--out", str(target)]
         )
         assert code == 2
-
-
-def field_by_field_csv(curve, metadata):
-    """The CSV with every field formatted on its own, as render_csv's text
-    must read."""
-    lines = [f"# {key}: {value}" for key, value in metadata]
-    lines.append("T,mean_value,t_qslo,t_sqslo,r_bar,warnings_count")
-    warn_times = np.sort(np.array([t for t, _ in curve.warnings]))
-    counts = np.searchsorted(warn_times, curve.grid.points, side="right")
-    for k, t in enumerate(curve.grid.points):
-        lines.append(
-            ",".join(
-                (
-                    fmt(t),
-                    fmt(curve.mean_values[k]),
-                    fmt(curve.t_qslo[k]),
-                    fmt(curve.t_sqslo[k]),
-                    fmt(curve.r_bar[k]),
-                    str(int(counts[k])),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def decimal_g17(v, rounding):
@@ -314,44 +300,6 @@ def decimal_g17(v, rounding):
         return f"{sign}0.{'0' * (-exp - 1)}{digits}"
     whole, frac = digits[: exp + 1].ljust(exp + 1, "0"), digits[exp + 1 :]
     return f"{sign}{whole}{'.' * bool(frac)}{frac}"
-
-
-POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-11, 17)])
-# Floats where render_csv's kernel changes course: neighbours of 10**k, the
-# 1e-4 / 1e-5 notation cut-over, exact 17-digit ties, the smallest
-# subnormal, signed zeros and the non-finite values.
-KERNEL_EDGES = np.concatenate((
-    POWERS_OF_TEN,
-    np.nextafter(POWERS_OF_TEN, 0.0),
-    np.nextafter(POWERS_OF_TEN, np.inf),
-    [1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 0.0), 9.99999999999999e-5],
-    [100000000001 / 1024, 100000000003 / 1024, 2.5e-11, 1.5, 0.1 + 0.2],
-    [5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf],
-))
-# warnings_count values at the digit boundaries of the count column.
-EDGE_COUNTS = (0, 9, 10, 9999, 10000, 123456)
-
-
-def curve_of(ts, values, warn_times=()):
-    """A stand-in with what render_csv reads, of any floats: the T column
-    ``ts``, the four value columns of ``values`` (rows, 4) and a warning at
-    each of ``warn_times``."""
-    columns = np.asarray(values, float).reshape(-1, 4).T
-    return SimpleNamespace(
-        grid=SimpleNamespace(points=np.asarray(ts, float)),
-        mean_values=columns[0], t_qslo=columns[1], t_sqslo=columns[2], r_bar=columns[3],
-        warnings=tuple((t, "w") for t in warn_times),
-        quad_error=0.0,
-    )
-
-
-def kernel_edge_curve():
-    """Every kernel edge, of both signs, in each column; T first steps
-    through 0..5, where warnings_count takes the values of EDGE_COUNTS."""
-    edges = np.concatenate((KERNEL_EDGES, -KERNEL_EDGES))
-    ts = np.concatenate((np.arange(len(EDGE_COUNTS)), edges))
-    values = np.stack([np.roll(ts, shift) for shift in (1, 2, 3, 4)], axis=1)
-    return curve_of(ts, values, np.repeat(ts[: len(EDGE_COUNTS)], np.diff(EDGE_COUNTS, prepend=0)))
 
 
 def kept_digits(text):
@@ -389,7 +337,7 @@ ANY_FLOAT = (
     st.floats()
     | st.floats(1e-12, 1e17)
     | st.floats(-1e17, -1e-12)
-    | st.sampled_from(KERNEL_EDGES.tolist())
+    | st.sampled_from(verify._KERNEL_EDGES.tolist())
     | st.integers(-(2**53), 2**53).map(lambda n: n / 1024)
 )
 
@@ -399,65 +347,12 @@ def polyline_points(svg):
     return [points.split() for points in re.findall(r'<polyline [^>]*points="([^"]*)"', svg)]
 
 
-# '%.2f' edges: exact binary ties, which '%.2f' rounds to even; one ulp either
-# side of them and of decimal .xx5 points; the ends of the plot; and fields
-# the SVG point kernel leaves to '%.2f' (at least 1e4, negative, -0.0).
-POINT_TIES = np.array([0.125, 60.125, 100.625, 419.375, 579.875])
-POINT_EDGES = np.concatenate((
-    POINT_TIES,
-    np.nextafter(POINT_TIES, 0.0),
-    np.nextafter(POINT_TIES, np.inf),
-    [0.005, 60.005, np.nextafter(60.005, 0.0), np.nextafter(60.005, np.inf), 9999.995],
-    [0.0, 60.0, 580.0, 9999.99, 1e4, 12345.678, 1e20, -0.0, -1e-9, -3.2, -419.375],
-))
-
-
-def points_by_field(xy):
-    """'%.2f,%.2f' of each (x, y) row on its own, the rows joined by spaces."""
-    return " ".join("%.2f,%.2f" % (x, y) for x, y in xy.tolist())
-
-
 def ties_up_points(xy):
     """A wrong SVG point kernel: it rounds exact ties away from zero."""
     def cents(v):
         return str(decimal.Decimal(v).quantize(decimal.Decimal("0.01"), decimal.ROUND_HALF_UP))
 
     return " ".join(f"{cents(x)},{cents(y)}" for x, y in xy.tolist())
-
-
-def point_mismatches(kernel, curves, monkeypatch):
-    """Polylines whose points ``kernel`` writes other than a field-by-field
-    render, over the SVGs of ``curves`` and an edge probe; and how many
-    polylines the SVGs drew."""
-    seen = []
-
-    def spy(xy):
-        seen.append((xy, kernel(xy)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(emit, "_points", spy)
-    drawn = [points for c in curves for points in re.findall(r'points="([^"]*)"', render_svg(c, "demo"))]
-    assert drawn == [text for _, text in seen]
-    probe = np.column_stack((POINT_EDGES, POINT_EDGES[::-1]))
-    wrong = [k for k, (xy, text) in enumerate(seen) if text != points_by_field(xy)]
-    return wrong + (["probe"] if kernel(probe) != points_by_field(probe) else []), len(seen)
-
-
-def envelope_by_column(x, y, tied=0):
-    """_column_envelope by brute force: per pixel column its first sample,
-    first lowest, first highest and last sample, or only the first and last
-    where the column holds a NaN.  ``tied=-1`` keeps the last of tied
-    extremes instead, as a wrong kernel would."""
-    column = np.floor(x)
-    kept = []
-    for c in np.unique(column):
-        members = np.flatnonzero(column == c)
-        picks = {members[0], members[-1]}
-        values = y[members]
-        if not np.isnan(values).any():
-            picks |= {members[np.flatnonzero(values == extreme)[tied]] for extreme in (values.min(), values.max())}
-        kept += sorted(picks)
-    return np.array(kept)
 
 
 def fig8_coupled():
@@ -500,15 +395,13 @@ class TestEmission:
         assert float(row[3]) == curve.t_sqslo[k]
 
     @pytest.mark.parametrize(
-        "case", ["partial-last-block", "warnings-after-zero", "edge-floats", "kernel-edges"]
+        "case", ["partial-last-block", "warnings-after-zero", "edge-floats", "kernel-edges", "six-digit-count"]
     )
     def test_csv_matches_a_field_by_field_render(self, case):
         # A grid of 2 * SAMPLE_BLOCK + 1 points ends in a one-row block.
         grid = TimeGrid(1.0, 2 * SAMPLE_BLOCK)
         curve = run_modular_scenario(EntanglementScenario(p=0.1, theta=1.0, grid=grid))
-        if case == "kernel-edges":
-            curve = kernel_edge_curve()
-        elif case == "warnings-after-zero":
+        if case == "warnings-after-zero":
             ts = grid.points
             warnings = ((0.0, "a"), (ts[5], "b"), ((ts[7] + ts[8]) / 2, "c"), (ts[-1], "d"))
             curve = dataclasses.replace(curve, warnings=warnings)
@@ -521,16 +414,17 @@ class TestEmission:
                 columns[name][SAMPLE_BLOCK] = value
             columns["r_bar"][SAMPLE_BLOCK + 1] = np.nan
             curve = dataclasses.replace(curve, **columns)
-        meta = [("scenario", "modular"), ("quad_error", fmt(curve.quad_error))]
-        assert render_csv(curve, meta) == field_by_field_csv(curve, meta)
+        elif case == "six-digit-count":
+            curve = dataclasses.replace(curve, warnings=((0.0, "w"),) * 123456)
+        # The kernels' edge probes are checked with any curves, and alone.
+        assert verify._emit_mismatches([] if case == "kernel-edges" else [curve]) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(*[ANY_FLOAT] * 5), min_size=1, max_size=32), st.sampled_from(EDGE_COUNTS))
+    @given(st.lists(st.tuples(*[ANY_FLOAT] * 5), min_size=1, max_size=32), st.sampled_from(verify._EDGE_COUNTS))
     def test_csv_of_any_floats_matches_a_field_by_field_render(self, rows, count):
         values = np.array(rows)
-        curve = curve_of(values[:, 0], values[:, 1:])
-        curve.warnings = ((-np.inf, "w"),) * count  # each row's warnings_count is count
-        assert render_csv(curve, []) == field_by_field_csv(curve, [])
+        curve = verify._curve_of(values.T, ((-np.inf, "w"),) * count)  # each row's warnings_count is count
+        assert render_csv(curve, []).partition("\n")[2] == verify._rows_by_field(curve)
 
     def test_csv_keeps_every_count_of_digits(self):
         # The kernel drops trailing zeros per 4-digit group of N: each kept
@@ -540,11 +434,11 @@ class TestEmission:
             assert sorted({kept_digits(fmt(v)) for v in values}) == list(range(1, 18))
             assert {"e" in fmt(v) for v in values} == {notation}
         edges = np.concatenate((fixed, exponent, -fixed, -exponent))
-        curve = curve_of(edges, np.stack([np.roll(edges, shift) for shift in (1, 2, 3, 4)], axis=1))
-        assert render_csv(curve, []) == field_by_field_csv(curve, [])
+        curve = verify._curve_of([np.roll(edges, shift) for shift in range(5)])
+        assert render_csv(curve, []).partition("\n")[2] == verify._rows_by_field(curve)
 
     def test_the_decimal_oracle_is_python_formatting(self):
-        values = np.concatenate((KERNEL_EDGES, -KERNEL_EDGES, np.random.default_rng(5).random(200)))
+        values = np.concatenate((verify._KERNEL_EDGES, -verify._KERNEL_EDGES, np.random.default_rng(5).random(200)))
         assert [decimal_g17(v, decimal.ROUND_HALF_EVEN) for v in values.tolist()] == [
             fmt(v) for v in values
         ]
@@ -593,13 +487,16 @@ class TestEmission:
             assert len(polyline_points(svg)[0]) == 2
             assert not re.search(r"nan|inf", svg, re.IGNORECASE)
 
-    def test_svg_points_match_a_field_by_field_render(self, monkeypatch):
+    def test_svg_points_match_a_field_by_field_render(self):
         curves = [c for p in PRESETS.values() for _, _, c in build_preset_curves(p, None)]
         assert len(curves) == 12
-        assert point_mismatches(emit._points, curves, monkeypatch) == ([], 36)
+        drawn = [polyline_points(render_svg(c, "demo")) for c in curves]
+        assert sum(map(len, drawn)) == 36
+        assert drawn == [[verify._points_by_field(xy).split() for xy in emit._polylines(c)] for c in curves]
 
     def test_a_point_kernel_that_rounds_ties_up_is_caught(self, monkeypatch):
-        assert point_mismatches(ties_up_points, [], monkeypatch)[0] == ["probe"]
+        monkeypatch.setattr(emit, "_points", ties_up_points)
+        assert verify._emit_mismatches([]) == ["SVG points differ from a '%.2f,%.2f' join"]
 
     def test_column_envelope_matches_a_per_column_reference(self):
         # Columns from one sample to a few dozen, extremes repeated (the
@@ -614,7 +511,7 @@ class TestEmission:
             cases.append((x, y))
         for x, y in cases:
             x, y = np.asarray(x, float), np.asarray(y, float)
-            assert emit._column_envelope(x, y).tolist() == envelope_by_column(x, y).tolist()
+            assert emit._column_envelope(x, y).tolist() == verify._envelope_by_column(x, y)
         assert emit._column_envelope(*map(np.asarray, cases[0])).tolist() == [0, 1, 2, 3, 4, 7, 8]
 
     def test_determinism_through_cli(self, tmp_path):
@@ -759,14 +656,12 @@ class TestVerifyCommand:
             name.startswith(("speed-limits", "scenarios", "dynamics")) for name in failed
         )
 
-    @pytest.mark.parametrize("mutant", ["ties-up", "zero-without-fallback"])
+    @pytest.mark.parametrize("mutant", ["ties-up", "zero-without-fallback", "count-fallback"])
     def test_determinism_check_catches_a_wrong_csv_kernel(self, mutant, monkeypatch, capsys):
         # Kernels wrong the same way on every run: one rounds exact 17-digit
-        # ties away from zero, one writes zeros itself and loses -0.0's sign.
-        import qslbound.emit as emit
-        from qslbound import verify
-
-        kernel = emit._float_text
+        # ties away from zero, one writes zeros itself and loses -0.0's sign,
+        # one writes each warnings_count of 10**4 or more one too high.
+        kernel, digits = emit._float_text, emit._decimal
 
         def ties_up(x):
             texts = [decimal_g17(v, decimal.ROUND_HALF_UP) for v in x.tolist()]
@@ -777,10 +672,13 @@ class TestVerifyCommand:
             text[x == 0] = np.frombuffer(b"0".ljust(24, b"\0"), np.uint8)
             return text
 
-        wrong = {"ties-up": ties_up, "zero-without-fallback": zero_without_fallback}[mutant]
-        monkeypatch.setattr(emit, "_float_text", wrong)
-        curve = kernel_edge_curve()
-        assert render_csv(curve, []) != field_by_field_csv(curve, [])
+        name, wrong = {
+            "ties-up": ("_float_text", ties_up),
+            "zero-without-fallback": ("_float_text", zero_without_fallback),
+            "count-fallback": ("_decimal", lambda n: digits(n + 1)),
+        }[mutant]
+        monkeypatch.setattr(emit, name, wrong)
+        assert verify._emit_mismatches([]) == ["byte-identical render, differs from a field-by-field one"]
         check = next(check for check in verify.CHECKS if check.name == "cli/determinism")
         result = verify.run_check(check, verify.RunContext(64))
         assert result.status == "fail"
@@ -794,9 +692,16 @@ class TestVerifyCommand:
         # A point kernel that rounds exact '%.2f' ties away from zero, and an
         # envelope that keeps each column's last lowest and highest sample
         # where the extremes tie.  No other check draws an SVG.
+        envelope = emit._column_envelope
+
+        def last_tied_extreme(x, y):
+            # The first tied extreme of the reversed run is the run's last;
+            # reversed columns -floor(x) keep the pixel columns of x.
+            return (x.size - 1 - envelope(-np.floor(x)[::-1], y[::-1]))[::-1]
+
         name, wrong = {
             "ties-up-points": ("_points", ties_up_points),
-            "last-tied-extreme": ("_column_envelope", lambda x, y: envelope_by_column(x, y, tied=-1)),
+            "last-tied-extreme": ("_column_envelope", last_tied_extreme),
         }[mutant]
         monkeypatch.setattr(emit, name, wrong)
         assert run_cli(["verify", "--steps", "64"]) == 2
