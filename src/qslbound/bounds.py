@@ -14,9 +14,12 @@ c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) this is the closed form
 in [0, 1] by Cauchy-Schwarz.  eta = 1 - r >= |Im c| = |<[A, B]>| / (2 dA dB),
 with equality exactly where |c| = 1, which puts the SQSLO curves of the
 bundled case studies on the diagonal.  ``correction_r`` and the sampler,
-whose ``Samples`` carry c, share one kernel for c, ``_correlation``; the
-commutator side ``rhs`` comes from A psi and B psi, not from c, so each side
-of the relation checks the other.
+whose ``Samples`` carry c, share one kernel for c, ``_correlation``, which
+takes B's deviation row (B - <B>) psi and moments: per state in
+``correction_r``, once per curve in the sampler (B = H, whose <H> and dH are
+constants of the motion).  The commutator side ``rhs`` comes from A psi and
+B psi, and the sampler's d<O>/dt from the commutator, not from c, so each
+side of the relation checks the other.
 
 Bound curves integrate |d<O>/dt| / (dO * eta) by cumulative composite
 Simpson over the sampler's ``Samples`` (r NaN where c is).  Samples where dO
@@ -118,7 +121,8 @@ def correction_r(a, b, psi) -> CorrectionSample:
     that into an excluded sample).
     """
     v, a_psi, b_psi = _operands(psi, a, b)
-    ma, mb, c = _correlation(v, a_psi, b_psi)
+    dev_b, mb = _moments(v, b_psi)
+    ma, c = _correlation(v, a_psi, dev_b, mb)
     if np.isnan(c).any():
         raise DegenerateObservableError(
             "one observable has no spread in this state; no correction defined"
@@ -131,15 +135,15 @@ def correction_r(a, b, psi) -> CorrectionSample:
     return CorrectionSample(r, eta, sign, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
 
 
-def _correlation(psi, a_psi, b_psi) -> tuple[ObservableMoments, ObservableMoments, np.ndarray]:
-    """Moments of A, of B and c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) from psi, A psi, B psi
-    (one state or rows, unvalidated); c is NaN where a variance is <= VARIANCE_FLOOR."""
+def _correlation(psi, a_psi, dev_b, mb) -> tuple[ObservableMoments, np.ndarray]:
+    """Moments of A and c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) from psi, A psi and the
+    (dev_b, mb) of ``states._moments(psi, B psi)`` (one state or rows, unvalidated; one mb may
+    serve all rows); c is NaN where a variance is <= VARIANCE_FLOOR."""
     dev_a, ma = _moments(psi, a_psi)
-    dev_b, mb = _moments(psi, b_psi)
     healthy = (ma.variance > VARIANCE_FLOOR) & (mb.variance > VARIANCE_FLOOR)
     c = np.full(healthy.shape, np.nan, dtype=complex)
     np.divide(_vdot(dev_a, dev_b), ma.std_dev * mb.std_dev, out=c, where=healthy)
-    return ma, mb, c
+    return ma, c
 
 
 def _r_from_c(c) -> np.ndarray:
@@ -161,7 +165,7 @@ def _fill_nearest(values: np.ndarray) -> np.ndarray:
 def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
     if not (delta_h > 0.0 and math.isfinite(delta_h)):
         raise ValueError(f"delta_h must be positive, got {delta_h!r}")
-    if any(np.shape(column) != grid.points.shape for column in samples):
+    if any(column.shape != grid.points.shape for column in samples):
         raise ValueError("need one sample per grid point")
 
 

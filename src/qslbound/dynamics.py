@@ -2,24 +2,27 @@
 
 One sampler serves every curve.  It diagonalizes H = V diag(E) V^dag once and
 evolves the amplitudes c_t = exp(-iEt) * V^dag psi0 in blocks of SAMPLE_BLOCK
-times, so its working memory is set by the block, not the grid.  The rows
-psi_t, O psi_t and H psi_t of a block go through ``bounds._correlation``, the
-one kernel ``correction_r`` runs too, for the mean and spread of O and the
-correlation c of the pair (O, H); ``Samples`` carry c and derive r from it.
-``sample_heisenberg`` takes <psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its
-rows in H's eigenbasis, and d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from
-one commutator per curve; ``sample_entanglement`` rebuilds
-O = -log rho_A(t) (x) I_B at every sample from a stacked eigendecomposition
-of the d_A x d_A reduced states (Schroedinger picture), whose products
-(rho_A, O, O psi_t) are broadcast multiply-adds over the contracted axis:
-a stacked matmul pays a fixed cost per matrix.  Derivatives come
-from the commutator identity, never from finite differences, so quadrature
-is the only discretization error downstream.  The public samplers validate
-H, O and psi0 once, on entry, and then run the core (``_heisenberg``,
-``_entanglement``).  The scenario runners call the core directly: their
-operators are Hermitian and normalized by construction, from validated
-parameters and constant Pauli products, so the core checks only that H is
-finite, and returns dH of H in psi0 with the samples.  hbar = 1 throughout.
+times, so its working memory is set by the block, not the grid.  <H> and dH
+are constants of the motion, taken once per curve from psi0.  The rows psi_t,
+O psi_t and (H - <H>) psi_t = V (c_t * (E - <H>)) of a block go through
+``bounds._correlation``, the one kernel ``correction_r`` runs too, for the
+mean and spread of O and the correlation c of the pair (O, H); ``Samples``
+carry c and derive r from it.  ``sample_heisenberg`` takes
+<psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its rows in H's eigenbasis, and
+d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
+``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every sample
+from a stacked eigendecomposition of the d_A x d_A reduced states
+(Schroedinger picture), whose products (rho_A, O, O psi_t) are broadcast
+multiply-adds over the contracted axis: a stacked matmul pays a fixed cost
+per matrix.  Derivatives come from the commutator identity, never from finite
+differences or from c, so quadrature is the only discretization error
+downstream and each of derivative and c checks the other.  The public
+samplers validate H, O, psi0 and the times once, on entry, and then run the
+core (``_heisenberg``, ``_entanglement``).  The scenario runners call the
+core directly: their operators are Hermitian and normalized by construction,
+from validated parameters and constant Pauli products, so the core checks
+only that H is finite, and returns dH of H in psi0 with the samples.
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .bounds import _correlation, _r_from_c
 from .linalg import _vdot, commutator, require_hermitian
 from .measures import _clamped_log
-from .states import _moments, require_state
+from .states import ObservableMoments, _moments, require_state
 
 # Default sampling density for bound integrals.
 STEPS_PER_UNIT_TIME = 2000
@@ -57,9 +60,10 @@ class TimeGrid:
         if int(self.n_steps) != self.n_steps or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(
-            self, "points", np.linspace(0.0, self.t_max, self.n_steps + 1)
-        )
+        # np.linspace's arithmetic, bit for bit, without its per-call overhead.
+        points = np.arange(self.n_steps + 1) * (self.t_max / self.n_steps)
+        points[-1] = self.t_max
+        object.__setattr__(self, "points", points)
 
     @property
     def dx(self) -> float:
@@ -106,24 +110,28 @@ def propagator_family(h) -> Callable[[float], np.ndarray]:
     return u_of_t
 
 
-def _validated(h, psi0) -> tuple[np.ndarray, np.ndarray]:
-    """The public samplers' checks of H and psi0: Hermitian, normalized, sized alike."""
+def _validated(h, psi0, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The public samplers' checks of H, psi0 and the times: H Hermitian,
+    psi0 normalized and sized alike, the times a finite 1-D array."""
     hm = require_hermitian(h)
     v = require_state(psi0)
     if hm.shape != (v.size, v.size):
         raise ValueError("dimension mismatch between Hamiltonian and state")
-    return hm, v
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError("sample times must be a finite 1-D array")
+    return hm, v, t
 
 
-def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, ObservableMoments]:
     """(E, V, V^dag psi0) of a Hermitian H and a normalized psi0, and the
-    spread dH of H in psi0 by ``states.moments``' arithmetic.  Only H's
-    finiteness is checked: the runners build H from finite parameters, and
-    a product of them may still overflow."""
+    mean and spread of H in psi0 by ``states.moments``' arithmetic, constants
+    of the motion.  Only H's finiteness is checked: the runners build H from
+    finite parameters, and a product of them may still overflow."""
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     vals, vecs = np.linalg.eigh(h)
-    return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, h @ psi0)[1].std_dev
+    return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, h @ psi0)[1]
 
 
 def _phases(t, vals) -> np.ndarray:
@@ -135,19 +143,17 @@ def _phases(t, vals) -> np.ndarray:
     return out
 
 
-def _sample(times, vals, c0, rows) -> Samples:
-    """Run ``rows`` over blocks of eigen-amplitudes c_t.
+def _sample(t, vals, c0, m_h, rows) -> Samples:
+    """Run ``rows`` over blocks of eigen-amplitudes c_t at the finite 1-D
+    array of times ``t``; ``m_h`` holds H's mean and spread in psi0.
 
-    ``rows(c)`` returns (psi, O psi, H psi, d<O>/dt) for a block of c_t.
+    ``rows(c)`` returns (psi, O psi, (H - <H>) psi, d<O>/dt) for a block of c_t.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.isfinite(t).all():
-        raise ValueError("sample times must be a finite 1-D array")
     out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)
     for start in range(0, t.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        psi, o_psi, h_psi, derivs = rows(_phases(t[block], vals) * c0)
-        m, _, corr[block] = _correlation(psi, o_psi, h_psi)
+        psi, o_psi, dev_h, derivs = rows(_phases(t[block], vals) * c0)
+        m, corr[block] = _correlation(psi, o_psi, dev_h, m_h)
         out[0, block], out[1, block], out[2, block] = m.mean, m.std_dev, derivs
     return Samples(*out, corr)
 
@@ -160,49 +166,52 @@ def _products(a, b) -> np.ndarray:
 
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     """Samples of the Heisenberg-evolved observable U^dag O U in psi0."""
-    hm, v = _validated(h, psi0)
+    hm, v, t = _validated(h, psi0, times)
     o = require_hermitian(obs0)
     if o.shape != hm.shape:
         raise ValueError("dimension mismatch between Hamiltonian and observable")
-    return _heisenberg(hm, o, v, times)[0]
+    return _heisenberg(hm, o, v, t)[0]
 
 
 def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
     """``sample_heisenberg`` of operands valid by construction, and the
     spread dH of H in psi0."""
-    vals, vecs, c0, delta_h = _eigen_start(h, psi0)
+    vals, vecs, c0, m_h = _eigen_start(h, psi0)
     o_eig = vecs.conj().T @ obs0 @ vecs
     rate = 1j * commutator(np.diag(vals), o_eig)
+    shifted = vals - m_h.mean
 
     def rows(c):
-        return c, c @ o_eig.T, c * vals, _vdot(c, c @ rate.T).real
+        return c, c @ o_eig.T, c * shifted, _vdot(c, c @ rate.T).real
 
-    return _sample(times, vals, c0, rows), delta_h
+    return _sample(times, vals, c0, m_h, rows), m_h.std_dev
 
 
 def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
     """Samples of the modular Hamiltonian O = -log rho_A(t) (x) I_B of the
     evolved bipartite state (Schroedinger picture): the means are entanglement
     entropies, the variances capacities of entanglement, and the derivatives
-    i<[H, O]> = 2 Im <O psi_t|H psi_t> with O frozen at each sample."""
-    return _entanglement(*_validated(h, psi0), dims, times)[0]
+    i<[H, O]> = 2 Im <O psi_t|(H - <H>) psi_t> with O frozen at each sample."""
+    hm, v, t = _validated(h, psi0, times)
+    return _entanglement(hm, v, dims, t)[0]
 
 
 def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float]:
     """``sample_entanglement`` of operands valid by construction, and the
     spread dH of H in psi0."""
-    vals, vecs, c0, delta_h = _eigen_start(h, psi0)
+    vals, vecs, c0, m_h = _eigen_start(h, psi0)
+    shifted = vals - m_h.mean
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:
         raise ValueError(f"dims {dims} inconsistent with state size {vals.size}")
 
     def rows(c):
         psi = c @ vecs.T
-        h_psi = (c * vals) @ vecs.T
+        dev_h = (c * shifted) @ vecs.T
         amps = psi.reshape(-1, d_a, d_b)
         weights, basis = np.linalg.eigh(_products(amps, amps.conj().transpose(0, 2, 1)))
         modular = _products(basis * -_clamped_log(weights)[:, None, :], basis.conj().transpose(0, 2, 1))
         k_psi = _products(modular, amps).reshape(psi.shape)
-        return psi, k_psi, h_psi, 2.0 * (k_psi.conj() * h_psi).sum(axis=1).imag
+        return psi, k_psi, dev_h, 2.0 * (k_psi.conj() * dev_h).sum(axis=1).imag
 
-    return _sample(times, vals, c0, rows), delta_h
+    return _sample(times, vals, c0, m_h, rows), m_h.std_dev

@@ -634,7 +634,8 @@ def _emit_mismatches(curves) -> list[str]:
 @_check("cli/determinism")
 def _determinism(rng, run):
     meta = [("scenario", "entanglement"), ("p", "0.1"), ("theta", "1.0")]
-    curve, again = (build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2] for _ in range(2))
+    # Two separate builds: the run's shared fig2 and one more.
+    curve, again = run.preset_curves("fig2")[0][2], build_preset_curves(PRESETS["fig2"], run.n_steps)[0][2]
     if emit.render_csv(curve, meta) != emit.render_csv(again, meta):
         return False, "renders differ"
     wrong = "; ".join(_emit_mismatches([curve]))

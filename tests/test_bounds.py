@@ -18,7 +18,7 @@ from qslbound.bounds import (
 from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
 from qslbound.scenarios import _EMPTY_BATTERY, battery_hamiltonians
-from qslbound.states import DegenerateObservableError, moments
+from qslbound.states import DegenerateObservableError, _moments, moments
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -74,7 +74,7 @@ class TestCorrectionR:
         assert sample.rhs == pytest.approx(0.1, abs=1e-12)
         assert (1.0 - 0.9) == pytest.approx(sample.rhs, abs=1e-12)  # the other branch
         assert sample.holds and not sample.saturated
-        _, _, rows_c = _correlation(psi[None], (a @ psi)[None], (b @ psi)[None])
+        _, rows_c = _correlation(psi[None], (a @ psi)[None], *_moments(psi[None], (b @ psi)[None]))
         assert rows_c[0] == pytest.approx(c, abs=1e-12)
         assert _r_from_c(rows_c)[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -141,7 +141,7 @@ def test_closed_form_matches_the_definition(d, seed):
         sample = correction_r(a, b, psi)
         assert abs(sample.r - r) <= 1e-12
         assert sample.sign_branch == name
-    rows_r = _r_from_c(_correlation(states, states @ a.T, states @ b.T)[2])
+    rows_r = _r_from_c(_correlation(states, states @ a.T, *_moments(states, states @ b.T))[1])
     np.testing.assert_allclose(rows_r, [r for r, _ in expected], rtol=0.0, atol=1e-12)
     assert list(correction_r(a, b, states).sign_branch) == [name for _, name in expected]
 
@@ -151,7 +151,7 @@ def propagated_c(h, obs, psi, times):
     ``propagator_family`` rather than the sampler's eigen-amplitudes."""
     u = propagator_family(h)(times)
     o_t = u.conj().swapaxes(-2, -1) @ obs @ u
-    return _correlation(psi, o_t @ psi, h @ psi)[2]
+    return _correlation(psi, o_t @ psi, *_moments(psi, h @ psi))[1]
 
 
 class TestQslIntegral:

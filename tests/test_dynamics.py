@@ -1,15 +1,22 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from conftest import assert_check, random_hermitian, random_state
 
+import qslbound.dynamics as dynamics
 from qslbound.dynamics import (
+    MIN_GRID_STEPS,
     TimeGrid,
     propagator_family,
     sample_entanglement,
     sample_heisenberg,
 )
 from qslbound.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, tensor_product
+from qslbound.presets import PRESETS
 from qslbound.scenarios import initial_schmidt_state
+from qslbound.states import moments
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -37,6 +44,21 @@ class TestTimeGrid:
     def test_resolution_rejects_non_finite_window(self, t_max):
         with pytest.raises(ValueError, match="t_max"):
             TimeGrid.with_resolution(t_max)
+
+    def test_points_are_linspace_bit_for_bit(self):
+        # Every preset window at the default grid, 64 and 400 steps, the
+        # coarsest default grid, and odd windows; n * (t_max / n) != t_max for
+        # the last three, so their endpoint must be set.
+        windows = {run.t_max for preset in PRESETS.values() for run in preset.runs}
+        grids = [TimeGrid.with_resolution(t, n) for t in windows for n in (None, 64, 400)]
+        grids.append(TimeGrid.with_resolution(1e-3))
+        odd = [(math.pi, 17), (1.0 / 3.0, 999), (7.77, MIN_GRID_STEPS), (2.5e-7, 5), (1e15, 1001),
+               (1.765, 6), (0.415, 41), (7.86, 27)]
+        grids += [TimeGrid(t, n) for t, n in odd]
+        assert any(grid.n_steps == MIN_GRID_STEPS for grid in grids)
+        for grid in grids:
+            expected = np.linspace(0.0, grid.t_max, grid.n_steps + 1)
+            assert grid.points.tobytes() == expected.tobytes(), (grid.t_max, grid.n_steps)
 
 
 class TestPropagator:
@@ -103,6 +125,62 @@ class TestTrackObservable:
         assert_check(run, "dynamics/energy-conservation")
 
 
+class TestStationaryState:
+    """psi0 an eigenvector of H: dH = 0, so c is undefined on every sample,
+    and no observable moves."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["rounded", "exact"])
+    def test_c_is_nan_and_derivatives_vanish_without_warnings(self, exact):
+        # A random H and one of its eigenvectors (dH at rounding level), or a
+        # diagonal H and a basis state (dH and (H - <H>) psi exactly 0).
+        rng = np.random.default_rng(23)
+        h = np.diag([0.3, -1.0, 2.0, 0.5]).astype(complex) if exact else random_hermitian(rng, 4)
+        psi0 = np.eye(4, dtype=complex)[1] if exact else np.linalg.eigh(h)[1][:, 1]
+        ts = TimeGrid(2.0, 40).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            heisenberg = sample_heisenberg(h, random_hermitian(rng, 4), psi0, ts)
+            entanglement = sample_entanglement(h, psi0, (2, 2), ts)
+            for samples in (heisenberg, entanglement):
+                assert np.isnan(samples.c).all() and np.isnan(samples.r).all()
+                np.testing.assert_allclose(samples.derivatives, 0.0, rtol=0.0, atol=1e-12)
+        assert (heisenberg.std_devs > 1e-3).all()  # c is undefined through dH alone
+
+
+def identity_gaps() -> list:
+    """The largest |d<O>/dt - 2 dO dH Im c| of each sampled run, for random
+    (H, O, psi0) of d = 2..8 in both pictures.  The derivative comes from the commutator
+    rows and c from the deviation rows, so each checks the other."""
+    rng = np.random.default_rng(29)
+    ts = np.linspace(0.0, 2.0, 9)
+    bipartitions = {4: (2, 2), 6: (2, 3), 8: (4, 2)}
+    gaps = []
+    for d in range(2, 9):
+        h, obs, psi0 = random_hermitian(rng, d), random_hermitian(rng, d), random_state(rng, d)
+        delta_h = moments(h, psi0).std_dev
+        runs = [sample_heisenberg(h, obs, psi0, ts)]
+        if d in bipartitions:
+            runs.append(sample_entanglement(h, psi0, bipartitions[d], ts))
+        for s in runs:
+            gaps.append(np.abs(s.derivatives - 2.0 * s.std_devs * delta_h * s.c.imag).max())
+    return gaps
+
+
+class TestRateIdentity:
+    """d<O>/dt = i<[H, O]> = 2 Im <(O - <O>) psi|(H - <H>) psi> = 2 dO dH Im c."""
+
+    def test_derivative_equals_the_signed_correlation(self):
+        assert max(identity_gaps()) <= 1e-10
+
+    def test_a_deviation_row_scaled_the_wrong_way_fails(self, monkeypatch):
+        # Multiplies (H - <H>) psi by dH where the kernel divides by it.
+        real = dynamics._correlation
+        monkeypatch.setattr(
+            dynamics, "_correlation", lambda psi, a_psi, dev_b, mb: real(psi, a_psi, dev_b * mb.variance, mb)
+        )
+        assert max(identity_gaps()) > 1e-3
+
+
 def spoiled(m, at, value):
     out = np.array(m, dtype=complex)
     out[at] = value
@@ -155,6 +233,13 @@ class TestPublicSamplersRefuseBadInput:
             sample_heisenberg(H4, O4, psi, TIMES)
         with pytest.raises(ValueError, match=reason):
             sample_entanglement(H4, psi, (2, 2), TIMES)
+
+    @pytest.mark.parametrize("times", [[[0.0, 1.0]], [0.0, np.nan], [np.inf]])
+    def test_times(self, times):
+        with pytest.raises(ValueError, match="sample times"):
+            sample_heisenberg(H4, O4, PSI4, times)
+        with pytest.raises(ValueError, match="sample times"):
+            sample_entanglement(H4, PSI4, (2, 2), times)
 
     def test_valid_operands_are_sampled(self):
         # The spoiled operands above differ from these in one entry.
