@@ -165,6 +165,11 @@ def _fill_nearest(values: np.ndarray) -> np.ndarray:
 def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
     if not (delta_h > 0.0 and math.isfinite(delta_h)):
         raise ValueError(f"delta_h must be positive, got {delta_h!r}")
+    if delta_h * delta_h <= VARIANCE_FLOOR:
+        raise ValueError(
+            f"delta_h = {delta_h:.3g} is within the variance floor: the initial state is"
+            " stationary (an eigenstate of H), so no bound is defined"
+        )
     if any(column.shape != grid.points.shape for column in samples):
         raise ValueError("need one sample per grid point")
 

@@ -2,17 +2,21 @@
 
 One sampler serves every curve.  It diagonalizes H = V diag(E) V^dag once and
 evolves the amplitudes c_t = exp(-iEt) * V^dag psi0 in blocks of SAMPLE_BLOCK
-times, so its working memory is set by the block, not the grid.  <H> and dH
-are constants of the motion, taken once per curve from psi0.  The rows psi_t,
-O psi_t and (H - <H>) psi_t = V (c_t * (E - <H>)) of a block go through
-``bounds._correlation``, the one kernel ``correction_r`` runs too, for the
-mean and spread of O and the correlation c of the pair (O, H); ``Samples``
-carry c and derive r from it.  ``sample_heisenberg`` takes
+times, so its working memory is set by the block, not the grid.  On a
+``TimeGrid`` the blocks reuse one phase table, block 0's c_t: a block
+starting at t_start is its rows times exp(-iE t_start); arbitrary times take
+their phases directly.  <H> and dH are constants of the motion, taken once
+per curve from psi0.  The rows psi_t, O psi_t and (H - <H>) psi_t =
+V (c_t * (E - <H>)) of a block go through ``bounds._correlation``, the one
+kernel ``correction_r`` runs too, for the mean and spread of O and the
+correlation c of the pair (O, H); ``Samples`` carry c and derive r from it.  ``sample_heisenberg`` takes
 <psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its rows in H's eigenbasis, and
 d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
 ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every sample
-from a stacked eigendecomposition of the d_A x d_A reduced states
-(Schroedinger picture), whose products (rho_A, O, O psi_t) are broadcast
+(Schroedinger picture): for d_A = 2 in closed form, O = alpha I - g rho_A
+from rho_A's two eigenvalues, so O psi_t takes only multiply-adds on the two
+amplitude rows; otherwise from a stacked eigendecomposition of the d_A x d_A
+reduced states, whose products (rho_A, O, O psi_t) are broadcast
 multiply-adds over the contracted axis: a stacked matmul pays a fixed cost
 per matrix.  Derivatives come from the commutator identity, never from finite
 differences or from c, so quadrature is the only discretization error
@@ -34,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bounds import _correlation, _r_from_c
-from .linalg import _vdot, commutator, require_hermitian
+from .linalg import LOG_EIG_FLOOR, _vdot, commutator, require_hermitian
 from .measures import _clamped_log
 from .states import ObservableMoments, _moments, require_state
 
@@ -143,16 +147,25 @@ def _phases(t, vals) -> np.ndarray:
     return out
 
 
-def _sample(t, vals, c0, m_h, rows) -> Samples:
-    """Run ``rows`` over blocks of eigen-amplitudes c_t at the finite 1-D
-    array of times ``t``; ``m_h`` holds H's mean and spread in psi0.
+def _sample(times, vals, c0, m_h, rows) -> Samples:
+    """Run ``rows`` over blocks of eigen-amplitudes c_t at ``times``, a
+    ``TimeGrid`` or a finite 1-D array; ``m_h`` holds H's mean and spread in psi0.
 
     ``rows(c)`` returns (psi, O psi, (H - <H>) psi, d<O>/dt) for a block of c_t.
     """
+    on_grid = isinstance(times, TimeGrid)
+    t = times.points if on_grid else times
+    table = _phases(t[:SAMPLE_BLOCK], vals) * c0
     out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)
     for start in range(0, t.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        psi, o_psi, dev_h, derivs = rows(_phases(t[block], vals) * c0)
+        if not start:
+            c = table
+        elif on_grid:  # t[start + j] = t[start] + t[j]
+            c = table[: t.size - start] * _phases(t[start : start + 1], vals)
+        else:
+            c = _phases(t[block], vals) * c0
+        psi, o_psi, dev_h, derivs = rows(c)
         m, corr[block] = _correlation(psi, o_psi, dev_h, m_h)
         out[0, block], out[1, block], out[2, block] = m.mean, m.std_dev, derivs
     return Samples(*out, corr)
@@ -204,14 +217,40 @@ def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:
         raise ValueError(f"dims {dims} inconsistent with state size {vals.size}")
+    k_rows = _two_level_k_psi if d_a == 2 else _stacked_k_psi
 
     def rows(c):
         psi = c @ vecs.T
         dev_h = (c * shifted) @ vecs.T
-        amps = psi.reshape(-1, d_a, d_b)
-        weights, basis = np.linalg.eigh(_products(amps, amps.conj().transpose(0, 2, 1)))
-        modular = _products(basis * -_clamped_log(weights)[:, None, :], basis.conj().transpose(0, 2, 1))
-        k_psi = _products(modular, amps).reshape(psi.shape)
+        k_psi = k_rows(psi.reshape(-1, d_a, d_b)).reshape(psi.shape)
         return psi, k_psi, dev_h, 2.0 * (k_psi.conj() * dev_h).sum(axis=1).imag
 
     return _sample(times, vals, c0, m_h, rows), m_h.std_dev
+
+
+def _two_level_k_psi(amps) -> np.ndarray:
+    """K psi, K = -log rho_A (x) I_B, for rows psi = (u, w) of a qubit A, in
+    closed form.  rho_A = [[a, b], [b*, d]] has eigenvalues l+- = m +- r, so
+    K = alpha I - g rho_A with g = (log l+ - log l-)/(2r) = artanh(r/m)/r
+    (1/m at r = 0, no cancellation near it) and alpha = g m - (log l+ + log l-)/2,
+    the logs clamped as ``measures._clamped_log``; where l- is clamped, g takes
+    the plain difference."""
+    u, w = amps[:, 0], amps[:, 1]
+    a, d, b = _vdot(u, u).real, _vdot(w, w).real, _vdot(w, u)
+    m = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.abs(b))
+    log_hi, log_lo = _clamped_log(m + r), _clamped_log(m - r)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the values at r = 0 and r >= m are discarded
+        g = np.where(r > 0.0, np.arctanh(r / m) / r, 1.0 / m)
+        g = np.where(m - r < LOG_EIG_FLOOR, (log_hi - log_lo) / (2.0 * r), g)
+    alpha, gb = g * m - 0.5 * (log_hi + log_lo), (g * b)[:, None]
+    rows = ((alpha - g * a)[:, None] * u - gb * w, (alpha - g * d)[:, None] * w - gb.conj() * u)
+    return np.stack(rows, axis=1)
+
+
+def _stacked_k_psi(amps) -> np.ndarray:
+    """K psi, K = -log rho_A (x) I_B, for rows psi of shape (d_A, d_B), from a
+    stacked eigendecomposition of the reduced states."""
+    weights, basis = np.linalg.eigh(_products(amps, amps.conj().transpose(0, 2, 1)))
+    modular = _products(basis * -_clamped_log(weights)[:, None, :], basis.conj().transpose(0, 2, 1))
+    return _products(modular, amps)

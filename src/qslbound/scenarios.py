@@ -16,8 +16,8 @@ at import; the battery starts in the constant |11>, and the t = 0 modular
 Hamiltonian K0 is written down from rho_A(0) = diag(p, 1 - p).  These
 operators are Hermitian and normalized by construction, so each runner
 passes them straight to the sampler core (``dynamics._heisenberg`` /
-``_entanglement``), which checks only that H is finite, and takes the
-energy spread dH from it, not from ``moments``.
+``_entanglement``) with the scenario's ``TimeGrid``, which checks only that
+H is finite, and takes the energy spread dH from it, not from ``moments``.
 
 The closed forms below (capacity and entropy, modular variance and energy,
 stored energy) are numpy expressions in a scalar or array t.  No runner
@@ -199,7 +199,7 @@ def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     the square root of the capacity.
     """
     psi0, h, _ = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    samples, delta_h = _entanglement(h, psi0, (2, 2), scn.grid.points)
+    samples, delta_h = _entanglement(h, psi0, (2, 2), scn.grid)
     return ratio_form_curve(scn.grid, samples, delta_h)
 
 
@@ -210,7 +210,7 @@ def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
     the propagator, in contrast with the Schroedinger-picture run above.
     """
     psi0, h, k0 = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    samples, delta_h = _heisenberg(h, k0, psi0, scn.grid.points)
+    samples, delta_h = _heisenberg(h, k0, psi0, scn.grid)
     return qsl_integral(scn.grid, samples, delta_h)
 
 
@@ -218,6 +218,6 @@ def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
     """Direct-integral bound on the battery charging time.  The curve's mean
     values are the stored energy E(t) = <H_B(t)> - <H_B(0)>."""
     h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    samples, delta_h = _heisenberg(h_t, h_b, _EMPTY_BATTERY, scn.grid.points)
+    samples, delta_h = _heisenberg(h_t, h_b, _EMPTY_BATTERY, scn.grid)
     stored = samples._replace(means=samples.means - samples.means[0])
     return qsl_integral(scn.grid, stored, delta_h)

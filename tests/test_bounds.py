@@ -14,6 +14,7 @@ from qslbound.bounds import (
     entanglement_rate_bound,
     norm_rate_comparison,
     qsl_integral,
+    ratio_form_curve,
 )
 from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
@@ -197,6 +198,17 @@ class TestQslIntegral:
         grid, samples = self.single_qubit_inputs()
         with pytest.raises(ValueError, match="delta_h"):
             qsl_integral(grid, samples, 0.0)
+
+    @pytest.mark.parametrize("integrate", [qsl_integral, ratio_form_curve])
+    def test_rejects_a_stationary_initial_state(self, integrate):
+        # psi0 an eigenvector of a random H: dH is at rounding level and c NaN on every sample.
+        rng = np.random.default_rng(23)
+        h = random_hermitian(rng, 4)
+        psi0 = np.linalg.eigh(h)[1][:, 1]
+        grid = TimeGrid(2.0, 40)
+        samples = sample_heisenberg(h, random_hermitian(rng, 4), psi0, grid.points)
+        with pytest.raises(ValueError, match="initial state is stationary"):
+            integrate(grid, samples, moments(h, psi0).std_dev)
 
     def test_hierarchy_enforced_at_construction(self):
         grid = TimeGrid(1.0, 4)

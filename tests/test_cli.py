@@ -245,6 +245,16 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "qslbound: failure: matrix entries must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", ["modular --theta 1e-6 --steps 16", "entanglement --theta 1e-8 --steps 16"])
+    def test_stationary_initial_state_exits_2(self, argv, tmp_path, capsys):
+        # dH^2 at or below the variance floor, where c is NaN on every sample.
+        out = tmp_path / "curve.csv"
+        assert run_cli(argv.split() + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslbound: failure:") and "initial state is stationary" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", ["modular --the 2", "verify --st 64"])
     def test_flag_prefix_exits_1(self, argv, tmp_path, capsys):
         out = tmp_path / "curve.csv"

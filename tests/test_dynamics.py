@@ -1,22 +1,26 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from conftest import assert_check, random_hermitian, random_state
+from test_sampler import assert_matches, scalar_reference
 
 import qslbound.dynamics as dynamics
 from qslbound.dynamics import (
     MIN_GRID_STEPS,
+    SAMPLE_BLOCK,
     TimeGrid,
     propagator_family,
     sample_entanglement,
     sample_heisenberg,
 )
 from qslbound.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, tensor_product
+from qslbound.measures import modular_hamiltonian
 from qslbound.presets import PRESETS
-from qslbound.scenarios import initial_schmidt_state
-from qslbound.states import moments
+from qslbound.scenarios import entanglement_setup, initial_schmidt_state
+from qslbound.states import moments, reduced_state
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -145,6 +149,82 @@ class TestStationaryState:
                 assert np.isnan(samples.c).all() and np.isnan(samples.r).all()
                 np.testing.assert_allclose(samples.derivatives, 0.0, rtol=0.0, atol=1e-12)
         assert (heisenberg.std_devs > 1e-3).all()  # c is undefined through dH alone
+
+
+def bell_under_local_h():
+    # A local H keeps the Bell state maximally entangled.  This one is diagonal,
+    # so rho_A = I/2 exactly (r = 0) at every sample: c is NaN and the derivative 0.
+    h = 0.7 * tensor_product(SIGMA_Z, IDENTITY_2) + 0.4 * tensor_product(IDENTITY_2, SIGMA_Z)
+    return h, np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0), (2, 2), [0.0, 0.3, 1.1]
+
+
+def fig3_schmidt_crossing():
+    # The 9 default-grid samples of fig3's theta = 1.5 curve nearest pi/(4 theta),
+    # where the Schmidt weights cross and r passes through 0.
+    psi0, h, _ = entanglement_setup(0.1, 1.5, 0.0)
+    grid = TimeGrid.with_resolution(1.0)
+    k = round(np.pi / 6.0 / grid.dx)
+    return h, psi0, (2, 2), grid.points[k - 4 : k + 5]
+
+
+def random_bipartite(dims):
+    rng = np.random.default_rng(37 + dims[1])
+    d = dims[0] * dims[1]
+    return random_hermitian(rng, d), random_state(rng, d), dims, [0.0, 0.4, 1.7]
+
+
+def product_state():
+    # rho_A is pure at t = 0, so l- is clamped to LOG_EIG_FLOOR.
+    h = random_hermitian(np.random.default_rng(3), 4)
+    return h, np.eye(4, dtype=complex)[0], (2, 2), [0.0, 0.5]
+
+
+TWO_LEVEL_CASES = {
+    "bell": bell_under_local_h,
+    "fig3-crossing": fig3_schmidt_crossing,
+    "dims-2x3": lambda: random_bipartite((2, 3)),
+    "dims-2x4": lambda: random_bipartite((2, 4)),
+    "product": product_state,
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_LEVEL_CASES))
+def test_two_level_modular_operator_matches_the_eigh_reference(case, monkeypatch):
+    """For d_A = 2 the sampler forms K psi in closed form: it matches -log rho_A
+    from ``modular_hamiltonian``, and its only eigendecomposition is H's."""
+    h, psi0, dims, ts = TWO_LEVEL_CASES[case]()
+    u_of_t = propagator_family(h)
+    expected = []
+    for t in ts:
+        psi_t = u_of_t(t) @ psi0
+        k = modular_hamiltonian(reduced_state(psi_t, dims, "A"))
+        expected.append(scalar_reference(tensor_product(k, np.eye(dims[1])), h, psi_t))
+    calls, real = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or real(a, *args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = sample_entanglement(h, psi0, dims, ts)
+    monkeypatch.undo()
+    assert len(calls) == 1 and np.array_equal(calls[0], h)
+    assert_matches(samples, expected)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "entanglement"])
+def test_grid_blocks_reuse_the_first_blocks_phases(picture):
+    """On a TimeGrid the core shifts block 0's phases by exp(-iE t_start) for
+    each later block; the public samplers take every time directly."""
+    rng = np.random.default_rng(41)
+    h, obs, psi0 = random_hermitian(rng, 4), random_hermitian(rng, 4), random_state(rng, 4)
+    if picture == "heisenberg":
+        core, public = partial(dynamics._heisenberg, h, obs, psi0), partial(sample_heisenberg, h, obs, psi0)
+    else:
+        core, public = partial(dynamics._entanglement, h, psi0, (2, 2)), partial(sample_entanglement, h, psi0, (2, 2))
+    grid = TimeGrid(3.0, 2 * SAMPLE_BLOCK + 6)  # three blocks, the last one short
+    shifted, direct = np.array(core(grid)[0]), np.array(public(grid.points))
+    np.testing.assert_allclose(shifted, direct, rtol=0.0, atol=1e-13)
+    assert shifted[:, :SAMPLE_BLOCK].tobytes() == direct[:, :SAMPLE_BLOCK].tobytes()
+    one_block = TimeGrid(1.0, 100)
+    assert np.array(core(one_block)[0]).tobytes() == np.array(public(one_block.points)).tobytes()
 
 
 def identity_gaps() -> list:
