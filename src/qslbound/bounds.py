@@ -193,7 +193,9 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
     observable at every grid point; the strengthened bound divides by
     eta = 1 - r as well.  Singular samples (vanishing spread, missing
     correction, eta at the floor) are replaced by the nearest healthy sample
-    and reported in the curve's warnings.
+    and reported in the curve's warnings.  An integrand with no healthy
+    sample is zero if d<O>/dt is negligible on the whole curve (a conserved
+    observable), and is refused otherwise.
     """
     _require_inputs(grid, samples, delta_h)
     n = grid.points.size
@@ -211,14 +213,11 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
     np.divide(derivs, stds, out=rows[0], where=codes != 1)
     np.divide(derivs, stds * eta, out=rows[1], where=codes == 0)
     rows[2] = r_raw
-    warnings = _warnings(grid, codes)
-
-    if np.isnan(rows[0]).all():
-        if derivs.max() <= 1e-12 * max(1.0, float(np.abs(samples.means).max())):
-            # Observable never moves: the bound is identically zero.
-            return BoundCurve(grid, *np.zeros((2, n)), samples.means.copy(), np.zeros(n), warnings, 0.0)
-        raise ValueError("all integrand samples are degenerate")
-
+    empty = np.isnan(rows).all(axis=1)
+    if empty.any():
+        if not derivs.max() <= 1e-12 * max(1.0, float(np.abs(samples.means).max())):
+            raise ValueError("all integrand samples are degenerate")
+        rows[empty] = 0.0  # the observable never moves: a row without a healthy sample is zero
     rows = _fill_nearest(rows)
     integrals = cumulative_simpson(rows, grid.dx)
     gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
@@ -229,7 +228,7 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
         t_sqslo=prefactor * integrals[1],
         mean_values=samples.means.copy(),
         r_bar=_running_average(rows[2], integrals[2], grid),
-        warnings=warnings,
+        warnings=_warnings(grid, codes),
         quad_error=float(prefactor * (gaps.max() / RICHARDSON_FACTOR)),
     )
 

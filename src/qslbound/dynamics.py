@@ -15,18 +15,16 @@ d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
 ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every sample
 (Schroedinger picture): for d_A = 2 in closed form, O = alpha I - g rho_A
 from rho_A's two eigenvalues, so O psi_t takes only multiply-adds on the two
-amplitude rows; otherwise from a stacked eigendecomposition of the d_A x d_A
-reduced states, whose products (rho_A, O, O psi_t) are broadcast
-multiply-adds over the contracted axis: a stacked matmul pays a fixed cost
-per matrix.  Derivatives come from the commutator identity, never from finite
-differences or from c, so quadrature is the only discretization error
-downstream and each of derivative and c checks the other.  The public
-samplers validate H, O, psi0 and the times once, on entry, and then run the
-core (``_heisenberg``, ``_entanglement``).  The scenario runners call the
-core directly: their operators are Hermitian and normalized by construction,
-from validated parameters and constant Pauli products, so the core checks
-only that H is finite, and returns dH of H in psi0 with the samples.
-hbar = 1 throughout.
+amplitude rows; otherwise by the modular-operator kernel of ``measures`` on
+the stacked d_A x d_A reduced states.  Derivatives come from the commutator
+identity, never from finite differences or from c, so quadrature is the only
+discretization error downstream and each of derivative and c checks the
+other.  The public samplers validate H, O, psi0 and the times once, on
+entry, and then run the core (``_heisenberg``, ``_entanglement``).  The
+scenario runners call the core directly: their operators are Hermitian and
+normalized by construction, from validated parameters and constant Pauli
+products, so the core checks only that H is finite, and returns dH of H in
+psi0 with the samples.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 
 from .bounds import _correlation, _r_from_c
 from .linalg import LOG_EIG_FLOOR, _vdot, commutator, require_hermitian
-from .measures import _clamped_log
+from .measures import _clamped_log, _modular
 from .states import ObservableMoments, _moments, require_state
 
 # Default sampling density for bound integrals.
@@ -171,12 +169,6 @@ def _sample(times, vals, c0, m_h, rows) -> Samples:
     return Samples(*out, corr)
 
 
-def _products(a, b) -> np.ndarray:
-    """a @ b over stacks of small matrices, summed over the contracted axis in order."""
-    terms = (a[:, :, k, None] * b[:, None, k] for k in range(a.shape[2]))
-    return sum(terms, next(terms))
-
-
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     """Samples of the Heisenberg-evolved observable U^dag O U in psi0."""
     hm, v, t = _validated(h, psi0, times)
@@ -249,8 +241,6 @@ def _two_level_k_psi(amps) -> np.ndarray:
 
 
 def _stacked_k_psi(amps) -> np.ndarray:
-    """K psi, K = -log rho_A (x) I_B, for rows psi of shape (d_A, d_B), from a
-    stacked eigendecomposition of the reduced states."""
-    weights, basis = np.linalg.eigh(_products(amps, amps.conj().transpose(0, 2, 1)))
-    modular = _products(basis * -_clamped_log(weights)[:, None, :], basis.conj().transpose(0, 2, 1))
-    return _products(modular, amps)
+    """K psi, K = -log rho_A (x) I_B, for rows psi of shape (d_A, d_B), from
+    ``measures``' modular-operator kernel on the stacked reduced states."""
+    return _modular(amps @ amps.conj().transpose(0, 2, 1)) @ amps

@@ -2,19 +2,20 @@
 
 CSV floats carry 17 significant digits, so values round-trip exactly and
 identical runs emit byte-identical files.  Each field is '%.17g' of its
-float.  A numpy kernel writes the fields SAMPLE_BLOCK rows at a time: for
-1e-11 <= |x| < 1e15 and k = floor(log10|x|) it rounds the exact product
-|x| * 10**(16 - k) (Dekker) to the integer N, whose 17 digits it certifies
-when the product is at least 10**16, N < 10**17 and the dropped fraction is
-more than 1e-9 from one half.  Every other field (zeros, NaN, infinities,
-subnormals, values out of range, a wrong k, ties) is '%.17g' itself.
-N's digits are its five 4-digit groups, each one uint32 word of ASCII from
-a 10,000-entry table; the same groups give the count of digits kept once
-trailing zeros go, through a table of each group value's last non-zero
-digit.  A byte layout per (k, kept digits) then gathers the field's text
-from those words, its sign and an alphabet.  The warnings_count column is
-one lookup in a table of 0..9999 when every count of a block is below
-10**4, and zero-stripped digit groups otherwise.
+float.  A numpy kernel writes the fields SAMPLE_BLOCK rows at a time, in
+fixed notation only: for 1e-4 <= |x| < 1e15 and k = floor(log10|x|) it
+rounds the exact product |x| * 10**(16 - k) (Dekker) to the integer N, whose
+17 digits it certifies when the product is at least 10**16, N < 10**17 and
+the dropped fraction is more than 1e-9 from one half.  Every other field
+(zeros, NaN, infinities, values out of range, a wrong k, ties) is '%.17g'
+itself.  N's digits are its five 4-digit groups, each one uint32 word of
+ASCII from a 10,000-entry table; the same groups give the count of digits
+kept once trailing zeros go, through a table of each group value's last
+non-zero digit.  A byte layout per (k, kept digits) then gathers the
+field's text from those words, its sign, '0' and '.'.  The warnings_count
+column is one lookup in a table of 0..9999 when every count of a block is
+below 10**4, and otherwise the float kernel's text of the counts: '%.17g'
+of an integer below 10**17 is its '%d'.
 
 An SVG draws each bound as the envelope of its pixel columns: the first,
 lowest, highest and last sample of every column of the plot, in time
@@ -38,11 +39,9 @@ from .dynamics import SAMPLE_BLOCK
 
 # A field's text is at most 24 bytes ('%.17g' of -2.2250738585072014e-308).
 _WIDTH = 24
-# A certified field's source bytes, nine uint32 words: 20 digits (N's 17
-# from column 3), its sign ('-' or NUL), then this alphabet and a NUL pad;
-# the columns are named below.
-_ALPHABET = b"-0123456789.e\0"
-_SIGN, _MINUS, _ZERO, _POINT, _E, _NUL = 20, 21, 22, 32, 33, 34
+# A certified field's source bytes, six uint32 words: 20 digits (N's 17
+# from column 3), then its sign ('-' or NUL), '0', '.' and a NUL.
+_SIGN, _ZERO, _POINT, _NUL = 20, 21, 22, 23
 _FRAME = 640, 480, 60  # an SVG's width, height and plot margin, in pixels
 
 
@@ -62,11 +61,11 @@ def _two_product(a, b):
 def _tables() -> tuple[np.ndarray, ...]:
     """0000..9999 as four ASCII digits to a uint32; for each of N's digit
     groups 1-4 and its 10,000 values, how many of N's digits end at the
-    group's last non-zero digit (0 for 0000); the last four source words of
-    a positive field; 10**(16 - k) as hi + lo for k = -11..14; the source
-    column of each text byte of a certified field per (k, kept digits):
-    sign, then fixed notation for k >= -4, else a mantissa and 'e-XX'; and
-    0..9999 (NUL leading zeros), '.00'..'.99'."""
+    group's last non-zero digit (0 for 0000); the last source word of a
+    positive field; 10**(16 - k) for k = -4..14; the source column of each
+    text byte of a certified field, 1e-4 <= |x| < 1e15, per (k, kept
+    digits): sign, then fixed notation; and 0..9999 (NUL leading zeros),
+    '.00'..'.99'."""
     ascii = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
     zeros = ascii == ord("0")
     trailing = np.logical_and.accumulate(zeros[:, ::-1], axis=1).sum(axis=1)
@@ -74,23 +73,19 @@ def _tables() -> tuple[np.ndarray, ...]:
     lead = np.logical_and.accumulate(zeros, axis=1) & (np.arange(4) < 3)
     ints = np.where(lead, 0, ascii).view(np.uint32)
     cents = np.frombuffer(b"".join(b".%02d\0" % c for c in range(100)), np.uint32)
-    alphabet = np.frombuffer(b"\0" + _ALPHABET + b"\0", np.uint32)  # with a NUL sign
-    exact = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # each product exact
-    s = np.arange(27, 1, -1)  # 16 - k
-    tens = np.stack(_two_product(exact[np.minimum(s, 22)], exact[np.maximum(s - 22, 0)]))
-    k, kept = np.arange(-11, 15)[:, None, None], np.arange(1, 18)[:, None]
+    tail = np.frombuffer(b"\0" b"0.\0", np.uint32)  # with a NUL sign
+    tens = np.array([float(10**s) for s in range(20, 1, -1)])  # 16 - k, each exact
+    k, kept = np.arange(-4, 15)[:, None, None], np.arange(1, 18)[:, None]
     q = np.arange(-1, _WIDTH - 1)  # bytes after the sign
-    e = np.where(k >= -4, k, 0)  # the exponent of the integer part
-    whole = np.maximum(e, 0) + 1  # its bytes; then a point and the digits after it,
-    frac = np.maximum(kept - 1 - e, 0)  # which for e < 0 start in the zeros before N
+    whole = np.maximum(k, 0) + 1  # the integer part's bytes; then a point and the digits
+    frac = np.maximum(kept - 1 - k, 0)  # after it, which for k < 0 start in the zeros before N
     end = whole + frac + (frac > 0)
     layout = np.select(
-        [q < 0, q < whole, (q == whole) & (q < end), q < end, (e != k) & (q < end + 4)],
-        [_SIGN, np.where(e < 0, _ZERO, 3 + q), _POINT, 3 + e + q - whole,
-         np.choose(np.clip(q - end, 0, 3), (_E, _MINUS, _ZERO + (-k) // 10, _ZERO + (-k) % 10))],
+        [q < 0, q < whole, (q == whole) & (q < end), q < end],
+        [_SIGN, np.where(k < 0, _ZERO, 3 + q), _POINT, 3 + k + q - whole],
         _NUL,
     )
-    return (ascii.view(np.uint32).ravel(), group_kept.ravel(), alphabet, tens,
+    return (ascii.view(np.uint32).ravel(), group_kept.ravel(), tail, tens,
             layout.reshape(-1, _WIDTH), ints.ravel(), cents)
 
 
@@ -104,21 +99,14 @@ def _groups(n: np.ndarray) -> np.ndarray:
     return groups
 
 
-def _decimal(n: np.ndarray) -> np.ndarray:
-    """(n.size, 20) ASCII digits of 0 <= n < 10**17, zero-filled."""
-    return _tables()[0].take(_groups(n).T).view(np.uint8)
-
-
 def _float_text(x: np.ndarray) -> np.ndarray:
     """(x.size, _WIDTH) bytes: '%.17g' % x per field, NUL-padded."""
     ax = np.abs(x)
-    inside = (ax >= 1e-11) & (ax < 1e15)
+    inside = (ax >= 1e-4) & (ax < 1e15)
     ax = np.where(inside, ax, 1.0)
-    row = np.clip(np.floor(np.log10(ax)), -11, 14).astype(np.intp) + 11  # k's table row
-    ascii, group_kept, alphabet, tens, layout, _, _ = _tables()
-    hi, lo = tens.take(row, axis=1)
-    prod, frac = _two_product(ax, hi)
-    frac += ax * lo
+    row = np.clip(np.floor(np.log10(ax)), -4, 14).astype(np.intp) + 4  # k's table row
+    ascii, group_kept, tail, tens, layout, _, _ = _tables()
+    prod, frac = _two_product(ax, tens.take(row))
     whole = np.floor(frac)
     frac -= whole  # now the fraction that rounding drops
     n = prod.astype(np.int64) + whole.astype(np.int64)
@@ -128,9 +116,9 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     groups = _groups(n)
     # Trailing zeros go: N's digits up to its last non-zero group's last non-zero digit.
     kept = np.max(group_kept.take(groups[1:] + np.arange(0, 40000, 10000)[:, None]), axis=0, initial=1)
-    src = np.empty((x.size, 9), np.uint32)
+    src = np.empty((x.size, 6), np.uint32)
     src[:, :5] = ascii.take(groups).T
-    src[:, 5:] = alphabet
+    src[:, 5:] = tail
     src = src.view(np.uint8)
     src[:, _SIGN] = (x < 0) * ord("-")
     index = layout.take(row * 17 + kept - 1, axis=0)
@@ -179,8 +167,7 @@ def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]]) -> str:
         if counts[block].max() < 10**4:
             count = ints.take(counts[block]).view(np.uint8).reshape(-1, 4)
         else:
-            count = _decimal(counts[block])
-            count[:, :-1][np.logical_and.accumulate(count[:, :-1] == ord("0"), axis=1)] = 0
+            count = _float_text(counts[block].astype(float))
         # Five fields a row, each _WIDTH NUL-padded bytes and a comma, then
         # the NUL-padded count and a newline.
         rows = np.empty((x.shape[0], 5 * (_WIDTH + 1) + count.shape[1] + 1), np.uint8)

@@ -38,7 +38,12 @@ def modular_hamiltonian(rho) -> np.ndarray:
     # A second LAPACK call on the validated matrix: require_density keeps
     # eigvalsh, whose spectrum the entropy, capacity and ergotropy read more
     # accurately than eigh's.
-    vals, vecs = np.linalg.eigh(require_density(rho)[0])
+    return _modular(require_density(rho)[0])
+
+
+def _modular(rho) -> np.ndarray:
+    """``modular_hamiltonian`` of a density operator or stack, unvalidated."""
+    vals, vecs = np.linalg.eigh(rho)
     return (vecs * -_clamped_log(vals)[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
 
 

@@ -615,7 +615,7 @@ def _emit_mismatches(curves) -> list[str]:
             rounded = np.where(np.arange(ts.size) == ts.size // 2, np.nan, np.round(y, 1))
             drawn += [(60.0 + 520.0 * ts / ts[-1], y), (4.0 * ts / ts[-1], rounded)]
     # Each kernel edge in every column, the positive ones with counts render_csv takes from
-    # a table (0, 9, 10), the negative ones with those in digit groups; rows T = 0, 1, .. count them.
+    # a table (0, 9, 10), the negative ones with those it writes as floats; rows T = 0, 1, .. count them.
     probes = []
     for edges, counts in ((_KERNEL_EDGES, _EDGE_COUNTS[:3]), (-_KERNEL_EDGES, _EDGE_COUNTS[3:])):
         ts = np.concatenate((np.arange(len(counts)), edges))

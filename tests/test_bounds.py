@@ -175,9 +175,26 @@ class TestQslIntegral:
     def test_identity_observable_gives_zero_bound(self):
         grid = TimeGrid(1.0, 20)
         curve = qsl_integral(grid, sample_heisenberg(SIGMA_Z, np.eye(2), PLUS, grid.points), 1.0)
-        assert np.allclose(curve.t_qslo, 0.0)
-        assert np.allclose(curve.t_sqslo, 0.0)
+        assert not (curve.t_qslo.any() or curve.t_sqslo.any() or curve.r_bar.any() or curve.quad_error)
         assert len(curve.warnings) == grid.points.size
+        # Any conserved observable a H + b: c = +-1, so r = 1 excludes every
+        # SQSLO sample, and the bounds vanish all the same.
+        rng = np.random.default_rng(23)
+        h, psi = random_hermitian(rng, 4), random_state(rng, 4)
+        grid = TimeGrid(1.0, 64)
+        for obs in (h, 2.0 * h + np.eye(4), -h):
+            curve = qsl_integral(grid, sample_heisenberg(h, obs, psi, grid.points), moments(h, psi).std_dev)
+            assert not curve.t_sqslo.any()
+            assert np.max(curve.t_qslo) <= 1e-12
+            assert np.allclose(curve.r_bar, 1.0)
+            assert len(curve.warnings) == grid.points.size
+
+    def test_rejects_a_moving_mean_without_spread(self):
+        grid, samples = self.single_qubit_inputs()
+        samples = samples._replace(std_devs=np.zeros_like(samples.std_devs))
+        assert np.abs(samples.derivatives).max() > 0.5
+        with pytest.raises(ValueError, match="all integrand samples are degenerate"):
+            qsl_integral(grid, samples, 1.0)
 
     def test_random_system_hierarchy_and_monotonicity(self):
         rng = np.random.default_rng(47)

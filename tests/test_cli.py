@@ -319,11 +319,12 @@ def kept_digits(text):
 
 def kept_digit_floats():
     """Floats whose '%.17g' keeps each count of digits from 1 to 17, as
-    (fixed, exponent) notation.  Fixed notation takes k = -4..14 wherever an
-    exact value D * 10**e keeps that many digits: an integer, or for e < 0
-    m / 2**-e with D = 5**-e * m and m odd.  Exponent notation takes
-    k = -11..-5 and the first decimal D * 10**e, if any, that '%.17g'
-    writes with as many digits as D."""
+    (fixed, exponent) notation.  Fixed notation, the kernel's, takes
+    k = -4..14 wherever an exact value D * 10**e keeps that many digits: an
+    integer, or for e < 0 m / 2**-e with D = 5**-e * m and m odd.  Exponent
+    notation, the '%.17g' fallback's below 1e-4, takes k = -11..-5 and the
+    first decimal D * 10**e, if any, that '%.17g' writes with as many digits
+    as D."""
     fixed, exponent = [], []
     for kept in range(1, 18):
         for k in range(-4, 15):
@@ -438,7 +439,8 @@ class TestEmission:
 
     def test_csv_keeps_every_count_of_digits(self):
         # The kernel drops trailing zeros per 4-digit group of N: each kept
-        # count from 1 to 17, both signs, in fixed and exponent notation.
+        # count from 1 to 17, both signs, in fixed notation, and in the
+        # exponent notation that the '%.17g' fallback writes.
         fixed, exponent = kept_digit_floats()
         for values, notation in ((fixed, False), (exponent, True)):
             assert sorted({kept_digits(fmt(v)) for v in values}) == list(range(1, 18))
@@ -503,6 +505,26 @@ class TestEmission:
         drawn = [polyline_points(render_svg(c, "demo")) for c in curves]
         assert sum(map(len, drawn)) == 36
         assert drawn == [[verify._points_by_field(xy).split() for xy in emit._polylines(c)] for c in curves]
+
+    def test_the_csv_kernel_writes_nearly_every_preset_field(self, monkeypatch):
+        # A kernel that certifies nothing still writes every byte right, through
+        # the '%.17g' fallback, so only its share of the fields shows it.  The
+        # fallback is the one tolist call in _float_text: count what it is handed.
+        class Counted(np.ndarray):
+            fallback = 0
+
+            def tolist(self):
+                Counted.fallback += self.size
+                return super().tolist()
+
+        kernel = emit._float_text
+        monkeypatch.setattr(emit, "_float_text", lambda x: kernel(x.view(Counted)))
+        curves = [c for p in PRESETS.values() for _, _, c in build_preset_curves(p, None)]
+        for curve in curves:
+            render_csv(curve, [])
+        fields = 5 * sum(c.grid.points.size for c in curves)
+        assert len(curves) == 12 and fields > 200_000
+        assert Counted.fallback <= 0.01 * fields
 
     def test_a_point_kernel_that_rounds_ties_up_is_caught(self, monkeypatch):
         monkeypatch.setattr(emit, "_points", ties_up_points)
@@ -670,8 +692,9 @@ class TestVerifyCommand:
     def test_determinism_check_catches_a_wrong_csv_kernel(self, mutant, monkeypatch, capsys):
         # Kernels wrong the same way on every run: one rounds exact 17-digit
         # ties away from zero, one writes zeros itself and loses -0.0's sign,
-        # one writes each warnings_count of 10**4 or more one too high.
-        kernel, digits = emit._float_text, emit._decimal
+        # one writes each integer of 10**4 or more one too high, as in a
+        # warnings_count of 10**4 or more.
+        kernel = emit._float_text
 
         def ties_up(x):
             texts = [decimal_g17(v, decimal.ROUND_HALF_UP) for v in x.tolist()]
@@ -685,7 +708,7 @@ class TestVerifyCommand:
         name, wrong = {
             "ties-up": ("_float_text", ties_up),
             "zero-without-fallback": ("_float_text", zero_without_fallback),
-            "count-fallback": ("_decimal", lambda n: digits(n + 1)),
+            "count-fallback": ("_float_text", lambda x: kernel(np.where((x >= 10**4) & (x == np.floor(x)), x + 1, x))),
         }[mutant]
         monkeypatch.setattr(emit, name, wrong)
         assert verify._emit_mismatches([]) == ["byte-identical render, differs from a field-by-field one"]
