@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bounds import BoundCurve
-from .dynamics import MIN_GRID_STEPS, TimeGrid
+from .dynamics import MIN_GRID_STEPS, TimeGrid, _AliasedGridError
 from .emit import fmt, render_csv, render_svg
 from .presets import KINDS, PRESETS, Preset, build_preset_curves, build_scenario, plain_run
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         if cfg.preset is None:
             return _run_verify(cfg)
         written = _run_scenarios(cfg)
-    except UsageError as exc:
+    except (UsageError, _AliasedGridError) as exc:
         print(f"qslbound: error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, ArithmeticError, MemoryError) as exc:

@@ -24,7 +24,10 @@ entry, and then run the core (``_heisenberg``, ``_entanglement``).  The
 scenario runners call the core directly: their operators are Hermitian and
 normalized by construction, from validated parameters and constant Pauli
 products, so the core checks only that H is finite, and returns dH of H in
-psi0 with the samples.  hbar = 1 throughout.
+psi0 with the samples.  A ``TimeGrid`` whose step aliases the spectrum,
+dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``): every
+frequency of the samples is a difference E_i - E_j, and above pi / dx the
+samples alias it to a slower one.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ MIN_GRID_STEPS = 16
 
 # Sample times per block of the sampler; bounds its working memory.
 SAMPLE_BLOCK = 1024
+
+
+class _AliasedGridError(ValueError):
+    """A grid too coarse for the spectrum it samples; the CLI exits 1 on it."""
 
 
 @dataclass(frozen=True)
@@ -147,11 +154,17 @@ def _phases(t, vals) -> np.ndarray:
 
 def _sample(times, vals, c0, m_h, rows) -> Samples:
     """Run ``rows`` over blocks of eigen-amplitudes c_t at ``times``, a
-    ``TimeGrid`` or a finite 1-D array; ``m_h`` holds H's mean and spread in psi0.
+    ``TimeGrid`` (refused if its step aliases the spectrum ``vals``) or a
+    finite 1-D array; ``m_h`` holds H's mean and spread in psi0.
 
     ``rows(c)`` returns (psi, O psi, (H - <H>) psi, d<O>/dt) for a block of c_t.
     """
     on_grid = isinstance(times, TimeGrid)
+    if on_grid and (phase := times.dx * (vals[-1] - vals[0])) >= math.pi:
+        raise _AliasedGridError(
+            f"the grid aliases the spectrum: dx * (E_max - E_min) = {phase:.3g} >= pi"
+            f" at dx = {times.dx:.6g}; take more steps or a shorter t_max"
+        )
     t = times.points if on_grid else times
     table = _phases(t[:SAMPLE_BLOCK], vals) * c0
     out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)

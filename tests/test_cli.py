@@ -255,6 +255,26 @@ class TestMainExitCodes:
         assert err.startswith("qslbound: failure:") and "initial state is stationary" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv", ["modular --t-max 1000 --steps 16", "battery --preset fig8 --steps 34"]
+    )
+    def test_aliased_grid_exits_1(self, argv, tmp_path, capsys):
+        # dx (E_max - E_min) >= pi: 125 for the modular run, 3.16 for fig8
+        # decoupled; nothing is written, not even fig8's coupled curve.
+        out = tmp_path / "curve.csv"
+        assert run_cli(argv.split() + ["--out", str(out), "--format", "csv+svg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err.startswith("qslbound: error: the grid aliases the spectrum")
+        assert captured.err.count("\n") == 1
+
+    def test_fig8_runs_at_36_steps(self, tmp_path, capsys):
+        # Two steps past the refused 34: fig8 decoupled at dx (E_max - E_min) = 2.98 < pi.
+        out = tmp_path / "fig8.csv"
+        assert run_cli(["battery", "--preset", "fig8", "--steps", "36", "--out", str(out)]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["fig8_coupled.csv", "fig8_decoupled.csv"]
+
     @pytest.mark.parametrize("argv", ["modular --the 2", "verify --st 64"])
     def test_flag_prefix_exits_1(self, argv, tmp_path, capsys):
         out = tmp_path / "curve.csv"

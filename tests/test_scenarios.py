@@ -335,6 +335,13 @@ class TestRunEntanglement:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             run_scenario(scn)
 
+    @pytest.mark.parametrize("run_scenario", [run_entanglement_scenario, run_modular_scenario])
+    def test_an_aliased_grid_is_refused(self, run_scenario):
+        # dx = 62.5 against E_max - E_min = 2: every frequency aliases.
+        scn = EntanglementScenario(p=0.1, theta=1.0, grid=TimeGrid(1000.0, 16))
+        with pytest.raises(ValueError, match="aliases the spectrum"):
+            run_scenario(scn)
+
     def test_flat_spectrum_sample_is_excluded_with_warning(self):
         # A grid hitting t = pi/4 exactly lands on the zero of the capacity,
         # where no correction is defined; the sample must be warned about.

@@ -1,11 +1,12 @@
 """Stacked evaluation: the same draws, the same bits, one validated call.
 
-The random-draw checks of ``verify`` draw their operators in blocks and
-evaluate stacks of them.  These tests pin that the stacked draws are the
-documented block calls, each row a single reference draw, that every member
-of a stacked library call has the bits of its single call, that a stack with
-one bad member is refused, that each stacked check stays small in memory and
-that it fails when the function it covers is broken.
+The random-draw checks of ``verify`` draw their operators as whole stacks
+and evaluate them.  These tests pin that a single draw is the reference draw,
+that the stacked draws keep their count, dimensions, chunk size, floor and
+span, that every member of a stacked library call has the bits of its single
+call, that a stack with one bad member is refused, that each stacked check
+stays small in memory and that it fails when the function it covers is
+broken.
 """
 
 import dataclasses
@@ -89,28 +90,18 @@ class TestSameDraws:
         assert_same_stream(mine, ref)
 
     @pytest.mark.parametrize("dims", [(2, 3, 4, 8), (4,)], ids=["choice", "one-dim"])
-    def test_stacked_draws_are_the_documented_block_calls(self, dims):
-        # 300 draws make a chunk of 250 and one of 50; a single dimension
-        # draws no index.  Each standard_normal block is its rows' single
-        # reference draws in turn.
-        n, span = verify._DRAW_CHUNK + 50, (-1.0, 2.0)
-        mine, ref = np.random.default_rng(5), np.random.default_rng(5)
-        expected = []
-        for m in (verify._DRAW_CHUNK, 50):
-            which, times = ref.integers(len(dims), size=m), ref.uniform(*span, size=m)
-            for i, d in enumerate(dims):
-                for t in times[which == i]:
-                    expected.append((d, [REFERENCE[kind](ref, d) for kind in KINDS] + [t]))
-        got = [
-            (d, row)
-            for d, stacks in verify._draws(mine, n, dims, KINDS, span=span)
-            for row in zip(*stacks)
-        ]
-        assert len(got) == len(expected) == n
-        for (d, row), (ref_d, ref_row) in zip(got, expected):
-            assert d == ref_d
-            assert all(np.array_equal(a, b) for a, b in zip(row, ref_row, strict=True))
-        assert_same_stream(mine, ref)
+    def test_draws_keep_their_count_dims_chunks_floor_and_span(self, dims):
+        # 600 kept draws take at least three chunks; the floor drops a few.
+        n, floor, span = 2 * verify._DRAW_CHUNK + 100, 0.1, (-1.0, 2.0)
+        kinds = (verify._hermitian, verify._state)
+        kept, seen = 0, set()
+        for d, (obs, psi, t) in verify._draws(np.random.default_rng(5), n, dims, kinds, floor, span):
+            assert d in dims and 0 < len(t) <= verify._DRAW_CHUNK
+            assert obs.shape == (len(t), d, d) and psi.shape == (len(t), d)
+            assert np.all(moments(obs, psi).variance > floor)
+            assert np.all((span[0] <= t) & (t < span[1]))
+            kept, seen = kept + len(t), seen | {d}
+        assert kept == n and seen == set(dims)
 
     def test_a_floored_draw_is_dropped_until_n_are_kept(self):
         # A floor most two-level draws miss; every draw takes one index.
@@ -130,19 +121,7 @@ class TestSameDraws:
         kept = [row for _, stacks in draws for row in zip(*stacks)]
         assert len(kept) == n
         assert all(moments(obs, psi).variance > floor for obs, psi in kept)
-        assert sum(drawn) - n > 100
-
-    def test_fixed_layout_rows_are_consecutive_draws(self):
-        # A fixed layout, as operator-core/partial-trace-density and
-        # tensor-product-trace draw: each row holds one draw of each shape.
-        dims = (2, 4, 8, 16)
-        mine, ref = np.random.default_rng(3), np.random.default_rng(3)
-        x = mine.standard_normal((6, sum(2 * d * d for d in dims)))
-        stacks = [verify._hermitian(g) for g in verify._gaussians(x, *((d, d) for d in dims))]
-        for k in range(6):
-            for d, stack in zip(dims, stacks):
-                assert np.array_equal(stack[k], ref_hermitian(ref, d))
-        assert_same_stream(mine, ref)
+        assert sum(drawn) - n > 50
 
 
 def stack(rng, make, d, n=4):

@@ -8,6 +8,8 @@ contexts and never read that memo.
 """
 
 import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +62,16 @@ def test_registry_holds_the_pinned_checks_in_order():
 def test_invariant(check, run):
     result = run.result(check)
     assert result.status == EXPECTED[check.name], result.detail
+
+
+def test_no_verdict_reads_the_clock(monkeypatch):
+    # A clock that jumps 1e3 s per call: a check's seconds are reported,
+    # never gated, so every check keeps its pinned status.
+    for name in ("monotonic", "perf_counter"):
+        monkeypatch.setattr(time, name, itertools.count(step=1e3).__next__)
+    results = verify.run_verify(n_steps=64)
+    assert {r.name: r.status for r in results} == EXPECTED
+    assert all(r.seconds >= 1e3 for r in results)
 
 
 def assert_fails_on_comparison(name):
