@@ -21,10 +21,12 @@ constants of the motion).  The commutator side ``rhs`` comes from A psi and
 B psi, and the sampler's d<O>/dt from the commutator, not from c, so each
 side of the relation checks the other.
 
-Bound curves integrate |d<O>/dt| / (dO * eta) by cumulative composite
-Simpson over the sampler's ``Samples`` (r NaN where c is).  Samples where dO
-or eta degenerate are excluded, replaced by the nearest healthy sample and
-recorded as warnings.
+Bound curves integrate |d<O>/dt| / (dO * eta) (direct form) or dO [eta]
+(ratio form) over the sampler's ``Samples`` (r NaN where c is), both through
+one quadrature seam, ``quadrature._prefix_integrals``.  Samples where dO or
+eta degenerate are excluded, take the value of the nearest preceding healthy
+sample (the first healthy one, for a leading run) and are recorded as
+warnings.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import _vdot, spectral_norm
-from .quadrature import RICHARDSON_FACTOR, _halving_gaps, cumulative_simpson
+from .quadrature import _prefix_integrals
 from .states import VARIANCE_FLOOR, DegenerateObservableError, ObservableMoments, _moments, _operands
 
 if TYPE_CHECKING:  # dynamics imports this module at run time
@@ -177,13 +179,23 @@ def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
 _REASONS = (None, "zero-variance sample", "degenerate correction", "correction saturates r=1")
 
 
-def _warnings(grid: TimeGrid, codes: np.ndarray) -> tuple[tuple[float, str], ...]:
-    """(time, reason) for every excluded sample, by its code in _REASONS."""
-    return tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in codes.nonzero()[0])
+def _exclusions(grid: TimeGrid, zero_spread=None, no_correction=None, saturated=None):
+    """Each sample's exclusion code, the index in _REASONS of the first reason
+    whose mask holds there (0 where none does), and the (time, reason)
+    warning of every excluded sample.  A form passes a mask only for the
+    reasons it excludes samples for."""
+    codes = np.zeros(grid.points.size, dtype=int)
+    for code, mask in ((3, saturated), (2, no_correction), (1, zero_spread)):  # lowest priority first
+        if mask is not None:
+            codes[mask] = code
+    return codes, tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in codes.nonzero()[0])
 
 
-def _running_average(r_filled: np.ndarray, r_integral: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    return np.concatenate([r_filled[:1], r_integral[1:] / grid.points[1:]])
+def _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, quad_error) -> BoundCurve:
+    """The BoundCurve of either form, whose integrand ``rows`` end in the
+    filled r row: r_bar is that row's running time average."""
+    r_bar = np.concatenate([rows[2, :1], integrals[2, 1:] / grid.points[1:]])
+    return BoundCurve(grid, t_qslo, t_sqslo, samples.means.copy(), r_bar, warnings, quad_error)
 
 
 def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
@@ -192,24 +204,20 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
     ``samples`` holds the sampler's mean, spread, d<O>/dt and r of the
     observable at every grid point; the strengthened bound divides by
     eta = 1 - r as well.  Singular samples (vanishing spread, missing
-    correction, eta at the floor) are replaced by the nearest healthy sample
-    and reported in the curve's warnings.  An integrand with no healthy
-    sample is zero if d<O>/dt is negligible on the whole curve (a conserved
+    correction, eta at the floor) take the value of the nearest preceding
+    healthy sample (the first healthy one, for a leading run) and are
+    reported in the curve's warnings.  An integrand with no healthy sample is
+    zero if d<O>/dt is negligible on the whole curve (a conserved
     observable), and is refused otherwise.
     """
     _require_inputs(grid, samples, delta_h)
-    n = grid.points.size
     stds = samples.std_devs
     derivs = np.abs(samples.derivatives)
     r_raw = samples.r
     eta = 1.0 - r_raw
-    # Exclusion codes, assigned lowest priority first: 1 > 2 > 3.
-    codes = np.zeros(n, dtype=int)
-    codes[eta <= ETA_FLOOR] = 3
-    codes[np.isnan(r_raw)] = 2
-    codes[~(stds * stds > VARIANCE_FLOOR)] = 1
+    codes, warnings = _exclusions(grid, ~(stds * stds > VARIANCE_FLOOR), np.isnan(r_raw), eta <= ETA_FLOOR)
     # Integrand rows f_q, f_s and r; each divides only where its sample is kept.
-    rows = np.full((3, n), np.nan)
+    rows = np.full((3, grid.points.size), np.nan)
     np.divide(derivs, stds, out=rows[0], where=codes != 1)
     np.divide(derivs, stds * eta, out=rows[1], where=codes == 0)
     rows[2] = r_raw
@@ -219,18 +227,10 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
             raise ValueError("all integrand samples are degenerate")
         rows[empty] = 0.0  # the observable never moves: a row without a healthy sample is zero
     rows = _fill_nearest(rows)
-    integrals = cumulative_simpson(rows, grid.dx)
-    gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
+    integrals, error = _prefix_integrals(rows, grid.dx, 2)
     prefactor = 0.5 / delta_h
-    return BoundCurve(
-        grid=grid,
-        t_qslo=prefactor * integrals[0],
-        t_sqslo=prefactor * integrals[1],
-        mean_values=samples.means.copy(),
-        r_bar=_running_average(rows[2], integrals[2], grid),
-        warnings=_warnings(grid, codes),
-        quad_error=float(prefactor * (gaps.max() / RICHARDSON_FACTOR)),
-    )
+    t_qslo, t_sqslo = prefactor * integrals[:2]
+    return _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, float(prefactor * error.max()))
 
 
 def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
@@ -243,30 +243,23 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     """
     _require_inputs(grid, samples, delta_h)
     means, f_q, r_raw = samples.means, samples.std_devs, samples.r
-    warnings = _warnings(grid, np.where(np.isnan(r_raw), 2, 0))
-    if np.isnan(r_raw).all():
+    missing = np.isnan(r_raw)
+    if missing.all():
         raise ValueError("all correction samples are degenerate")
+    _, warnings = _exclusions(grid, no_correction=missing)
+    # r is filled before it enters f_s: filling the product would take a neighbour's dO too.
     r_filled = _fill_nearest(r_raw)
     rows = np.stack([f_q, f_q * (1.0 - r_filled), r_filled])
-    integrals = cumulative_simpson(rows, grid.dx)
-    gaps = _halving_gaps(rows[:2], integrals[:2], grid.dx)
+    integrals, error = _prefix_integrals(rows, grid.dx, 2)
     net_change = np.abs(means - means[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = grid.points * net_change / (2.0 * delta_h * integrals[:2])
-        propagated = ratios[:, ::2] * (gaps / RICHARDSON_FACTOR) / integrals[:2, ::2]
+        propagated = ratios[:, ::2] * error / integrals[:2, ::2]
     t_qslo, t_sqslo = np.where(integrals[:2] > 0.0, ratios, 0.0)
-    # Each bound times its relative halving gap at the even prefixes; inf if a grid can't halve.
-    finite = np.isfinite(gaps).all()
+    # Each bound times its relative error at the even prefixes; inf if a grid can't halve.
+    finite = np.isfinite(error).all()
     quad_error = float(propagated.max(where=integrals[:2, ::2] > 0.0, initial=0.0)) if finite else math.inf
-    return BoundCurve(
-        grid=grid,
-        t_qslo=t_qslo,
-        t_sqslo=t_sqslo,
-        mean_values=means.copy(),
-        r_bar=_running_average(r_filled, integrals[2], grid),
-        warnings=warnings,
-        quad_error=quad_error,
-    )
+    return _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, quad_error)
 
 
 def entanglement_rate_bound(c_e, delta_h, r):

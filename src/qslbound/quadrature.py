@@ -4,8 +4,10 @@ The cumulative rule fits a quadratic through each triple of consecutive
 samples and integrates it over the two half-steps separately, so prefix
 integrals are available at every grid point while the pairwise sums
 reproduce classic composite Simpson.  A Richardson estimate from grid
-halving provides the quadrature-error scale.  Both take a (k, n) stack of
-integrands, one row each, bit for bit as the 1-D calls.
+halving provides the quadrature-error scale.  ``_prefix_integrals`` is the
+one seam the bound forms integrate through: it takes a (k, n) stack of
+integrands, one row each, bit for bit as the 1-D calls, and returns their
+prefix integrals with a per-prefix error bound.
 """
 
 from __future__ import annotations
@@ -52,18 +54,21 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
 RICHARDSON_FACTOR = 3.0
 
 
-def _halving_gaps(y: np.ndarray, integral: np.ndarray, dx: float) -> np.ndarray:
-    """Per-prefix gap |I_h - I_2h| at the even samples (entry k = prefix 2k),
-    per row of a (k, n) stack, from y's cumulative integral on the full grid,
-    whose even prefixes are those over y[..., :m + 1] because cumsum is
-    sequential: one quadrature call, on the coarse grid.  y is the validated
-    integrand of that integral, so its coarse rows are too.
+def _prefix_integrals(rows, dx: float, n_err: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative integrals of a (k, n) stack of integrand rows at every
+    sample, and for its first ``n_err`` rows an error bound at every even
+    prefix (entry j covers prefix 2j): the grid-halving gap |I_h - I_2h| over
+    RICHARDSON_FACTOR.  Because cumsum is sequential, the even prefixes of
+    the full-grid integral are those over y[:, :m + 1], so one quadrature
+    call on the coarse grid gives every gap.
 
-    Grids with fewer than five samples cannot be halved; a single inf is
-    returned (per row) so downstream tolerances stay conservative.
+    Grids with fewer than five samples cannot be halved; their error is a
+    single inf per row, so downstream tolerances stay conservative.
     """
+    y = np.asarray(rows, dtype=float)
+    integrals = cumulative_simpson(y, dx)
     if y.shape[-1] < 5:
-        return np.full(y.shape[:-1] + (1,), np.inf)
+        return integrals, np.full((n_err, 1), np.inf)
     m = (y.shape[-1] - 1) // 2 * 2
-    coarse = _simpson(y[..., : m + 1 : 2], 2.0 * dx)
-    return np.abs(integral[..., : m + 1 : 2] - coarse)
+    coarse = _simpson(y[:n_err, : m + 1 : 2], 2.0 * dx)
+    return integrals, np.abs(integrals[:n_err, : m + 1 : 2] - coarse) / RICHARDSON_FACTOR

@@ -505,24 +505,37 @@ def _ergotropy_j_independence(rng, run):
     return gap <= 1e-10, f"max |E_J=0 - E_J=1| = {gap:.2e}"
 
 
+# (p, theta, mu3) of fig2 (fig3's theta = 1), the other fig3 curves and a
+# plain run with mu3 != 0.
+_RATE_CASES = ((0.1, 0.5, 0.0), (0.1, 1.0, 0.0), (0.1, 1.5, 0.0), (0.1, 2.0, 0.0), (0.8, 1.2, 0.4))
+
+
 @_check("scenarios/entanglement-rate-bound")
 def _entanglement_rate(rng, run):
     grid = run.grid(1.0)
-    psi0, h, _ = entanglement_setup(0.1, 1.0, 0.0)
-    delta_h = moments(h, psi0).std_dev
-    samples = sample_entanglement(h, psi0, (2, 2), grid.points)
-    gamma = np.abs(samples.derivatives)
-    worst_norm = float(np.max(gamma - 2.0 * norm_rate_comparison(h, 2)))
-    healthy = ~np.isnan(samples.r)
-    limits = entanglement_rate_bound(samples.std_devs[healthy] ** 2, delta_h, samples.r[healthy])
-    worst_violation = float(np.max(gamma[healthy] - limits, initial=-math.inf))
-    share = float(np.mean(healthy))
-    live = limits > 1e-6  # psi_t stays in span{|00>, |11>}, so |c| = 1 and the bound is tight
-    gap = float(np.max(np.abs(gamma[healthy] - limits)[live] / limits[live], initial=0.0))
-    c_defect = float(np.max(np.abs(np.abs(samples.c[healthy]) - 1.0), initial=0.0))
-    ok = worst_violation <= 1e-9 and worst_norm <= 1e-9 and share > 0.99 and live.any()
-    ok = ok and gap <= 1e-10 and c_defect <= 1e-12
-    detail = f"tightness gap {gap:.2e}, max ||c| - 1| {c_defect:.2e}"
+    worst_violation = worst_norm = -math.inf
+    gap = c_defect = drift = 0.0
+    share, live_on_every_curve = 1.0, True
+    for p, theta, mu3 in _RATE_CASES:
+        psi0, h, _ = entanglement_setup(p, theta, mu3)
+        delta_h = moments(h, psi0).std_dev
+        samples = sample_entanglement(h, psi0, (2, 2), grid.points)
+        gamma = np.abs(samples.derivatives)
+        worst_norm = float(np.max(gamma - 2.0 * norm_rate_comparison(h, 2), initial=worst_norm))
+        healthy = ~np.isnan(samples.r)
+        limits = entanglement_rate_bound(samples.std_devs[healthy] ** 2, delta_h, samples.r[healthy])
+        worst_violation = float(np.max(gamma[healthy] - limits, initial=worst_violation))
+        share = min(share, float(np.mean(healthy)))
+        live = limits > 1e-6  # psi_t stays in span{|00>, |11>}, so |c| = 1 and the bound is tight
+        live_on_every_curve = live_on_every_curve and bool(live.any())
+        gap = float(np.max(np.abs(gamma[healthy] - limits)[live] / limits[live], initial=gap))
+        c_defect = float(np.max(np.abs(np.abs(samples.c[healthy]) - 1.0), initial=c_defect))
+        # The same equality, integrated: the direct-form SQSLO integrand is 2 dH, so t_sqslo = T.
+        t_sqslo = qsl_integral(grid, samples, delta_h).t_sqslo
+        drift = float(np.max(np.abs(t_sqslo - grid.points), initial=drift))
+    ok = worst_violation <= 1e-9 and worst_norm <= 1e-9 and share > 0.99 and live_on_every_curve
+    ok = ok and gap <= 1e-10 and c_defect <= 1e-12 and drift <= 1e-12
+    detail = f"tightness gap {gap:.2e}, max ||c| - 1| {c_defect:.2e}, max |t_sqslo - T| {drift:.2e}"
     return ok, f"worst rate excess {worst_violation:.2e}, {detail} over {share:.2%} healthy samples"
 
 

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from qslbound.bounds import _fill_nearest
-from qslbound.quadrature import RICHARDSON_FACTOR, _halving_gaps, cumulative_simpson
+from qslbound.quadrature import RICHARDSON_FACTOR, _prefix_integrals, cumulative_simpson
 
 
-def halving_gaps(values, dx):
-    """Per-prefix Richardson gaps of values, from the one integral that
-    qsl_integral also hands to _halving_gaps."""
-    y = np.asarray(values, dtype=float)
-    return _halving_gaps(y, cumulative_simpson(y, dx), dx)
+def prefix_errors(values, dx):
+    """Per-prefix error bounds of one integrand, as the bound forms get them
+    from _prefix_integrals."""
+    return _prefix_integrals(np.asarray(values, dtype=float)[None], dx, 1)[1][0]
 
 
 def richardson_error_estimate(values, dx):
     """Worst per-prefix quadrature-error estimate, as qsl_integral takes it."""
-    return float(np.max(halving_gaps(values, dx))) / RICHARDSON_FACTOR
+    return float(np.max(prefix_errors(values, dx)))
 
 
 def test_constant_integrand_is_exact():
@@ -68,7 +67,7 @@ def test_richardson_gaps_cover_kink_error():
 def test_short_input_rejected():
     with pytest.raises(ValueError):
         cumulative_simpson(np.array([1.0]), 0.1)
-    assert halving_gaps(np.array([1.0, 1.0, 1.0]), 0.1)[0] == np.inf
+    assert prefix_errors(np.array([1.0, 1.0, 1.0]), 0.1)[0] == np.inf
 
 
 def test_non_finite_rejected():
@@ -105,15 +104,16 @@ def reference_gaps(y, dx):
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_gaps_from_the_reused_fine_integral_are_the_separate_integrals(n):
     y, dx = rows_of(n), 0.37
-    stacked = halving_gaps(y, dx)
-    reused = _halving_gaps(y[:2], cumulative_simpson(y[:2], dx), dx)
+    integrals, stacked = _prefix_integrals(y, dx, 3)
+    assert np.array_equal(integrals, cumulative_simpson(y, dx))
+    reused = _prefix_integrals(y, dx, 2)[1]
     for k, row in enumerate(y):
-        single = halving_gaps(row, dx)
+        single = prefix_errors(row, dx)
         assert np.array_equal(stacked[k], single)
         if n < 5:
             assert single.tolist() == [np.inf]
         else:
-            assert np.array_equal(single, reference_gaps(row, dx))
+            assert np.array_equal(single, reference_gaps(row, dx) / RICHARDSON_FACTOR)
         if k < 2:
             assert np.array_equal(reused[k], single)
 

@@ -360,6 +360,15 @@ def flipped_sign(real):
     return r
 
 
+def dropped_eta(real):
+    # c = 1j wherever it is finite gives r = 0, so the SQSLO integrand loses its 1/eta.
+    def curve(grid, samples, delta_h):
+        c = np.where(np.isfinite(samples.c), 1j, samples.c)
+        return real(grid, samples._replace(c=c), delta_h)
+
+    return curve
+
+
 MUTANTS = {
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
     "operator-core/tensor-product-trace": ("tensor_product", row_major_kron),
@@ -374,6 +383,7 @@ MUTANTS = {
     "dynamics/picture-equivalence": ("propagator_family", backward_propagator),
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
+    "scenarios/entanglement-rate-bound": ("qsl_integral", dropped_eta),
 }
 
 
