@@ -14,12 +14,12 @@ c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) this is the closed form
 in [0, 1] by Cauchy-Schwarz.  eta = 1 - r >= |Im c| = |<[A, B]>| / (2 dA dB),
 with equality exactly where |c| = 1, which puts the SQSLO curves of the
 bundled case studies on the diagonal.  ``correction_r`` and the sampler,
-whose ``Samples`` carry c, share one kernel for c, ``_correlation``, which
-takes B's deviation row (B - <B>) psi and moments: per state in
-``correction_r``, once per curve in the sampler (B = H, whose <H> and dH are
-constants of the motion).  The commutator side ``rhs`` comes from A psi and
-B psi, and the sampler's d<O>/dt from the commutator, not from c, so each
-side of the relation checks the other.
+whose ``Samples`` carry c, share one kernel for c, ``states._correlation``
+(and ``states._r_from_c`` for r), which takes B's deviation row
+(B - <B>) psi and moments: per state in ``correction_r``, once per curve in
+the sampler (B = H, whose <H> and dH are constants of the motion).  The
+commutator side ``rhs`` comes from A psi and B psi, and the sampler's
+d<O>/dt from the commutator, not from c, so each side checks the other.
 
 Bound curves integrate |d<O>/dt| / (dO * eta) (direct form) or dO [eta]
 (ratio form) over the sampler's ``Samples`` (r NaN where c is), both through
@@ -33,16 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .dynamics import Samples, TimeGrid
 from .linalg import _vdot, spectral_norm
 from .quadrature import _prefix_integrals
-from .states import VARIANCE_FLOOR, DegenerateObservableError, ObservableMoments, _moments, _operands
-
-if TYPE_CHECKING:  # dynamics imports this module at run time
-    from .dynamics import Samples, TimeGrid
+from .states import VARIANCE_FLOOR, DegenerateObservableError, _correlation, _moments, _operands, _r_from_c
 
 # eta at or below this is treated as a singular sample of the SQSLO integrand.
 ETA_FLOOR = 1e-9
@@ -135,22 +132,6 @@ def correction_r(a, b, psi) -> CorrectionSample:
     rhs = np.abs(_vdot(a_psi, b_psi).imag)
     sign = np.where(c.imag > 0.0, "plus", "minus")[()]
     return CorrectionSample(r, eta, sign, lhs=ma.std_dev * mb.std_dev * eta, rhs=rhs)
-
-
-def _correlation(psi, a_psi, dev_b, mb) -> tuple[ObservableMoments, np.ndarray]:
-    """Moments of A and c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) from psi, A psi and the
-    (dev_b, mb) of ``states._moments(psi, B psi)`` (one state or rows, unvalidated; one mb may
-    serve all rows); c is NaN where a variance is <= VARIANCE_FLOOR."""
-    dev_a, ma = _moments(psi, a_psi)
-    healthy = (ma.variance > VARIANCE_FLOOR) & (mb.variance > VARIANCE_FLOOR)
-    c = np.full(healthy.shape, np.nan, dtype=complex)
-    np.divide(_vdot(dev_a, dev_b), ma.std_dev * mb.std_dev, out=c, where=healthy)
-    return ma, c
-
-
-def _r_from_c(c) -> np.ndarray:
-    """r = (1 + |c|^2)/2 - |Im c|; its sign branch is "plus" iff Im c > 0."""
-    return 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
 
 
 def _fill_nearest(values: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ times, so its working memory is set by the block, not the grid.  On a
 starting at t_start is its rows times exp(-iE t_start); arbitrary times take
 their phases directly.  <H> and dH are constants of the motion, taken once
 per curve from psi0.  The rows psi_t, O psi_t and (H - <H>) psi_t =
-V (c_t * (E - <H>)) of a block go through ``bounds._correlation``, the one
-kernel ``correction_r`` runs too, for the mean and spread of O and the
+V (c_t * (E - <H>)) of a block go through ``states._correlation``, the one
+kernel ``bounds.correction_r`` runs too, for the mean and spread of O and the
 correlation c of the pair (O, H); ``Samples`` carry c and derive r from it.  ``sample_heisenberg`` takes
 <psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its rows in H's eigenbasis, and
 d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
@@ -25,9 +25,9 @@ scenario runners call the core directly: their operators are Hermitian and
 normalized by construction, from validated parameters and constant Pauli
 products, so the core checks only that H is finite, and returns dH of H in
 psi0 with the samples.  A ``TimeGrid`` whose step aliases the spectrum,
-dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``): every
-frequency of the samples is a difference E_i - E_j, and above pi / dx the
-samples alias it to a slower one.  hbar = 1 throughout.
+dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``) before any
+other arithmetic on H: above pi / dx the samples alias a frequency E_i - E_j
+to a slower one.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import _correlation, _r_from_c
 from .linalg import LOG_EIG_FLOOR, _vdot, commutator, require_hermitian
 from .measures import _clamped_log, _modular
-from .states import ObservableMoments, _moments, require_state
+from .states import ObservableMoments, _correlation, _moments, _r_from_c, require_state
 
 # Default sampling density for bound integrals.
 STEPS_PER_UNIT_TIME = 2000
@@ -132,14 +131,21 @@ def _validated(h, psi0, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hm, v, t
 
 
-def _eigen_start(h, psi0) -> tuple[np.ndarray, np.ndarray, np.ndarray, ObservableMoments]:
+def _eigen_start(h, psi0, times) -> tuple[np.ndarray, np.ndarray, np.ndarray, ObservableMoments]:
     """(E, V, V^dag psi0) of a Hermitian H and a normalized psi0, and the
     mean and spread of H in psi0 by ``states.moments``' arithmetic, constants
     of the motion.  Only H's finiteness is checked: the runners build H from
-    finite parameters, and a product of them may still overflow."""
+    finite parameters, and a product of them may still overflow.  A TimeGrid
+    ``times`` that aliases E is refused first, before H's moments can overflow."""
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     vals, vecs = np.linalg.eigh(h)
+    # In Python floats a spread or phase past the float range is inf, refused without a warning.
+    if isinstance(times, TimeGrid) and (phase := times.dx * (float(vals[-1]) - float(vals[0]))) >= math.pi:
+        raise _AliasedGridError(
+            f"the grid aliases the spectrum: dx * (E_max - E_min) = {phase:.3g} >= pi"
+            f" at dx = {times.dx:.6g}; take more steps or a shorter t_max"
+        )
     return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, h @ psi0)[1]
 
 
@@ -154,17 +160,12 @@ def _phases(t, vals) -> np.ndarray:
 
 def _sample(times, vals, c0, m_h, rows) -> Samples:
     """Run ``rows`` over blocks of eigen-amplitudes c_t at ``times``, a
-    ``TimeGrid`` (refused if its step aliases the spectrum ``vals``) or a
-    finite 1-D array; ``m_h`` holds H's mean and spread in psi0.
+    ``TimeGrid`` (checked against the spectrum ``vals`` by ``_eigen_start``) or
+    a finite 1-D array; ``m_h`` holds H's mean and spread in psi0.
 
     ``rows(c)`` returns (psi, O psi, (H - <H>) psi, d<O>/dt) for a block of c_t.
     """
     on_grid = isinstance(times, TimeGrid)
-    if on_grid and (phase := times.dx * (vals[-1] - vals[0])) >= math.pi:
-        raise _AliasedGridError(
-            f"the grid aliases the spectrum: dx * (E_max - E_min) = {phase:.3g} >= pi"
-            f" at dx = {times.dx:.6g}; take more steps or a shorter t_max"
-        )
     t = times.points if on_grid else times
     table = _phases(t[:SAMPLE_BLOCK], vals) * c0
     out, corr = np.empty((3, t.size)), np.empty(t.size, dtype=complex)
@@ -194,7 +195,7 @@ def sample_heisenberg(h, obs0, psi0, times) -> Samples:
 def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
     """``sample_heisenberg`` of operands valid by construction, and the
     spread dH of H in psi0."""
-    vals, vecs, c0, m_h = _eigen_start(h, psi0)
+    vals, vecs, c0, m_h = _eigen_start(h, psi0, times)
     o_eig = vecs.conj().T @ obs0 @ vecs
     rate = 1j * commutator(np.diag(vals), o_eig)
     shifted = vals - m_h.mean
@@ -217,7 +218,7 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
 def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float]:
     """``sample_entanglement`` of operands valid by construction, and the
     spread dH of H in psi0."""
-    vals, vecs, c0, m_h = _eigen_start(h, psi0)
+    vals, vecs, c0, m_h = _eigen_start(h, psi0, times)
     shifted = vals - m_h.mean
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:

@@ -104,7 +104,7 @@ class BatteryScenario:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if self.big_omega < 0.0:
             raise ValueError(f"Omega must be nonnegative, got {self.big_omega!r}")
-        if 2.0 * self.big_omega**2 <= 1e-12:
+        if 2.0 * self.big_omega * self.big_omega <= 1e-12:
             raise ValueError(
                 "initial state is an eigenstate of the total Hamiltonian; "
                 "no charging dynamics to bound"
@@ -157,6 +157,18 @@ def ce_see_closed_form(p: float, theta: float, t):
         s_ee = -(lam1 * np.log(lam1) + lam2 * np.log(lam2))
         c_e = lam1 * lam2 * np.log(lam1 / lam2) ** 2
     return np.where(flat, 0.0, c_e)[()], np.where(flat, 0.0, s_ee)[()]
+
+
+def _ratio_sqslo_closed_form(p: float, theta: float, t: np.ndarray) -> np.ndarray:
+    """T |S(T) - S(0)| / V(T), the ratio-form SQSLO of an entanglement run with
+    mu3 = 0 at saturation, V the total variation of the entropy S on [0, T]:
+    S runs monotonically between S(0) and log 2 over each quarter period
+    pi / (4 theta), so after m whole quarters V = m (log 2 - S(0)) plus the
+    part of the last one; 0 at T = 0."""
+    s0, s = ce_see_closed_form(p, theta, 0.0)[1], ce_see_closed_form(p, theta, t)[1]
+    m = np.floor(4.0 * abs(theta) * t / math.pi)
+    v = m * (math.log(2.0) - s0) + np.where(m % 2 == 0, s - s0, math.log(2.0) - s)
+    return np.divide(t * np.abs(s - s0), v, out=np.zeros_like(v), where=v > 0.0)
 
 
 def modular_closed_form(p: float, theta: float, t):

@@ -89,6 +89,22 @@ def _moments(v: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, ObservableMomen
     return dev, ObservableMoments(mean, variance, np.sqrt(variance))
 
 
+def _correlation(psi, a_psi, dev_b, mb) -> tuple[ObservableMoments, np.ndarray]:
+    """Moments of A and c = <(A - <A>) psi|(B - <B>) psi> / (dA dB) from psi, A psi and the
+    (dev_b, mb) of ``_moments(psi, B psi)`` (one state or rows, unvalidated; one mb may
+    serve all rows); c is NaN where a variance is <= VARIANCE_FLOOR."""
+    dev_a, ma = _moments(psi, a_psi)
+    healthy = (ma.variance > VARIANCE_FLOOR) & (mb.variance > VARIANCE_FLOOR)
+    c = np.full(healthy.shape, np.nan, dtype=complex)
+    np.divide(_vdot(dev_a, dev_b), ma.std_dev * mb.std_dev, out=c, where=healthy)
+    return ma, c
+
+
+def _r_from_c(c) -> np.ndarray:
+    """r = (1 + |c|^2)/2 - |Im c| (see ``bounds``); its sign branch is "plus" iff Im c > 0."""
+    return 0.5 * (1.0 + np.abs(c) ** 2) - np.abs(c.imag)
+
+
 def moments(obs, psi) -> ObservableMoments:
     """First and second moments of a Hermitian observable in a pure state."""
     return _moments(*_operands(psi, obs))[1]

@@ -53,6 +53,7 @@ from .presets import PRESETS, build_preset_curves
 from .scenarios import (
     _EMPTY_BATTERY,
     BatteryScenario,
+    _ratio_sqslo_closed_form,
     battery_hamiltonians,
     ce_see_closed_form,
     entanglement_setup,
@@ -418,19 +419,29 @@ def _closed_forms(rng, run):
         pairs.append((ergotropy_closed_form(omega, big_omega, grid.points), stored))
         over_cap += bool(np.max(stored) > 4.0 * omega + 1e-9)
     worst = _worst(0.0, *(analytic - numeric for analytic, numeric in pairs))
+    # The entanglement presets' entropy, and their ratio-form t_sqslo against its saturated form.
+    entropy_gap = ratio_gap = 0.0
+    for _, params, curve in run.preset_curves("fig2") + run.preset_curves("fig3"):
+        p, theta, ts = params["p"], params["theta"], curve.grid.points
+        entropy_gap = _worst(entropy_gap, ce_see_closed_form(p, theta, ts)[1] - curve.mean_values)
+        gap = _worst(0.0, _ratio_sqslo_closed_form(p, theta, ts) - curve.t_sqslo)
+        ratio_gap = _worst(ratio_gap, gap / curve.quad_error)
     # The coupled battery's stored energy peaks at 1.6 at t* = pi / (2 sqrt 5).
     t_star = math.pi / (2.0 * math.sqrt(5.0))
     scn = BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=run.grid(t_star))
     peak = float(run_battery_scenario(scn).mean_values[-1])
     ok = (
         worst <= 1e-8
+        and entropy_gap <= 1e-12
+        and ratio_gap <= 2.0
         and over_cap == 0
         and abs(ergotropy_closed_form(2.0, 1.0, t_star) - 1.6) <= 1e-12
         and abs(peak - 1.6) <= 1e-8
     )
     return ok, (
         f"max closed-form error {worst:.2e}, {over_cap} runs above 4*omega, "
-        f"stored-energy peak {peak:.12f}"
+        f"stored-energy peak {peak:.12f}, entanglement-preset entropy error {entropy_gap:.2e}, "
+        f"ratio-form t_sqslo gap {ratio_gap:.2f} quad_error (at most 2)"
     )
 
 

@@ -256,11 +256,23 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv", ["modular --t-max 1000 --steps 16", "battery --preset fig8 --steps 34"]
+        "argv",
+        [
+            "modular --t-max 1000 --steps 16",
+            "battery --preset fig8 --steps 34",
+            "modular --theta 1e200",
+            "entanglement --theta 1e200",
+            "battery --omega 1e200",
+            "battery --Omega 1e200",
+            "modular --theta 1.7e308",
+        ],
     )
     def test_aliased_grid_exits_1(self, argv, tmp_path, capsys):
         # dx (E_max - E_min) >= pi: 125 for the modular run, 3.16 for fig8
-        # decoupled; nothing is written, not even fig8's coupled curve.
+        # decoupled; nothing is written, not even fig8's coupled curve.  A
+        # parameter of 1e200 is refused the same way, before H's moments
+        # could overflow, and so is a spread E_max - E_min past the float
+        # range (warnings are errors here).
         out = tmp_path / "curve.csv"
         assert run_cli(argv.split() + ["--out", str(out), "--format", "csv+svg"]) == 1
         captured = capsys.readouterr()

@@ -1,6 +1,8 @@
+import ast
 import math
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +327,34 @@ class TestPublicSamplersRefuseBadInput:
         # The spoiled operands above differ from these in one entry.
         assert np.all(np.isfinite(sample_heisenberg(H4, O4, PSI4, TIMES).means))
         assert np.all(np.isfinite(sample_entanglement(H4, PSI4, (2, 2), TIMES).means))
+
+
+# The package's layers, lowest first: the sampler sits below the bounds.
+LAYERS = (
+    "linalg", "states", "measures", "dynamics", "quadrature", "bounds",
+    "scenarios", "presets", "emit", "reference_forms", "verify", "cli",
+)
+
+
+def package_imports(source: str) -> set:
+    """The qslbound modules that the import statements of ``source`` name,
+    at module level or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qslbound" if node.level else "", node.module]))
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {path.split(".")[1] for path in paths if path.startswith("qslbound.")}
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    package = Path(dynamics.__file__).parent
+    assert {p.stem for p in package.glob("*.py")} - {"__init__"} == set(LAYERS)
+    for rank, name in enumerate(LAYERS):
+        above = package_imports((package / f"{name}.py").read_text(encoding="utf-8")) - set(LAYERS[:rank])
+        assert not above, f"{name} imports {sorted(above)}"

@@ -369,6 +369,23 @@ def dropped_eta(real):
     return curve
 
 
+def scaled_ratio_form(column, factor):
+    # One column of every entanglement preset curve (the ratio form), scaled.
+    def mutate(real):
+        def build(preset, n_steps):
+            curves = real(preset, n_steps)
+            if preset.kind != "entanglement":
+                return curves
+            return [
+                (label, params, dataclasses.replace(c, **{column: getattr(c, column) * factor}))
+                for label, params, c in curves
+            ]
+
+        return build
+
+    return mutate
+
+
 MUTANTS = {
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
     "operator-core/tensor-product-trace": ("tensor_product", row_major_kron),
@@ -384,15 +401,19 @@ MUTANTS = {
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
     "scenarios/entanglement-rate-bound": ("qsl_integral", dropped_eta),
+    "scenarios/closed-forms (t_sqslo)": ("build_preset_curves", scaled_ratio_form("t_sqslo", 0.99)),
+    "scenarios/closed-forms (mean_values)": ("build_preset_curves", scaled_ratio_form("mean_values", 1.01)),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_a_broken_covered_function_fails_its_stacked_check(name, monkeypatch):
+    # An entry names its check, followed by the mutant where one check has two.
     attr, mutate = MUTANTS[name]
-    assert run_named(name).status == "pass"
+    check = name.split(" (")[0]
+    assert run_named(check).status == "pass"
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
-    result = run_named(name)
+    result = run_named(check)
     assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
 
 
