@@ -20,7 +20,7 @@ from typing import Optional
 
 from .bounds import BoundCurve
 from .dynamics import MIN_GRID_STEPS, TimeGrid, _AliasedGridError
-from .emit import fmt, render_csv, render_svg
+from .emit import _csv_stride, fmt, render_csv, render_svg
 from .presets import KINDS, PRESETS, Preset, build_preset_curves, build_scenario, plain_run
 
 
@@ -164,20 +164,25 @@ def parse_config(argv) -> RunConfig:
 def emit_curves(
     curve: BoundCurve, cfg: RunConfig, label: Optional[str], params: dict
 ) -> list[Path]:
-    """Write the CSV (and optional SVG) for one curve; returns the paths."""
+    """Write the CSV (and optional SVG) for one curve; returns the paths.
+    On the default grid the CSV holds every ``_csv_stride``-th sample; the
+    SVG always draws every sample."""
     if label:
         path = cfg.out.with_name(f"{cfg.out.stem}_{label}{cfg.out.suffix or '.csv'}")
     else:
         path = cfg.out if cfg.out.suffix else cfg.out.with_suffix(".csv")
     meta = [("scenario", cfg.preset.kind)] + ([("curve", label)] if label else [])
     meta += [(key, str(params[key])) for key in sorted(params)]
+    n_steps = curve.grid.n_steps
+    stride = _csv_stride(n_steps) if cfg.steps is None else 1
     meta += [
         ("t_max", fmt(curve.grid.t_max)),
-        ("steps", str(curve.grid.n_steps)),
+        ("steps", str(n_steps // stride)),
         ("warnings", str(len(curve.warnings))),
         ("quad_error", fmt(curve.quad_error)),
+        ("quadrature_steps", str(n_steps)),
     ]
-    path.write_text(render_csv(curve, meta), encoding="utf-8", newline="\n")
+    path.write_text(render_csv(curve, meta, stride), encoding="utf-8", newline="\n")
     written = [path]
     if cfg.format == "csv+svg":
         svg_path = path.with_suffix(".svg")

@@ -15,7 +15,9 @@ non-zero digit.  A byte layout per (k, kept digits) then gathers the
 field's text from those words, its sign, '0' and '.'.  The warnings_count
 column is one lookup in a table of 0..9999 when every count of a block is
 below 10**4, and otherwise the float kernel's text of the counts: '%.17g'
-of an integer below 10**17 is its '%d'.
+of an integer below 10**17 is its '%d'.  A CSV may hold every s-th grid
+point only (``_csv_stride`` gives the default grid's s, from the SVG's
+frame); each row it writes is the row it would write at s = 1.
 
 An SVG draws each bound as the envelope of its pixel columns: the first,
 lowest, highest and last sample of every column of the plot, in time
@@ -43,6 +45,14 @@ _WIDTH = 24
 # from column 3), then its sign ('-' or NUL), '0', '.' and a NUL.
 _SIGN, _ZERO, _POINT, _NUL = 20, 21, 22, 23
 _FRAME = 640, 480, 60  # an SVG's width, height and plot margin, in pixels
+
+
+def _csv_stride(n_steps: int) -> int:
+    """The largest divisor s of n_steps with n_steps / s >= 1,040, two written
+    samples per pixel column of the plot; 1 below 2,080 steps."""
+    width, _, margin = _FRAME
+    most = n_steps // (2 * (width - 2 * margin))
+    return max((s for s in range(1, most + 1) if n_steps % s == 0), default=1)
 
 
 def fmt(x: float) -> str:
@@ -149,17 +159,18 @@ def _points(xy: np.ndarray) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")[:-1]
 
 
-def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]]) -> str:
-    """CSV text: '#' metadata lines, a header row, one row per grid point.
+def render_csv(curve: BoundCurve, metadata: list[tuple[str, str]], stride: int = 1) -> str:
+    """CSV text: '#' metadata lines, a header row, one row per stride-th grid
+    point, each the row it would be at stride 1.
 
     warnings_count per row counts excluded samples with time <= T.
     """
     parts = [f"# {key}: {value}\n" for key, value in metadata]
     parts.append("T,mean_value,t_qslo,t_sqslo,r_bar,warnings_count\n")
-    ts = curve.grid.points
+    floats = [c[::stride] for c in (curve.grid.points, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)]
+    ts = floats[0]
     warn_times = np.sort(np.array([t for t, _ in curve.warnings]))
     counts = np.searchsorted(warn_times, ts, side="right")
-    floats = (ts, curve.mean_values, curve.t_qslo, curve.t_sqslo, curve.r_bar)
     *_, ints, _ = _tables()
     for start in range(0, ts.size, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)

@@ -198,9 +198,9 @@ def battery_hamiltonians(
 def ergotropy_closed_form(omega: float, big_omega: float, t):
     """Stored energy of the initially empty battery at a scalar or array
     ``t``; independent of j."""
-    freq_sq = omega * omega + big_omega * big_omega
-    amplitude = 4.0 * omega * big_omega**2 / freq_sq if freq_sq else 0.0
-    return amplitude * np.sin(math.sqrt(freq_sq) * t) ** 2
+    w = math.hypot(omega, big_omega)  # no square to overflow
+    amplitude = 4.0 * omega * (big_omega / w) ** 2 if w else 0.0
+    return amplitude * np.sin(w * t) ** 2
 
 
 def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:

@@ -16,7 +16,7 @@ from qslbound.bounds import (
     qsl_integral,
     ratio_form_curve,
 )
-from qslbound.dynamics import TimeGrid, propagator_family, sample_heisenberg
+from qslbound.dynamics import TimeGrid, propagator_family, sample_entanglement, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
 from qslbound.scenarios import _EMPTY_BATTERY, battery_hamiltonians
 from qslbound.states import DegenerateObservableError, _moments, moments
@@ -239,6 +239,24 @@ class TestQslIntegral:
                 warnings=(),
                 quad_error=0.0,
             )
+
+
+def test_random_two_qubit_ratio_form_curves_hold_and_stay_off_the_diagonal():
+    # The contrast to the case study's saturated entanglement curves: random
+    # (H, psi) pairs keep the hierarchy, but their t_sqslo(T) sits well below
+    # T (median 0.13 at this seed, range 0.0006-0.42).
+    rng = np.random.default_rng(29)
+    grid = TimeGrid(1.0, 400)
+    final = []
+    for _ in range(32):
+        h, psi = random_hermitian(rng, 4), random_state(rng, 4)
+        samples = sample_entanglement(h, psi, (2, 2), grid.points)
+        curve = ratio_form_curve(grid, samples, moments(h, psi).std_dev)
+        tol = max(1e-9, 2.0 * curve.quad_error)
+        assert np.all(curve.t_sqslo <= grid.points + tol)
+        assert np.all(curve.t_qslo <= curve.t_sqslo + tol)
+        final.append(curve.t_sqslo[-1] / grid.t_max)
+    assert np.median(final) < 0.9
 
 
 class TestEntanglementRateBound:

@@ -651,23 +651,24 @@ class TestEmission:
 
 # The `#` header of every preset file at default resolution and of plain runs
 # at 64 steps: every key and value in order, except the value of quad_error.
+# fig7 and fig8 write every 2nd and 10th sample of their quadrature grids.
 PINNED_HEADERS = {
-    "fig2.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0",
-    "fig3_theta0.5.csv": "scenario: entanglement; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 0",
-    "fig3_theta1.csv": "scenario: entanglement; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0",
-    "fig3_theta1.5.csv": "scenario: entanglement; curve: theta1.5; mu3: 0.0; p: 0.1; theta: 1.5; t_max: 1; steps: 2000; warnings: 0",
-    "fig3_theta2.csv": "scenario: entanglement; curve: theta2; mu3: 0.0; p: 0.1; theta: 2.0; t_max: 1; steps: 2000; warnings: 0",
-    "fig5.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1",
-    "fig6_theta0.5.csv": "scenario: modular; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 1",
-    "fig6_theta1.csv": "scenario: modular; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1",
-    "fig7_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 2; steps: 4000; warnings: 1",
-    "fig7_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 2; steps: 4000; warnings: 1",
-    "fig8_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 6; steps: 12000; warnings: 1",
-    "fig8_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 6; steps: 12000; warnings: 1",
-    "entanglement.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 0",
-    "modular.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 1",
-    "battery.csv": "scenario: battery; J: 1.0; Omega: 1.0; mode: collective; omega: 2.0; t_max: 1; steps: 64; warnings: 1",
-    "battery_j0.csv": "scenario: battery; J: 0.0; Omega: 1.0; mode: parallel; omega: 2.0; t_max: 1; steps: 64; warnings: 1",
+    "fig2.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta0.5.csv": "scenario: entanglement; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta1.csv": "scenario: entanglement; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta1.5.csv": "scenario: entanglement; curve: theta1.5; mu3: 0.0; p: 0.1; theta: 1.5; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta2.csv": "scenario: entanglement; curve: theta2; mu3: 0.0; p: 0.1; theta: 2.0; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
+    "fig5.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1; quadrature_steps: 2000",
+    "fig6_theta0.5.csv": "scenario: modular; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 1; quadrature_steps: 2000",
+    "fig6_theta1.csv": "scenario: modular; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1; quadrature_steps: 2000",
+    "fig7_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 2; steps: 2000; warnings: 1; quadrature_steps: 4000",
+    "fig7_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 2; steps: 2000; warnings: 1; quadrature_steps: 4000",
+    "fig8_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 6; steps: 1200; warnings: 1; quadrature_steps: 12000",
+    "fig8_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 6; steps: 1200; warnings: 1; quadrature_steps: 12000",
+    "entanglement.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 0; quadrature_steps: 64",
+    "modular.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 1; quadrature_steps: 64",
+    "battery.csv": "scenario: battery; J: 1.0; Omega: 1.0; mode: collective; omega: 2.0; t_max: 1; steps: 64; warnings: 1; quadrature_steps: 64",
+    "battery_j0.csv": "scenario: battery; J: 0.0; Omega: 1.0; mode: parallel; omega: 2.0; t_max: 1; steps: 64; warnings: 1; quadrature_steps: 64",
 }
 
 
@@ -684,9 +685,63 @@ def test_csv_headers_are_pinned(tmp_path):
     headers = {}
     for path in tmp_path.iterdir():
         lines = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
-        assert lines[-1].startswith("quad_error: ")
-        headers[path.name] = "; ".join(lines[:-1])
+        assert lines[-2].startswith("quad_error: ")
+        headers[path.name] = "; ".join(lines[:-2] + lines[-1:])
     assert headers == PINNED_HEADERS
+
+
+def _rows_and_header(path):
+    lines = path.read_text().splitlines(keepends=True)
+    header = dict(line[2:].rstrip("\n").split(": ", 1) for line in lines if line.startswith("# "))
+    return [line for line in lines if not line.startswith("# ")], header
+
+
+@pytest.mark.parametrize(
+    "argv, n_steps, stride, curves",
+    [
+        ("battery --preset fig7", 4000, 2, ("run_coupled", "run_decoupled")),
+        ("battery --preset fig8", 12000, 10, ("run_coupled", "run_decoupled")),
+        # TimeGrid(3.3, 1100).points differs from these written points in 986 last bits.
+        ("modular --t-max 3.3", 6600, 6, ("run",)),
+    ],
+    ids=["fig7", "fig8", "modular-t3.3"],
+)
+def test_the_default_grid_writes_every_stride_th_row_of_an_explicit_run(argv, n_steps, stride, curves, tmp_path):
+    for grid, steps in (("default", []), ("explicit", ["--steps", str(n_steps)])):
+        (tmp_path / grid).mkdir()
+        out = tmp_path / grid / "run.csv"
+        assert run_cli([*argv.split(), *steps, "--format", "csv+svg", "--out", str(out)]) == 0
+    for curve in curves:
+        rows, header = _rows_and_header(tmp_path / "default" / f"{curve}.csv")
+        every, explicit = _rows_and_header(tmp_path / "explicit" / f"{curve}.csv")
+        assert len(every) == n_steps + 2 and len(rows) == n_steps // stride + 2
+        assert rows[0] == every[0] and rows[1:] == every[1::stride]
+        assert (header["steps"], header["quadrature_steps"]) == (str(n_steps // stride), str(n_steps))
+        assert {**header, "steps": str(n_steps)} == explicit
+        svg = f"{curve}.svg"
+        assert (tmp_path / "default" / svg).read_bytes() == (tmp_path / "explicit" / svg).read_bytes()
+
+
+def test_unit_window_presets_write_every_row_on_the_default_grid(tmp_path):
+    for name in ("fig2", "fig3", "fig5", "fig6"):
+        kind = PRESETS[name].kind
+        for grid, steps in (("default", []), ("explicit", ["--steps", "2000"])):
+            (tmp_path / grid).mkdir(exist_ok=True)
+            assert run_cli([kind, "--preset", name, *steps, "--out", str(tmp_path / grid / f"{name}.csv")]) == 0
+    default = {f.name: f.read_bytes() for f in (tmp_path / "default").iterdir()}
+    assert len(default) == 8
+    assert default == {f.name: f.read_bytes() for f in (tmp_path / "explicit").iterdir()}
+
+
+@pytest.mark.parametrize(
+    "n_steps, stride",
+    [(16, 1), (1040, 1), (2000, 1), (2078, 1), (2080, 2), (2098, 2), (3120, 3), (4000, 2), (12000, 10)],
+)
+def test_csv_stride_keeps_two_rows_per_plot_pixel(n_steps, stride):
+    assert emit._csv_stride(n_steps) == stride
+    # 1,040 = two per pixel column of the SVG's 520-px plot.
+    assert n_steps % stride == 0 and n_steps // stride >= min(n_steps, 1040)
+    assert emit._FRAME[0] - 2 * emit._FRAME[2] == 520
 
 
 class TestVerifyCommand:

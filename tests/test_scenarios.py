@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +258,40 @@ class TestErgotropy:
                 BatteryScenario(omega=2.0, big_omega=big_omega, j=1.0, grid=grid)
             )
             assert np.max(curve.mean_values) <= 4.0 * 2.0 + 1e-9
+
+    def test_a_huge_drive_stays_finite(self):
+        # Omega**2 overflows above about 1.3e154; W = hypot(omega, Omega) does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ergotropy_closed_form(2.0, 1e200, 0.1)
+            curve = ergotropy_closed_form(2.0, 1e200, np.linspace(0.0, 1.0, 5))
+        assert math.isfinite(value) and 0.0 <= value <= 8.0
+        assert np.all(np.isfinite(curve))
+
+    @staticmethod
+    def _squared_form(omega, big_omega, t):
+        """The form through omega**2 + Omega**2, as it stood before the hypot one."""
+        freq_sq = omega * omega + big_omega * big_omega
+        return 4.0 * omega * big_omega**2 / freq_sq * np.sin(math.sqrt(freq_sq) * t) ** 2
+
+    def test_agrees_with_the_squared_form(self):
+        # verify's parameters, on the grids verify runs: to 1e-15 of the peak.
+        t_star = math.pi / (2.0 * math.sqrt(5.0))
+        for omega, big_omega in ((2.0, 1.0), (2.0, 4.0)):
+            for t_max, n_steps in itertools.product((1.0, 2.0, t_star), (None, 400, 64)):
+                ts = TimeGrid.with_resolution(t_max, n_steps).points
+                old = self._squared_form(omega, big_omega, ts)
+                new = ergotropy_closed_form(omega, big_omega, ts)
+                assert np.max(np.abs(new - old)) <= 1e-15 * np.max(old)
+        # The sweep's ranges on 256 steps.  W's two roundings may differ in the
+        # last bit, which the sine's argument W t scales up.
+        rng = np.random.default_rng(7)
+        for omega, big_omega, t_max in zip(rng.uniform(0.5, 3.0, 60), rng.uniform(0.2, 4.0, 60), rng.uniform(0.5, 2.0, 60)):
+            ts = TimeGrid(float(t_max), 256).points
+            w = math.hypot(omega, big_omega)
+            peak = 4.0 * omega * (big_omega / w) ** 2
+            gap = np.abs(ergotropy_closed_form(omega, big_omega, ts) - self._squared_form(omega, big_omega, ts))
+            assert np.all(gap <= 1e-15 * peak * np.maximum(1.0, w * ts))
 
 
 class TestScenarioValidation:
