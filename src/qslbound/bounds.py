@@ -22,11 +22,11 @@ commutator side ``rhs`` comes from A psi and B psi, and the sampler's
 d<O>/dt from the commutator, not from c, so each side checks the other.
 
 Bound curves integrate |d<O>/dt| / (dO * eta) (direct form) or dO [eta]
-(ratio form) over the sampler's ``Samples`` (r NaN where c is), both through
-one quadrature seam, ``quadrature._prefix_integrals``.  Samples where dO or
-eta degenerate are excluded, take the value of the nearest preceding healthy
-sample (the first healthy one, for a leading run) and are recorded as
-warnings.
+(ratio form) over the sampler's ``Samples`` (r NaN where c is), divide by
+the dH they carry, and go through one quadrature seam,
+``quadrature._prefix_integrals``.  Samples where dO or eta degenerate are
+excluded, take the value of the nearest preceding healthy sample (the first
+healthy one, for a leading run) and are recorded as warnings.
 """
 
 from __future__ import annotations
@@ -145,15 +145,16 @@ def _fill_nearest(values: np.ndarray) -> np.ndarray:
     return values.take(source)
 
 
-def _require_inputs(grid: TimeGrid, samples: Samples, delta_h: float) -> None:
-    if not (delta_h > 0.0 and math.isfinite(delta_h)):
-        raise ValueError(f"delta_h must be positive, got {delta_h!r}")
-    if delta_h * delta_h <= VARIANCE_FLOOR:
+def _require_inputs(grid: TimeGrid, samples: Samples) -> None:
+    """The one refusal of a stationary initial state (dH^2 at or below the
+    variance floor, or NaN), whichever parameter causes it; the CLI exits 2."""
+    delta_h = samples.delta_h
+    if not delta_h * delta_h > VARIANCE_FLOOR:
         raise ValueError(
             f"delta_h = {delta_h:.3g} is within the variance floor: the initial state is"
             " stationary (an eigenstate of H), so no bound is defined"
         )
-    if any(column.shape != grid.points.shape for column in samples):
+    if any(column.shape != grid.points.shape for column in samples[:-1]):  # all but dH
         raise ValueError("need one sample per grid point")
 
 
@@ -179,11 +180,11 @@ def _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, quad_error
     return BoundCurve(grid, t_qslo, t_sqslo, samples.means.copy(), r_bar, warnings, quad_error)
 
 
-def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
+def qsl_integral(grid: TimeGrid, samples: Samples) -> BoundCurve:
     """Cumulative bound integrals (1/2 dH) int |d<O>/dt| / (dO [eta]) dt.
 
     ``samples`` holds the sampler's mean, spread, d<O>/dt and r of the
-    observable at every grid point; the strengthened bound divides by
+    observable at every grid point, and dH; the strengthened bound divides by
     eta = 1 - r as well.  Singular samples (vanishing spread, missing
     correction, eta at the floor) take the value of the nearest preceding
     healthy sample (the first healthy one, for a leading run) and are
@@ -191,7 +192,7 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
     zero if d<O>/dt is negligible on the whole curve (a conserved
     observable), and is refused otherwise.
     """
-    _require_inputs(grid, samples, delta_h)
+    _require_inputs(grid, samples)
     stds = samples.std_devs
     derivs = np.abs(samples.derivatives)
     r_raw = samples.r
@@ -209,12 +210,12 @@ def qsl_integral(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve
         rows[empty] = 0.0  # the observable never moves: a row without a healthy sample is zero
     rows = _fill_nearest(rows)
     integrals, error = _prefix_integrals(rows, grid.dx, 2)
-    prefactor = 0.5 / delta_h
+    prefactor = 0.5 / samples.delta_h
     t_qslo, t_sqslo = prefactor * integrals[:2]
     return _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, float(prefactor * error.max()))
 
 
-def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundCurve:
+def ratio_form_curve(grid: TimeGrid, samples: Samples) -> BoundCurve:
     """Bound from net change over time-averaged spread.
 
     t_bound(T) = T |<O>(T) - <O>(0)| / (2 dH int_0^T dO(t) [eta(t)] dt).
@@ -222,7 +223,7 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     only its endpoint change is constrained.  eta multiplies rather than
     divides, so only missing correction samples (NaN in r) need filling.
     """
-    _require_inputs(grid, samples, delta_h)
+    _require_inputs(grid, samples)
     means, f_q, r_raw = samples.means, samples.std_devs, samples.r
     missing = np.isnan(r_raw)
     if missing.all():
@@ -234,7 +235,7 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples, delta_h: float) -> BoundC
     integrals, error = _prefix_integrals(rows, grid.dx, 2)
     net_change = np.abs(means - means[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = grid.points * net_change / (2.0 * delta_h * integrals[:2])
+        ratios = grid.points * net_change / (2.0 * samples.delta_h * integrals[:2])
         propagated = ratios[:, ::2] * error / integrals[:2, ::2]
     t_qslo, t_sqslo = np.where(integrals[:2] > 0.0, ratios, 0.0)
     # Each bound times its relative error at the even prefixes; inf if a grid can't halve.

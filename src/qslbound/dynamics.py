@@ -9,7 +9,8 @@ their phases directly.  <H> and dH are constants of the motion, taken once
 per curve from psi0.  The rows psi_t, O psi_t and (H - <H>) psi_t =
 V (c_t * (E - <H>)) of a block go through ``states._correlation``, the one
 kernel ``bounds.correction_r`` runs too, for the mean and spread of O and the
-correlation c of the pair (O, H); ``Samples`` carry c and derive r from it.  ``sample_heisenberg`` takes
+correlation c of the pair (O, H); ``Samples`` carry c, derive r from it, and
+carry dH, which every bound divides by.  ``sample_heisenberg`` takes
 <psi0|U^dag O U|psi0> as <psi_t|O|psi_t> with its rows in H's eigenbasis, and
 d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
 ``sample_entanglement`` rebuilds O = -log rho_A(t) (x) I_B at every sample
@@ -23,11 +24,10 @@ other.  The public samplers validate H, O, psi0 and the times once, on
 entry, and then run the core (``_heisenberg``, ``_entanglement``).  The
 scenario runners call the core directly: their operators are Hermitian and
 normalized by construction, from validated parameters and constant Pauli
-products, so the core checks only that H is finite, and returns dH of H in
-psi0 with the samples.  A ``TimeGrid`` whose step aliases the spectrum,
-dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``) before any
-other arithmetic on H: above pi / dx the samples alias a frequency E_i - E_j
-to a slower one.  hbar = 1 throughout.
+products, so the core checks only that H is finite.  A ``TimeGrid`` whose
+step aliases the spectrum, dx * (E_max - E_min) >= pi, is refused
+(``_AliasedGridError``) before any other arithmetic on H: above pi / dx the
+samples alias a frequency E_i - E_j to a slower one.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -94,12 +94,14 @@ class TimeGrid:
 
 
 class Samples(NamedTuple):
-    """Per-time mean, spread and d<O>/dt of O, and c of (O, H), NaN where undefined."""
+    """Per-time mean, spread and d<O>/dt of O, and c of (O, H), NaN where
+    undefined; and dH, the spread of H in psi0, a constant of the motion."""
 
     means: np.ndarray
     std_devs: np.ndarray
     derivatives: np.ndarray
     c: np.ndarray
+    delta_h: float
 
     @property
     def r(self) -> np.ndarray:
@@ -180,7 +182,7 @@ def _sample(times, vals, c0, m_h, rows) -> Samples:
         psi, o_psi, dev_h, derivs = rows(c)
         m, corr[block] = _correlation(psi, o_psi, dev_h, m_h)
         out[0, block], out[1, block], out[2, block] = m.mean, m.std_dev, derivs
-    return Samples(*out, corr)
+    return Samples(*out, corr, m_h.std_dev)
 
 
 def sample_heisenberg(h, obs0, psi0, times) -> Samples:
@@ -189,12 +191,11 @@ def sample_heisenberg(h, obs0, psi0, times) -> Samples:
     o = require_hermitian(obs0)
     if o.shape != hm.shape:
         raise ValueError("dimension mismatch between Hamiltonian and observable")
-    return _heisenberg(hm, o, v, t)[0]
+    return _heisenberg(hm, o, v, t)
 
 
-def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
-    """``sample_heisenberg`` of operands valid by construction, and the
-    spread dH of H in psi0."""
+def _heisenberg(h, obs0, psi0, times) -> Samples:
+    """``sample_heisenberg`` of operands valid by construction."""
     vals, vecs, c0, m_h = _eigen_start(h, psi0, times)
     o_eig = vecs.conj().T @ obs0 @ vecs
     rate = 1j * commutator(np.diag(vals), o_eig)
@@ -203,7 +204,7 @@ def _heisenberg(h, obs0, psi0, times) -> tuple[Samples, float]:
     def rows(c):
         return c, c @ o_eig.T, c * shifted, _vdot(c, c @ rate.T).real
 
-    return _sample(times, vals, c0, m_h, rows), m_h.std_dev
+    return _sample(times, vals, c0, m_h, rows)
 
 
 def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
@@ -212,12 +213,11 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
     entropies, the variances capacities of entanglement, and the derivatives
     i<[H, O]> = 2 Im <O psi_t|(H - <H>) psi_t> with O frozen at each sample."""
     hm, v, t = _validated(h, psi0, times)
-    return _entanglement(hm, v, dims, t)[0]
+    return _entanglement(hm, v, dims, t)
 
 
-def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float]:
-    """``sample_entanglement`` of operands valid by construction, and the
-    spread dH of H in psi0."""
+def _entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
+    """``sample_entanglement`` of operands valid by construction."""
     vals, vecs, c0, m_h = _eigen_start(h, psi0, times)
     shifted = vals - m_h.mean
     d_a, d_b = int(dims[0]), int(dims[1])
@@ -231,7 +231,7 @@ def _entanglement(h, psi0, dims: tuple[int, int], times) -> tuple[Samples, float
         k_psi = k_rows(psi.reshape(-1, d_a, d_b)).reshape(psi.shape)
         return psi, k_psi, dev_h, 2.0 * (k_psi.conj() * dev_h).sum(axis=1).imag
 
-    return _sample(times, vals, c0, m_h, rows), m_h.std_dev
+    return _sample(times, vals, c0, m_h, rows)
 
 
 def _two_level_k_psi(amps) -> np.ndarray:

@@ -17,7 +17,8 @@ Hamiltonian K0 is written down from rho_A(0) = diag(p, 1 - p).  These
 operators are Hermitian and normalized by construction, so each runner
 passes them straight to the sampler core (``dynamics._heisenberg`` /
 ``_entanglement``) with the scenario's ``TimeGrid``, which checks only that
-H is finite, and takes the energy spread dH from it, not from ``moments``.
+H is finite; its ``Samples`` carry the energy spread dH to the bound form,
+which refuses a stationary initial state, whichever parameter makes it so.
 
 The closed forms below (capacity and entropy, modular variance and energy,
 stored energy) are numpy expressions in a scalar or array t.  No runner
@@ -37,8 +38,9 @@ from .dynamics import TimeGrid, _entanglement, _heisenberg
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 from .measures import _clamped_log
 
-# Schmidt weights this close to {0, 1/2, 1} make the bound curves degenerate
-# (zero energy spread or identically flat capacity) and are rejected.
+# Schmidt weights this close to {0, 1} give a separable start whose modular
+# Hamiltonian K0 is clamped, and are rejected; the modular closed form is
+# singular this close to 1/2 as well.
 DEGENERATE_P_ATOL = 1e-9
 
 # Two-qubit Pauli products, built once: every Hamiltonian below is a
@@ -73,24 +75,20 @@ class EntanglementScenario:
         _require_finite(p=self.p, theta=self.theta, mu3=self.mu3)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        for bad in (0.0, 0.5, 1.0):
-            if abs(self.p - bad) <= DEGENERATE_P_ATOL:
-                raise ValueError(
-                    f"p = {self.p!r} is degenerate: the state is stationary or "
-                    "separable and the bound integrands vanish"
-                )
-        if abs(self.theta) <= DEGENERATE_P_ATOL:
-            raise ValueError("theta = 0 gives zero energy spread in this family")
+        if min(self.p, 1.0 - self.p) <= DEGENERATE_P_ATOL:
+            raise ValueError(
+                f"p = {self.p!r} is degenerate: the initial state is separable and "
+                "its modular Hamiltonian is clamped"
+            )
 
 
 @dataclass(frozen=True)
 class BatteryScenario:
     """Two-cell battery: Larmor frequency omega, drive Omega, exchange J.
 
-    The battery starts empty (both cells down).  If that state is an
-    eigenstate of the total Hamiltonian there are no charging dynamics, and
-    the scenario is rejected: H_B and H_int act diagonally on |11>, so
-    Var(H_T) = 2 Omega^2 there.
+    The battery starts empty (both cells down).  H_B and H_int act diagonally
+    on |11>, so Var(H_T) = 2 Omega^2 there: an undriven battery is stationary
+    and its run is refused by the bound form, as every stationary start is.
     """
 
     omega: float
@@ -104,11 +102,6 @@ class BatteryScenario:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if self.big_omega < 0.0:
             raise ValueError(f"Omega must be nonnegative, got {self.big_omega!r}")
-        if 2.0 * self.big_omega * self.big_omega <= 1e-12:
-            raise ValueError(
-                "initial state is an eigenstate of the total Hamiltonian; "
-                "no charging dynamics to bound"
-            )
 
 
 def canonical_hamiltonian(mu1: float, mu2: float, mu3: float) -> np.ndarray:
@@ -211,8 +204,7 @@ def run_entanglement_scenario(scn: EntanglementScenario) -> BoundCurve:
     the square root of the capacity.
     """
     psi0, h, _ = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    samples, delta_h = _entanglement(h, psi0, (2, 2), scn.grid)
-    return ratio_form_curve(scn.grid, samples, delta_h)
+    return ratio_form_curve(scn.grid, _entanglement(h, psi0, (2, 2), scn.grid))
 
 
 def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
@@ -222,14 +214,12 @@ def run_modular_scenario(scn: EntanglementScenario) -> BoundCurve:
     the propagator, in contrast with the Schroedinger-picture run above.
     """
     psi0, h, k0 = entanglement_setup(scn.p, scn.theta, scn.mu3)
-    samples, delta_h = _heisenberg(h, k0, psi0, scn.grid)
-    return qsl_integral(scn.grid, samples, delta_h)
+    return qsl_integral(scn.grid, _heisenberg(h, k0, psi0, scn.grid))
 
 
 def run_battery_scenario(scn: BatteryScenario) -> BoundCurve:
     """Direct-integral bound on the battery charging time.  The curve's mean
     values are the stored energy E(t) = <H_B(t)> - <H_B(0)>."""
     h_b, _, _, h_t = battery_hamiltonians(scn.omega, scn.big_omega, scn.j)
-    samples, delta_h = _heisenberg(h_t, h_b, _EMPTY_BATTERY, scn.grid)
-    stored = samples._replace(means=samples.means - samples.means[0])
-    return qsl_integral(scn.grid, stored, delta_h)
+    samples = _heisenberg(h_t, h_b, _EMPTY_BATTERY, scn.grid)
+    return qsl_integral(scn.grid, samples._replace(means=samples.means - samples.means[0]))

@@ -315,13 +315,18 @@ def _ergotropy_bruteforce(rng, run):
 @_check("dynamics/picture-equivalence")
 def _picture_equivalence(rng, run):
     """propagator_family(h) against H, not its eigensystem: (U(t + dt) - U(t - dt)) / 2dt
-    is -i H U(t) within the truncation cap ||H||^3 dt^2 / 6 (Frobenius norms)."""
-    worst, kinds, dt = 0.0, (_hermitian, _hermitian, _state), 1e-3
+    is -i H U(t) within the truncation cap ||H||^3 dt^2 / 6 (Frobenius norms), and
+    U(0) = I, which pins U = exp(-iHt): V exp(-iEt) V^T solves the same equation
+    and is unitary, but starts at V V^T, not I, for complex eigenvectors V."""
+    worst = start_defect = 0.0
+    kinds, dt = (_hermitian, _hermitian, _state), 1e-3
     for _, (h, _, _, t) in _draws(rng, 500, (4,), kinds, span=(-5.0, 5.0)):
-        before, now, after = map(propagator_family(h), (t - dt, t, t + dt))
+        before, now, after, start = map(propagator_family(h), (t - dt, t, t + dt, 0.0 * t))
         residual = np.linalg.norm((after - before) / (2.0 * dt) + 1j * h @ now, axis=(-2, -1))
         worst = _worst(worst, residual / (np.linalg.norm(h, axis=(-2, -1)) ** 3 * dt * dt / 6.0))
-    return worst <= 1.0, f"max propagator residual {worst:.2e} of its truncation cap"
+        start_defect = _worst(start_defect, start - np.eye(4))
+    ok = worst <= 1.0 and start_defect <= 1e-10
+    return ok, f"max propagator residual {worst:.2e} of its truncation cap, max |U(0) - I| {start_defect:.2e}"
 
 
 @_check("dynamics/derivative-consistency")
@@ -394,7 +399,7 @@ def _single_qubit_saturation(rng, run):
     grid = run.grid(math.pi / 4.0)
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
     samples = sample_heisenberg(SIGMA_Z, SIGMA_X, psi, grid.points)
-    curve = qsl_integral(grid, samples, moments(SIGMA_Z, psi).std_dev)
+    curve = qsl_integral(grid, samples)
     worst = _worst(0.0, *(bound[1:] - grid.points[1:] for bound in (curve.t_qslo, curve.t_sqslo)))
     return worst <= 1e-6, f"max |bound - T| = {worst:.2e}"
 
@@ -529,12 +534,11 @@ def _entanglement_rate(rng, run):
     share, live_on_every_curve = 1.0, True
     for p, theta, mu3 in _RATE_CASES:
         psi0, h, _ = entanglement_setup(p, theta, mu3)
-        delta_h = moments(h, psi0).std_dev
         samples = sample_entanglement(h, psi0, (2, 2), grid.points)
         gamma = np.abs(samples.derivatives)
         worst_norm = float(np.max(gamma - 2.0 * norm_rate_comparison(h, 2), initial=worst_norm))
         healthy = ~np.isnan(samples.r)
-        limits = entanglement_rate_bound(samples.std_devs[healthy] ** 2, delta_h, samples.r[healthy])
+        limits = entanglement_rate_bound(samples.std_devs[healthy] ** 2, samples.delta_h, samples.r[healthy])
         worst_violation = float(np.max(gamma[healthy] - limits, initial=worst_violation))
         share = min(share, float(np.mean(healthy)))
         live = limits > 1e-6  # psi_t stays in span{|00>, |11>}, so |c| = 1 and the bound is tight
@@ -542,7 +546,7 @@ def _entanglement_rate(rng, run):
         gap = float(np.max(np.abs(gamma[healthy] - limits)[live] / limits[live], initial=gap))
         c_defect = float(np.max(np.abs(np.abs(samples.c[healthy]) - 1.0), initial=c_defect))
         # The same equality, integrated: the direct-form SQSLO integrand is 2 dH, so t_sqslo = T.
-        t_sqslo = qsl_integral(grid, samples, delta_h).t_sqslo
+        t_sqslo = qsl_integral(grid, samples).t_sqslo
         drift = float(np.max(np.abs(t_sqslo - grid.points), initial=drift))
     ok = worst_violation <= 1e-9 and worst_norm <= 1e-9 and share > 0.99 and live_on_every_curve
     ok = ok and gap <= 1e-10 and c_defect <= 1e-12 and drift <= 1e-12

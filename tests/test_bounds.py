@@ -18,7 +18,7 @@ from qslbound.bounds import (
 )
 from qslbound.dynamics import TimeGrid, propagator_family, sample_entanglement, sample_heisenberg
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
-from qslbound.scenarios import _EMPTY_BATTERY, battery_hamiltonians
+from qslbound.scenarios import _EMPTY_BATTERY, battery_hamiltonians, entanglement_setup
 from qslbound.states import DegenerateObservableError, _moments, moments
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -166,7 +166,7 @@ class TestQslIntegral:
 
     def test_single_qubit_saturates(self):
         grid, samples = self.single_qubit_inputs()
-        curve = qsl_integral(grid, samples, 1.0)
+        curve = qsl_integral(grid, samples)
         assert np.max(np.abs(curve.t_qslo - grid.points)) <= 1e-6
         assert np.max(np.abs(curve.t_sqslo - grid.points)) <= 1e-6
         # R vanishes identically here, so the running average stays at zero.
@@ -174,7 +174,7 @@ class TestQslIntegral:
 
     def test_identity_observable_gives_zero_bound(self):
         grid = TimeGrid(1.0, 20)
-        curve = qsl_integral(grid, sample_heisenberg(SIGMA_Z, np.eye(2), PLUS, grid.points), 1.0)
+        curve = qsl_integral(grid, sample_heisenberg(SIGMA_Z, np.eye(2), PLUS, grid.points))
         assert not (curve.t_qslo.any() or curve.t_sqslo.any() or curve.r_bar.any() or curve.quad_error)
         assert len(curve.warnings) == grid.points.size
         # Any conserved observable a H + b: c = +-1, so r = 1 excludes every
@@ -183,7 +183,7 @@ class TestQslIntegral:
         h, psi = random_hermitian(rng, 4), random_state(rng, 4)
         grid = TimeGrid(1.0, 64)
         for obs in (h, 2.0 * h + np.eye(4), -h):
-            curve = qsl_integral(grid, sample_heisenberg(h, obs, psi, grid.points), moments(h, psi).std_dev)
+            curve = qsl_integral(grid, sample_heisenberg(h, obs, psi, grid.points))
             assert not curve.t_sqslo.any()
             assert np.max(curve.t_qslo) <= 1e-12
             assert np.allclose(curve.r_bar, 1.0)
@@ -194,7 +194,7 @@ class TestQslIntegral:
         samples = samples._replace(std_devs=np.zeros_like(samples.std_devs))
         assert np.abs(samples.derivatives).max() > 0.5
         with pytest.raises(ValueError, match="all integrand samples are degenerate"):
-            qsl_integral(grid, samples, 1.0)
+            qsl_integral(grid, samples)
 
     def test_random_system_hierarchy_and_monotonicity(self):
         rng = np.random.default_rng(47)
@@ -204,7 +204,7 @@ class TestQslIntegral:
         grid = TimeGrid(1.0, 400)
         samples = sample_heisenberg(h, obs, psi, grid.points)
         samples = samples._replace(c=propagated_c(h, obs, psi, grid.points))
-        curve = qsl_integral(grid, samples, moments(h, psi).std_dev)
+        curve = qsl_integral(grid, samples)
         tol = max(1e-6, 2.0 * curve.quad_error)
         assert np.all(curve.t_sqslo <= grid.points + tol)
         assert np.all(curve.t_sqslo >= curve.t_qslo - 1e-9)
@@ -212,9 +212,12 @@ class TestQslIntegral:
         assert np.all(np.diff(curve.t_sqslo) >= -1e-9)
 
     def test_rejects_bad_delta_h(self):
+        # The one stationary refusal reads dH off the samples; it catches 0 and NaN.
         grid, samples = self.single_qubit_inputs()
-        with pytest.raises(ValueError, match="delta_h"):
-            qsl_integral(grid, samples, 0.0)
+        for integrate in (qsl_integral, ratio_form_curve):
+            for delta_h in (0.0, math.nan):
+                with pytest.raises(ValueError, match="delta_h .* initial state is stationary"):
+                    integrate(grid, samples._replace(delta_h=delta_h))
 
     @pytest.mark.parametrize("integrate", [qsl_integral, ratio_form_curve])
     def test_rejects_a_stationary_initial_state(self, integrate):
@@ -225,7 +228,7 @@ class TestQslIntegral:
         grid = TimeGrid(2.0, 40)
         samples = sample_heisenberg(h, random_hermitian(rng, 4), psi0, grid.points)
         with pytest.raises(ValueError, match="initial state is stationary"):
-            integrate(grid, samples, moments(h, psi0).std_dev)
+            integrate(grid, samples)
 
     def test_hierarchy_enforced_at_construction(self):
         grid = TimeGrid(1.0, 4)
@@ -251,12 +254,62 @@ def test_random_two_qubit_ratio_form_curves_hold_and_stay_off_the_diagonal():
     for _ in range(32):
         h, psi = random_hermitian(rng, 4), random_state(rng, 4)
         samples = sample_entanglement(h, psi, (2, 2), grid.points)
-        curve = ratio_form_curve(grid, samples, moments(h, psi).std_dev)
+        curve = ratio_form_curve(grid, samples)
         tol = max(1e-9, 2.0 * curve.quad_error)
         assert np.all(curve.t_sqslo <= grid.points + tol)
         assert np.all(curve.t_qslo <= curve.t_sqslo + tol)
         final.append(curve.t_sqslo[-1] / grid.t_max)
     assert np.median(final) < 0.9
+
+
+def mandelstam_tamm_excess(h, psi0, grid, sample=sample_heisenberg) -> float:
+    """The largest excess of MT <= t_qslo <= t_sqslo <= T over the hierarchy
+    gate max(1e-6, 2 quad_error), on every prefix, for O = P0 = |psi0><psi0|.
+    MT = arccos(sqrt F) / dH = atan2(sqrt(F (1 - F)), F) / dH, with the
+    fidelity F = |<psi0|U(t) psi0>|^2 from the propagator, not the sampler."""
+    curve = qsl_integral(grid, sample(h, np.outer(psi0, psi0.conj()), psi0, grid.points))
+    f = np.minimum(np.abs(propagator_family(h)(grid.points) @ psi0 @ psi0.conj()) ** 2, 1.0)
+    mt = np.arctan2(np.sqrt(f * (1.0 - f)), f) / moments(h, psi0).std_dev
+    chain = np.stack([mt, curve.t_qslo, curve.t_sqslo, grid.points])
+    return float(np.max(chain[:-1] - chain[1:])) - max(1e-6, 2.0 * curve.quad_error)
+
+
+def mandelstam_tamm_inputs() -> list:
+    """(H, psi0, t_max) of the case studies and of 24 seeded random pairs, d = 2..8."""
+    inputs = [(h, psi0, 1.0) for psi0, h, _ in (entanglement_setup(0.1, 1.0, 0.0), entanglement_setup(0.8, 1.2, 0.4))]
+    inputs += [(battery_hamiltonians(2.0, big_omega, 1.0)[3], _EMPTY_BATTERY, 2.0) for big_omega in (1.0, 4.0)]
+    rng = np.random.default_rng(37)
+    inputs += [(random_hermitian(rng, d), random_state(rng, d), 1.0) for d in np.arange(24) % 7 + 2]
+    return inputs
+
+
+class TestMandelstamTamm:
+    """The paper's second claim: for the projector O = P0 on the initial state,
+    <O> is the fidelity F and the QSLO refines the Mandelstam-Tamm bound,
+    MT <= t_qslo <= t_sqslo <= T."""
+
+    @pytest.mark.parametrize("n_steps", [None, 400])
+    def test_qslo_of_the_projector_refines_mandelstam_tamm(self, n_steps):
+        for h, psi0, t_max in mandelstam_tamm_inputs():
+            assert mandelstam_tamm_excess(h, psi0, TimeGrid.with_resolution(t_max, n_steps)) <= 0.0
+
+    def test_a_unit_spread_of_the_projector_fails(self):
+        # dP0 = 1 for sqrt(F (1 - F)): t_qslo falls to the total variation of F over 2 dH, below MT.
+        def unit_spread(*args):
+            samples = sample_heisenberg(*args)
+            return samples._replace(std_devs=np.ones_like(samples.std_devs))
+
+        excess = [
+            mandelstam_tamm_excess(h, psi0, TimeGrid.with_resolution(t_max), unit_spread)
+            for h, psi0, t_max in mandelstam_tamm_inputs()
+        ]
+        assert min(excess) > 0.0
+
+    def test_single_qubit_saturates(self):
+        # sigma_z and |+>: F = cos^2 t and the integrand is 2 dH, so t_qslo = T before F reaches 0.
+        grid = TimeGrid.with_resolution(0.99 * math.pi / 2.0)
+        curve = qsl_integral(grid, sample_heisenberg(SIGMA_Z, np.outer(PLUS, PLUS.conj()), PLUS, grid.points))
+        assert np.max(np.abs(curve.t_qslo - grid.points)) <= 1e-12
 
 
 class TestEntanglementRateBound:

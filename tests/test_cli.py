@@ -52,8 +52,10 @@ class TestParseConfig:
             parse_config("entanglement --p 1.5".split())
 
     def test_degenerate_p_is_usage_error(self):
-        with pytest.raises(UsageError):
-            parse_config("entanglement --p 0.5".split())
+        # A separable start; p = 1/2 is stationary instead, refused by the run (exit 2).
+        for p in ("0", "1"):
+            with pytest.raises(UsageError, match="separable"):
+                parse_config(f"entanglement --p {p}".split())
 
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
@@ -119,8 +121,9 @@ class TestMainExitCodes:
             ("entanglement --t-max nan", "finite"),
             ("modular --theta inf", "finite"),
             ("battery --Omega nan", "finite"),
-            ("battery --Omega 0", "eigenstate"),
             ("modular --t-max 1e306", "t_max"),  # finite, but not its grid
+            ("entanglement --p 0", "separable"),
+            ("modular --p 1", "separable"),
         ],
     )
     def test_bad_value_exits_1_at_parse_time(self, argv, reason, tmp_path, capsys):
@@ -246,13 +249,28 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv", ["modular --theta 1e-6 --steps 16", "entanglement --theta 1e-8 --steps 16"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "modular --theta 1e-6 --steps 16",
+            "entanglement --theta 1e-8 --steps 16",
+            "battery --Omega 0",
+            "battery --Omega 1e-7",
+            "entanglement --p 0.5",
+            "modular --p 0.5",
+            "modular --theta 0",
+            "entanglement --theta 0 --mu3 0.3",
+            "entanglement --p 0.4999999 --steps 64",
+        ],
+    )
     def test_stationary_initial_state_exits_2(self, argv, tmp_path, capsys):
-        # dH^2 at or below the variance floor, where c is NaN on every sample.
+        # dH^2 at or below the variance floor, where c is NaN on every sample:
+        # one refusal, on the sampler's dH, whichever parameter causes it.
         out = tmp_path / "curve.csv"
         assert run_cli(argv.split() + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("qslbound: failure:") and "initial state is stationary" in err
+        assert err.startswith("qslbound: failure: delta_h = ") and err.count("\n") == 1
+        assert "initial state is stationary" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -222,11 +222,13 @@ def test_grid_blocks_reuse_the_first_blocks_phases(picture):
     else:
         core, public = partial(dynamics._entanglement, h, psi0, (2, 2)), partial(sample_entanglement, h, psi0, (2, 2))
     grid = TimeGrid(3.0, 2 * SAMPLE_BLOCK + 6)  # three blocks, the last one short
-    shifted, direct = np.array(core(grid)[0]), np.array(public(grid.points))
+    shifted, direct = core(grid), public(grid.points)
+    assert shifted.delta_h == direct.delta_h
+    shifted, direct = np.array(shifted[:-1]), np.array(direct[:-1])  # the per-sample columns
     np.testing.assert_allclose(shifted, direct, rtol=0.0, atol=1e-13)
     assert shifted[:, :SAMPLE_BLOCK].tobytes() == direct[:, :SAMPLE_BLOCK].tobytes()
     one_block = TimeGrid(1.0, 100)
-    assert np.array(core(one_block)[0]).tobytes() == np.array(public(one_block.points)).tobytes()
+    assert np.array(core(one_block)[:-1]).tobytes() == np.array(public(one_block.points)[:-1]).tobytes()
 
 
 def identity_gaps() -> list:

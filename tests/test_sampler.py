@@ -91,6 +91,20 @@ def test_rank_deficient_reduced_state_matches_the_clamped_reference():
     assert_matches(sample_entanglement(h, psi, (2, 2), [0.0, 0.5]), expected)
 
 
+@examples
+@given(d=st.integers(2, 16), seed=seeds)
+def test_samples_carry_the_energy_spread(d, seed):
+    # dH of H in psi0, taken once per curve, in both pictures.
+    rng = np.random.default_rng(seed)
+    h, obs, psi = random_hermitian(rng, d), random_hermitian(rng, d), random_state(rng, d)
+    expected = moments(h, psi).std_dev
+    runs = [sample_heisenberg(h, obs, psi, [0.0, 1.0])]
+    if d % 2 == 0:
+        runs.append(sample_entanglement(h, psi, (2, d // 2), [0.0, 1.0]))
+    for samples in runs:
+        np.testing.assert_allclose(samples.delta_h, expected, rtol=1e-14, atol=0.0)
+
+
 def test_blocks_join_seamlessly():
     # A grid spanning several blocks equals the samples taken one at a time.
     rng = np.random.default_rng(5)
@@ -100,6 +114,6 @@ def test_blocks_join_seamlessly():
     for k in (0, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, ts.size - 1):
         single = sample_heisenberg(h, obs, psi, ts[k : k + 1])
         np.testing.assert_allclose(
-            [field[k] for field in whole], [field[0] for field in single],
+            [field[k] for field in whole[:-1]], [field[0] for field in single[:-1]],
             rtol=0.0, atol=1e-13,
         )

@@ -198,7 +198,7 @@ class TestBatteryHamiltonians:
 
     @pytest.mark.parametrize("params", OPERATOR_PARAMS)
     def test_total_variance_in_empty_state_is_two_omega_squared(self, params):
-        # The closed form behind BatteryScenario's eigenstate refusal.
+        # The closed form behind the undriven battery's stationary refusal.
         _, _, _, h_t = battery_hamiltonians(*params)
         variance = moments(h_t, _EMPTY_BATTERY).variance
         assert variance == pytest.approx(2.0 * params[1] ** 2, rel=1e-12)
@@ -296,13 +296,17 @@ class TestErgotropy:
 
 class TestScenarioValidation:
     def test_degenerate_p_rejected(self):
-        for p in (0.0, 0.5, 1.0):
+        # A separable start; p = 1/2 is stationary instead, refused by its runs.
+        for p in (0.0, 1.0):
             with pytest.raises(ValueError, match="degenerate"):
                 EntanglementScenario(p=p, theta=1.0, grid=small_grid())
 
     def test_zero_theta_rejected(self):
-        with pytest.raises(ValueError):
-            EntanglementScenario(p=0.1, theta=0.0, grid=small_grid())
+        # theta = 0 leaves the Schmidt state stationary: both runs refuse it on dH.
+        scn = EntanglementScenario(p=0.1, theta=0.0, grid=small_grid())
+        for run in (run_entanglement_scenario, run_modular_scenario):
+            with pytest.raises(ValueError, match="initial state is stationary"):
+                run(scn)
 
     def test_battery_validation(self):
         with pytest.raises(ValueError):
@@ -325,15 +329,16 @@ class TestScenarioValidation:
             BatteryScenario(**params, grid=small_grid(2.0))
 
     def test_battery_eigenstate_rejected(self):
-        # With no drive the empty state is stationary under H_T.
-        with pytest.raises(ValueError, match="eigenstate"):
-            BatteryScenario(omega=2.0, big_omega=0.0, j=0.0, grid=small_grid(2.0))
+        # With no drive the empty state is stationary under H_T, an eigenstate.
+        scn = BatteryScenario(omega=2.0, big_omega=0.0, j=0.0, grid=small_grid(2.0))
+        with pytest.raises(ValueError, match="initial state is stationary"):
+            run_battery_scenario(scn)
 
     def test_battery_refusal_boundary(self):
-        # Refused where Var(H_T) = 2 Omega^2 <= 1e-12.
-        with pytest.raises(ValueError, match="eigenstate"):
-            BatteryScenario(omega=2.0, big_omega=5e-7, j=1.0, grid=small_grid(2.0))
-        BatteryScenario(omega=2.0, big_omega=1e-6, j=1.0, grid=small_grid(2.0))
+        # Refused where Var(H_T) = 2 Omega^2 <= 1e-12, by the bound form's dH.
+        with pytest.raises(ValueError, match="initial state is stationary"):
+            run_battery_scenario(BatteryScenario(omega=2.0, big_omega=5e-7, j=1.0, grid=small_grid(2.0)))
+        run_battery_scenario(BatteryScenario(omega=2.0, big_omega=1e-6, j=1.0, grid=small_grid(2.0)))
 
 
 class TestRunEntanglement:
@@ -465,7 +470,7 @@ class TestRunBattery:
             psi0 = np.kron(cells[0], cells[1])
             grid = small_grid(2.0, n=600)
             samples = sample_heisenberg(h_t, h_b, psi0, grid.points)
-            curve = qsl_integral(grid, samples, moments(h_t, psi0).std_dev)
+            curve = qsl_integral(grid, samples)
             ts = curve.grid.points
             tol = max(1e-6, 2.0 * curve.quad_error)
             assert np.all(curve.t_sqslo <= ts + tol)

@@ -332,14 +332,54 @@ def diagonal_entropy(real):
     return s
 
 
-def backward_propagator(real):
-    # exp(+iEt) for exp(-iEt): still unitary, but it runs time backwards.
-    def family(h):
-        vals, vecs = np.linalg.eigh(h)
-        vecs_h = vecs.conj().swapaxes(-2, -1)
-        return lambda t: (vecs * np.exp(1j * vals * np.asarray(t)[..., None])[..., None, :]) @ vecs_h
+def eigen_propagator(phases, right=lambda vecs: vecs.conj().swapaxes(-2, -1)):
+    # A propagator_family of h = V diag(E) V^dag that returns V phases(E t) right(V).
+    def mutate(real):
+        def family(h):
+            vals, vecs = np.linalg.eigh(h)
+            return lambda t: (vecs * phases(vals * np.asarray(t)[..., None])[..., None, :]) @ right(vecs)
 
-    return family
+        return family
+
+    return mutate
+
+
+# exp(+iEt) for exp(-iEt): still unitary, but it runs time backwards.
+backward_propagator = eigen_propagator(lambda et: np.exp(1j * et))
+# cos(Et) for exp(-iEt): the phases lose their sine, and U its unitarity.
+cosine_propagator = eigen_propagator(np.cos)
+# V exp(-iEt) V^T: unitary and a solution of dU/dt = -iHU, but U(0) = V V^T.
+transposed_propagator = eigen_propagator(lambda et: np.exp(-1j * et), right=lambda vecs: vecs.swapaxes(-2, -1))
+
+
+def real_phases(real):
+    # exp(-Et) for exp(-iEt): the amplitudes grow and decay instead of turning.
+    return lambda t, vals: np.exp(-vals * t[:, None]).astype(complex)
+
+
+def ascending_ergotropy(real):
+    # Populations paired ascending with energies: the most energy that stays, not the least.
+    def ergotropy(rho, h):
+        left = np.sum(np.linalg.eigvalsh(rho) * np.linalg.eigvalsh(h), axis=-1)
+        return np.trace(rho @ h, axis1=-2, axis2=-1).real - left
+
+    return ergotropy
+
+
+def flipped_derivative(real):
+    def sample(*args):
+        samples = real(*args)
+        return samples._replace(derivatives=-samples.derivatives)
+
+    return sample
+
+
+def shrunk_qslo(real):
+    def curve(grid, samples):
+        out = real(grid, samples)
+        return dataclasses.replace(out, t_qslo=0.99 * out.t_qslo)
+
+    return curve
 
 
 def plus_im_c(real):
@@ -362,31 +402,33 @@ def flipped_sign(real):
 
 def dropped_eta(real):
     # c = 1j wherever it is finite gives r = 0, so the SQSLO integrand loses its 1/eta.
-    def curve(grid, samples, delta_h):
+    def curve(grid, samples):
         c = np.where(np.isfinite(samples.c), 1j, samples.c)
-        return real(grid, samples._replace(c=c), delta_h)
+        return real(grid, samples._replace(c=c))
 
     return curve
 
 
-def scaled_ratio_form(column, factor):
-    # One column of every entanglement preset curve (the ratio form), scaled.
+def ratio_form_mutant(column, value):
+    # One column of every entanglement preset curve (the ratio form) set to value(curve).
     def mutate(real):
         def build(preset, n_steps):
             curves = real(preset, n_steps)
             if preset.kind != "entanglement":
                 return curves
-            return [
-                (label, params, dataclasses.replace(c, **{column: getattr(c, column) * factor}))
-                for label, params, c in curves
-            ]
+            return [(label, params, dataclasses.replace(c, **{column: value(c)})) for label, params, c in curves]
 
         return build
 
     return mutate
 
 
+def scaled_ratio_form(column, factor):
+    return ratio_form_mutant(column, lambda c: getattr(c, column) * factor)
+
+
 MUTANTS = {
+    "operator-core/propagator-unitarity": ("propagator_family", cosine_propagator),
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
     "operator-core/tensor-product-trace": ("tensor_product", row_major_kron),
     "quantum-state/perpendicular-orthogonality": ("perpendicular_state", unnormalized_perp),
@@ -397,9 +439,15 @@ MUTANTS = {
         lambda real: entanglement_entropy,
     ),
     "info-measures/entropy-unitary-invariance": ("entanglement_entropy", diagonal_entropy),
+    "info-measures/ergotropy-bruteforce": ("ergotropy_max", ascending_ergotropy),
     "dynamics/picture-equivalence": ("propagator_family", backward_propagator),
+    "dynamics/picture-equivalence (transposed right factor)": ("propagator_family", transposed_propagator),
+    "dynamics/derivative-consistency": ("sample_heisenberg", flipped_derivative),
+    "dynamics/energy-conservation": ("dynamics._phases", real_phases),
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
+    "speed-limits/single-qubit-saturation": ("qsl_integral", shrunk_qslo),
+    "scenarios/hierarchy-presets": ("build_preset_curves", ratio_form_mutant("t_sqslo", lambda c: c.t_qslo)),
     "scenarios/entanglement-rate-bound": ("qsl_integral", dropped_eta),
     "scenarios/closed-forms (t_sqslo)": ("build_preset_curves", scaled_ratio_form("t_sqslo", 0.99)),
     "scenarios/closed-forms (mean_values)": ("build_preset_curves", scaled_ratio_form("mean_values", 1.01)),
@@ -408,11 +456,14 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_a_broken_covered_function_fails_its_stacked_check(name, monkeypatch):
-    # An entry names its check, followed by the mutant where one check has two.
+    # An entry names its check, followed by the mutant where one check has two,
+    # and the function it breaks: a name in verify, or one in dynamics.
     attr, mutate = MUTANTS[name]
     check = name.split(" (")[0]
+    owner, _, attr = attr.rpartition(".")
+    module = dynamics if owner == "dynamics" else verify
     assert run_named(check).status == "pass"
-    monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     result = run_named(check)
     assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
 
