@@ -18,15 +18,17 @@ whose ``Samples`` carry c, share one kernel for c, ``states._correlation``
 (and ``states._r_from_c`` for r), which takes B's deviation row
 (B - <B>) psi and moments: per state in ``correction_r``, once per curve in
 the sampler (B = H, whose <H> and dH are constants of the motion).  The
-commutator side ``rhs`` comes from A psi and B psi, and the sampler's
-d<O>/dt from the commutator, not from c, so each side checks the other.
+commutator side ``rhs`` comes from A psi and B psi, not from c.
 
-Bound curves integrate |d<O>/dt| / (dO * eta) (direct form) or dO [eta]
-(ratio form) over the sampler's ``Samples`` (r NaN where c is), divide by
-the dH they carry, and go through one quadrature seam,
-``quadrature._prefix_integrals``.  Samples where dO or eta degenerate are
-excluded, take the value of the nearest preceding healthy sample (the first
-healthy one, for a leading run) and are recorded as warnings.
+With B = H, d<O>/dt = 2 dO dH Im c, so the direct-form integrands
+|d<O>/dt| / (2 dH dO [eta]) are |Im c| and |Im c| / eta, both in [0, 1] and
+ordered at every sample: the bounds read c alone, and the sampler's d<O>/dt,
+taken from the commutator, stays an independent witness of c (verify checks
+the identity).  The ratio form integrates dO [eta].  Both go through one
+quadrature seam, ``quadrature._prefix_integrals``.  Samples where c is NaN
+(dO^2 at the variance floor) or eta is at the floor are excluded, take the
+value of the nearest preceding healthy sample (the first healthy one, for a
+leading run) and are recorded as warnings.
 """
 
 from __future__ import annotations
@@ -158,18 +160,18 @@ def _require_inputs(grid: TimeGrid, samples: Samples) -> None:
         raise ValueError("need one sample per grid point")
 
 
-_REASONS = (None, "zero-variance sample", "degenerate correction", "correction saturates r=1")
+_REASONS = (None, "zero-variance sample", "correction saturates r=1")
 
 
-def _exclusions(grid: TimeGrid, zero_spread=None, no_correction=None, saturated=None):
-    """Each sample's exclusion code, the index in _REASONS of the first reason
-    whose mask holds there (0 where none does), and the (time, reason)
-    warning of every excluded sample.  A form passes a mask only for the
-    reasons it excludes samples for."""
-    codes = np.zeros(grid.points.size, dtype=int)
-    for code, mask in ((3, saturated), (2, no_correction), (1, zero_spread)):  # lowest priority first
-        if mask is not None:
-            codes[mask] = code
+def _exclusions(grid: TimeGrid, c, eta=None):
+    """Each sample's exclusion code, the index in _REASONS of its reason (0
+    where it is kept), and the (time, reason) warning of every excluded
+    sample.  c is NaN exactly where dO^2 is at the variance floor (dH is
+    refused upstream); a form that divides by eta passes it, NaN where c is,
+    so each excluded sample has one reason."""
+    codes = np.isnan(c).astype(int)
+    if eta is not None:
+        codes[eta <= ETA_FLOOR] = 2
     return codes, tuple((float(grid.points[k]), _REASONS[codes[k]]) for k in codes.nonzero()[0])
 
 
@@ -181,38 +183,34 @@ def _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, quad_error
 
 
 def qsl_integral(grid: TimeGrid, samples: Samples) -> BoundCurve:
-    """Cumulative bound integrals (1/2 dH) int |d<O>/dt| / (dO [eta]) dt.
+    """Cumulative bound integrals int |Im c| dt (QSLO) and int |Im c| / eta dt
+    (SQSLO), eta = 1 - r, from the c of (O, H) at every grid point.
 
-    ``samples`` holds the sampler's mean, spread, d<O>/dt and r of the
-    observable at every grid point, and dH; the strengthened bound divides by
-    eta = 1 - r as well.  Singular samples (vanishing spread, missing
-    correction, eta at the floor) take the value of the nearest preceding
-    healthy sample (the first healthy one, for a leading run) and are
-    reported in the curve's warnings.  An integrand with no healthy sample is
-    zero if d<O>/dt is negligible on the whole curve (a conserved
-    observable), and is refused otherwise.
+    These are (1/2 dH) int |d<O>/dt| / (dO [eta]) dt, since
+    d<O>/dt = 2 dO dH Im c.  Excluded samples (NaN c, eta at the floor) take
+    the value of the nearest preceding healthy sample (the first healthy one,
+    for a leading run) and are reported in the curve's warnings.  An
+    integrand with no healthy sample is zero if d<O>/dt is negligible on the
+    whole curve (a conserved observable), and is refused otherwise.
     """
     _require_inputs(grid, samples)
-    stds = samples.std_devs
-    derivs = np.abs(samples.derivatives)
-    r_raw = samples.r
+    c, r_raw = samples.c, samples.r
     eta = 1.0 - r_raw
-    codes, warnings = _exclusions(grid, ~(stds * stds > VARIANCE_FLOOR), np.isnan(r_raw), eta <= ETA_FLOOR)
-    # Integrand rows f_q, f_s and r; each divides only where its sample is kept.
+    codes, warnings = _exclusions(grid, c, eta)
+    im_c = np.abs(c.imag)
+    # Integrand rows |Im c|, |Im c| / eta and r; NaN + 0j has Im c = 0, so each row is masked.
     rows = np.full((3, grid.points.size), np.nan)
-    np.divide(derivs, stds, out=rows[0], where=codes != 1)
-    np.divide(derivs, stds * eta, out=rows[1], where=codes == 0)
+    np.copyto(rows[0], im_c, where=codes != 1)
+    np.divide(im_c, eta, out=rows[1], where=codes == 0)
     rows[2] = r_raw
     empty = np.isnan(rows).all(axis=1)
     if empty.any():
-        if not derivs.max() <= 1e-12 * max(1.0, float(np.abs(samples.means).max())):
+        if not np.abs(samples.derivatives).max() <= 1e-12 * max(1.0, float(np.abs(samples.means).max())):
             raise ValueError("all integrand samples are degenerate")
         rows[empty] = 0.0  # the observable never moves: a row without a healthy sample is zero
     rows = _fill_nearest(rows)
     integrals, error = _prefix_integrals(rows, grid.dx, 2)
-    prefactor = 0.5 / samples.delta_h
-    t_qslo, t_sqslo = prefactor * integrals[:2]
-    return _curve(grid, samples, rows, integrals, warnings, t_qslo, t_sqslo, float(prefactor * error.max()))
+    return _curve(grid, samples, rows, integrals, warnings, *integrals[:2], float(error.max()))
 
 
 def ratio_form_curve(grid: TimeGrid, samples: Samples) -> BoundCurve:
@@ -225,10 +223,9 @@ def ratio_form_curve(grid: TimeGrid, samples: Samples) -> BoundCurve:
     """
     _require_inputs(grid, samples)
     means, f_q, r_raw = samples.means, samples.std_devs, samples.r
-    missing = np.isnan(r_raw)
-    if missing.all():
+    codes, warnings = _exclusions(grid, samples.c)
+    if codes.all():
         raise ValueError("all correction samples are degenerate")
-    _, warnings = _exclusions(grid, no_correction=missing)
     # r is filled before it enters f_s: filling the product would take a neighbour's dO too.
     r_filled = _fill_nearest(r_raw)
     rows = np.stack([f_q, f_q * (1.0 - r_filled), r_filled])

@@ -191,7 +191,7 @@ class TestQslIntegral:
 
     def test_rejects_a_moving_mean_without_spread(self):
         grid, samples = self.single_qubit_inputs()
-        samples = samples._replace(std_devs=np.zeros_like(samples.std_devs))
+        samples = samples._replace(std_devs=np.zeros_like(samples.std_devs), c=np.full_like(samples.c, np.nan))
         assert np.abs(samples.derivatives).max() > 0.5
         with pytest.raises(ValueError, match="all integrand samples are degenerate"):
             qsl_integral(grid, samples)
@@ -262,16 +262,20 @@ def test_random_two_qubit_ratio_form_curves_hold_and_stay_off_the_diagonal():
     assert np.median(final) < 0.9
 
 
-def mandelstam_tamm_excess(h, psi0, grid, sample=sample_heisenberg) -> float:
+def mandelstam_tamm_excess(h, psi0, grid, sample=sample_heisenberg) -> tuple[float, float]:
     """The largest excess of MT <= t_qslo <= t_sqslo <= T over the hierarchy
-    gate max(1e-6, 2 quad_error), on every prefix, for O = P0 = |psi0><psi0|.
-    MT = arccos(sqrt F) / dH = atan2(sqrt(F (1 - F)), F) / dH, with the
-    fidelity F = |<psi0|U(t) psi0>|^2 from the propagator, not the sampler."""
+    gate max(1e-6, 2 quad_error), on every prefix, for O = P0 = |psi0><psi0|,
+    and MT(0).  MT = arccos(sqrt F) / dH = atan2(sqrt(1 - F), sqrt F) / dH, with
+    sqrt F = |<psi0|psi_t>| and 1 - F = ||psi_t - <psi0|psi_t> psi0||^2 from the
+    propagator, not the sampler; 1 - |<psi0|psi_t>|^2 leaves a rounding residue of
+    about 1e-15 at t = 0, whose square root is 3e-8."""
     curve = qsl_integral(grid, sample(h, np.outer(psi0, psi0.conj()), psi0, grid.points))
-    f = np.minimum(np.abs(propagator_family(h)(grid.points) @ psi0 @ psi0.conj()) ** 2, 1.0)
-    mt = np.arctan2(np.sqrt(f * (1.0 - f)), f) / moments(h, psi0).std_dev
+    psi_t = propagator_family(h)(grid.points) @ psi0
+    overlap = psi_t @ psi0.conj()
+    perp = np.linalg.norm(psi_t - overlap[:, None] * psi0, axis=1)
+    mt = np.arctan2(perp, np.abs(overlap)) / moments(h, psi0).std_dev
     chain = np.stack([mt, curve.t_qslo, curve.t_sqslo, grid.points])
-    return float(np.max(chain[:-1] - chain[1:])) - max(1e-6, 2.0 * curve.quad_error)
+    return float(np.max(chain[:-1] - chain[1:])) - max(1e-6, 2.0 * curve.quad_error), float(mt[0])
 
 
 def mandelstam_tamm_inputs() -> list:
@@ -291,22 +295,24 @@ class TestMandelstamTamm:
     @pytest.mark.parametrize("n_steps", [None, 400])
     def test_qslo_of_the_projector_refines_mandelstam_tamm(self, n_steps):
         for h, psi0, t_max in mandelstam_tamm_inputs():
-            assert mandelstam_tamm_excess(h, psi0, TimeGrid.with_resolution(t_max, n_steps)) <= 0.0
+            excess, mt0 = mandelstam_tamm_excess(h, psi0, TimeGrid.with_resolution(t_max, n_steps))
+            assert excess <= 0.0 and mt0 <= 1e-15
 
     def test_a_unit_spread_of_the_projector_fails(self):
-        # dP0 = 1 for sqrt(F (1 - F)): t_qslo falls to the total variation of F over 2 dH, below MT.
+        # dP0 = 1 for sqrt(F (1 - F)), so c = d<O>/dt / (2 dH dP0) scales by dP0: t_qslo
+        # falls to the total variation of F over 2 dH, below MT.
         def unit_spread(*args):
             samples = sample_heisenberg(*args)
-            return samples._replace(std_devs=np.ones_like(samples.std_devs))
+            return samples._replace(std_devs=np.ones_like(samples.std_devs), c=samples.c * samples.std_devs)
 
         excess = [
-            mandelstam_tamm_excess(h, psi0, TimeGrid.with_resolution(t_max), unit_spread)
+            mandelstam_tamm_excess(h, psi0, TimeGrid.with_resolution(t_max), unit_spread)[0]
             for h, psi0, t_max in mandelstam_tamm_inputs()
         ]
         assert min(excess) > 0.0
 
     def test_single_qubit_saturates(self):
-        # sigma_z and |+>: F = cos^2 t and the integrand is 2 dH, so t_qslo = T before F reaches 0.
+        # sigma_z and |+>: F = cos^2 t and the integrand |Im c| is 1, so t_qslo = T before F reaches 0.
         grid = TimeGrid.with_resolution(0.99 * math.pi / 2.0)
         curve = qsl_integral(grid, sample_heisenberg(SIGMA_Z, np.outer(PLUS, PLUS.conj()), PLUS, grid.points))
         assert np.max(np.abs(curve.t_qslo - grid.points)) <= 1e-12

@@ -385,12 +385,12 @@ class TestRunEntanglement:
 
     def test_flat_spectrum_sample_is_excluded_with_warning(self):
         # A grid hitting t = pi/4 exactly lands on the zero of the capacity,
-        # where no correction is defined; the sample must be warned about.
+        # where c is undefined; the sample must be warned about.
         grid = TimeGrid(math.pi / 2.0, 200)
         curve = run_entanglement_scenario(
             EntanglementScenario(p=0.1, theta=1.0, grid=grid)
         )
-        warn_times = [t for t, reason in curve.warnings if "correction" in reason]
+        warn_times = [t for t, reason in curve.warnings if "zero-variance" in reason]
         assert any(abs(t - math.pi / 4.0) < 1e-12 for t in warn_times)
         tol = max(1e-6, 2.0 * curve.quad_error)
         assert np.all(curve.t_sqslo <= grid.points + tol)

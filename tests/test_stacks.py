@@ -12,6 +12,7 @@ broken.
 import dataclasses
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -374,12 +375,16 @@ def flipped_derivative(real):
     return sample
 
 
-def shrunk_qslo(real):
-    def curve(grid, samples):
-        out = real(grid, samples)
-        return dataclasses.replace(out, t_qslo=0.99 * out.t_qslo)
+def replaced(curve, columns):
+    return dataclasses.replace(curve, **{name: value(curve) for name, value in columns.items()})
 
-    return curve
+
+def bound_mutant(**columns):
+    # qsl_integral with each named column of its curve set to columns[name](curve).
+    def mutate(real):
+        return lambda grid, samples: replaced(real(grid, samples), columns)
+
+    return mutate
 
 
 def plus_im_c(real):
@@ -400,32 +405,36 @@ def flipped_sign(real):
     return r
 
 
-def dropped_eta(real):
-    # c = 1j wherever it is finite gives r = 0, so the SQSLO integrand loses its 1/eta.
-    def curve(grid, samples):
-        c = np.where(np.isfinite(samples.c), 1j, samples.c)
-        return real(grid, samples._replace(c=c))
+def conjugated_c(real):
+    # c* for c in the sampler: Im c, and with it 2 dO dH Im c, flips sign against d<O>/dt.
+    def correlation(psi, a_psi, dev_b, mb):
+        moments_a, c = real(psi, a_psi, dev_b, mb)
+        return moments_a, c.conj()
 
-    return curve
+    return correlation
 
 
-def ratio_form_mutant(column, value):
-    # One column of every entanglement preset curve (the ratio form) set to value(curve).
+def variance_scaled_deviation(real):
+    # Multiplies (H - <H>) psi by dH^2 in the sampler: c comes out dH^2 too large.
+    return lambda psi, a_psi, dev_b, mb: real(psi, a_psi, dev_b * mb.variance, mb)
+
+
+def preset_mutant(kinds, **columns):
+    # Each named column of every preset curve of the given kinds set to columns[name](curve).
     def mutate(real):
         def build(preset, n_steps):
             curves = real(preset, n_steps)
-            if preset.kind != "entanglement":
+            if preset.kind not in kinds:
                 return curves
-            return [(label, params, dataclasses.replace(c, **{column: value(c)})) for label, params, c in curves]
+            return [(label, params, replaced(c, columns)) for label, params, c in curves]
 
         return build
 
     return mutate
 
 
-def scaled_ratio_form(column, factor):
-    return ratio_form_mutant(column, lambda c: getattr(c, column) * factor)
-
+# The ratio form is the entanglement presets' form.
+ratio_form_mutant = partial(preset_mutant, ("entanglement",))
 
 MUTANTS = {
     "operator-core/propagator-unitarity": ("propagator_family", cosine_propagator),
@@ -443,14 +452,18 @@ MUTANTS = {
     "dynamics/picture-equivalence": ("propagator_family", backward_propagator),
     "dynamics/picture-equivalence (transposed right factor)": ("propagator_family", transposed_propagator),
     "dynamics/derivative-consistency": ("sample_heisenberg", flipped_derivative),
+    "dynamics/derivative-consistency (conjugated c)": ("dynamics._correlation", conjugated_c),
+    "dynamics/derivative-consistency (scaled deviation row)": ("dynamics._correlation", variance_scaled_deviation),
     "dynamics/energy-conservation": ("dynamics._phases", real_phases),
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
-    "speed-limits/single-qubit-saturation": ("qsl_integral", shrunk_qslo),
-    "scenarios/hierarchy-presets": ("build_preset_curves", ratio_form_mutant("t_sqslo", lambda c: c.t_qslo)),
-    "scenarios/entanglement-rate-bound": ("qsl_integral", dropped_eta),
-    "scenarios/closed-forms (t_sqslo)": ("build_preset_curves", scaled_ratio_form("t_sqslo", 0.99)),
-    "scenarios/closed-forms (mean_values)": ("build_preset_curves", scaled_ratio_form("mean_values", 1.01)),
+    "speed-limits/single-qubit-saturation": ("qsl_integral", bound_mutant(t_qslo=lambda c: 0.99 * c.t_qslo)),
+    "scenarios/hierarchy-presets": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: c.t_qslo)),
+    "scenarios/hierarchy-presets (warnings)": ("build_preset_curves", preset_mutant(("modular", "battery"), warnings=lambda c: ())),
+    # t_sqslo := t_qslo drops the SQSLO integrand's 1/eta.
+    "scenarios/entanglement-rate-bound": ("qsl_integral", bound_mutant(t_sqslo=lambda c: c.t_qslo)),
+    "scenarios/closed-forms (t_sqslo)": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: 0.99 * c.t_sqslo)),
+    "scenarios/closed-forms (mean_values)": ("build_preset_curves", ratio_form_mutant(mean_values=lambda c: 1.01 * c.mean_values)),
 }
 
 

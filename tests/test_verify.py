@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from test_stacks import real_phases
 
 import qslbound.dynamics as dynamics
 from qslbound import reference_forms as ref
@@ -82,8 +83,8 @@ def assert_fails_on_comparison(name):
 
 
 def test_preset_curves_do_not_outlive_a_run(monkeypatch):
-    # A first run builds clean preset curves; a run after a sign error in
-    # the commutator must rebuild them and fail the checks that read them.
+    # A first run builds clean preset curves; a run after the phases lose
+    # their sine must rebuild them and fail the checks that read them.
     names = ("scenarios/modular-saturation", "scenarios/battery-saturation-overlap")
     checks = [check for check in verify.CHECKS if check.name in names]
 
@@ -92,7 +93,7 @@ def test_preset_curves_do_not_outlive_a_run(monkeypatch):
         return [verify.run_check(check, run).status for check in checks]
 
     assert statuses() == ["pass", "pass"]
-    monkeypatch.setattr(dynamics, "commutator", lambda a, b: a @ b + b @ a)
+    monkeypatch.setattr(dynamics, "_phases", real_phases(dynamics._phases))
     assert statuses() == ["fail", "fail"]
 
 
