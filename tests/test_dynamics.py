@@ -22,7 +22,7 @@ from qslbound.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, tensor_product
 from qslbound.measures import modular_hamiltonian
 from qslbound.presets import PRESETS
 from qslbound.scenarios import entanglement_setup, initial_schmidt_state
-from qslbound.states import reduced_state
+from qslbound.states import moments, reduced_state
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -229,6 +229,40 @@ def test_grid_blocks_reuse_the_first_blocks_phases(picture):
     assert shifted[:, :SAMPLE_BLOCK].tobytes() == direct[:, :SAMPLE_BLOCK].tobytes()
     one_block = TimeGrid(1.0, 100)
     assert np.array(core(one_block)[:-1]).tobytes() == np.array(public(one_block.points)[:-1]).tobytes()
+
+
+def identity_gaps() -> list:
+    """The largest |d<O>/dt - 2 dO dH Im c| of each sampled run, for random
+    (H, O, psi0) of d = 2..8 in both pictures.  The derivative comes from the commutator
+    rows and c from the deviation rows, so each checks the other."""
+    rng = np.random.default_rng(29)
+    ts = np.linspace(0.0, 2.0, 9)
+    bipartitions = {4: (2, 2), 6: (2, 3), 8: (4, 2)}
+    gaps = []
+    for d in range(2, 9):
+        h, obs, psi0 = random_hermitian(rng, d), random_hermitian(rng, d), random_state(rng, d)
+        delta_h = moments(h, psi0).std_dev
+        runs = [sample_heisenberg(h, obs, psi0, ts)]
+        if d in bipartitions:
+            runs.append(sample_entanglement(h, psi0, bipartitions[d], ts))
+        for s in runs:
+            gaps.append(np.abs(s.derivatives - 2.0 * s.std_devs * delta_h * s.c.imag).max())
+    return gaps
+
+
+class TestRateIdentity:
+    """d<O>/dt = i<[H, O]> = 2 Im <(O - <O>) psi|(H - <H>) psi> = 2 dO dH Im c."""
+
+    def test_derivative_equals_the_signed_correlation(self):
+        assert max(identity_gaps()) <= 1e-10
+
+    def test_a_deviation_row_scaled_the_wrong_way_fails(self, monkeypatch):
+        # Multiplies (H - <H>) psi by dH where the kernel divides by it.
+        real = dynamics._correlation
+        monkeypatch.setattr(
+            dynamics, "_correlation", lambda psi, a_psi, dev_b, mb: real(psi, a_psi, dev_b * mb.variance, mb)
+        )
+        assert max(identity_gaps()) > 1e-3
 
 
 def spoiled(m, at, value):
