@@ -1,8 +1,8 @@
 """Hand-derived closed forms kept only as cross-check fixtures.
 
 Nothing in the bound pipeline evaluates these; the verify suite compares
-selected samples against them.  The correction-factor forms take a scalar
-or array t, the perpendicular states a scalar t.  Each correction-factor
+selected samples against them.  Every form takes a scalar or array t; a
+perpendicular state has shape ``np.shape(t) + (4,)``.  Each correction-factor
 form below is a single fixed branch of the two-branch relation, so it is
 only meaningful where its value lands in [0, 1]; comparisons restrict to
 those samples.  Known issues are flagged where they occur:
@@ -82,15 +82,14 @@ def r_entanglement_printed(p: float, theta: float, t):
     return numerator / np.abs(at**2 * beta)
 
 
-def perp_entanglement_printed(p: float, theta: float, mu3: float, t: float) -> np.ndarray:
+def perp_entanglement_printed(p: float, theta: float, mu3: float, t) -> np.ndarray:
     """Perpendicular state for the entanglement run (arctanh throughout)."""
-    arg = (-1.0 + 2.0 * p) * math.cos(2.0 * t * theta)
-    at = math.atanh(arg)
+    arg = (-1.0 + 2.0 * p) * np.cos(2.0 * t * theta)
+    at = np.arctanh(arg)
     den = np.sqrt(
-        complex(
-            -(at**2)
-            * (-1.0 + 4.0 * (-1.0 + p) * p + (1.0 - 2.0 * p) ** 2 * math.cos(4.0 * t * theta))
-        )
+        -(at**2)
+        * (-1.0 + 4.0 * (-1.0 + p) * p + (1.0 - 2.0 * p) ** 2 * np.cos(4.0 * t * theta))
+        + 0j
     )
     phase = np.exp(-1j * t * mu3)
     c1 = (
@@ -98,7 +97,7 @@ def perp_entanglement_printed(p: float, theta: float, mu3: float, t: float) -> n
         * phase
         * at
         * (-1.0 + arg)
-        * (math.sqrt(p) * math.cos(t * theta) - 1j * math.sqrt(1.0 - p) * math.sin(t * theta))
+        * (math.sqrt(p) * np.cos(t * theta) - 1j * math.sqrt(1.0 - p) * np.sin(t * theta))
         / den
     )
     c4 = (
@@ -106,38 +105,26 @@ def perp_entanglement_printed(p: float, theta: float, mu3: float, t: float) -> n
         * phase
         * at
         * (1.0 + arg)
-        * (math.sqrt(1.0 - p) * math.cos(t * theta) - 1j * math.sqrt(p) * math.sin(t * theta))
+        * (math.sqrt(1.0 - p) * np.cos(t * theta) - 1j * math.sqrt(p) * np.sin(t * theta))
         / den
     )
-    return np.array([c1, 0.0, 0.0, c4], dtype=complex)
+    return np.stack([c1, np.zeros_like(c1), np.zeros_like(c1), c4], axis=-1)
 
 
-def perp_modular_printed(p: float, theta: float, t: float) -> np.ndarray:
+def perp_modular_printed(p: float, theta: float, t) -> np.ndarray:
     """Perpendicular state for the modular-energy run."""
     g = math.log(-1.0 + 1.0 / p)
-    c2 = math.cos(2.0 * theta * t)
-    s2 = math.sin(2.0 * theta * t)
+    c2 = np.cos(2.0 * theta * t)
+    s2 = np.sin(2.0 * theta * t)
     quad = g * g * (-4.0 * (-1.0 + p) * p * c2 * c2 + s2 * s2)
-    c1 = (
-        g
-        * (-2.0 * (-1.0 + p) * math.sqrt(p) * c2 - 1j * math.sqrt(1.0 - p) * s2)
-        / math.sqrt(quad)
-    )
-    c4 = (
-        g
-        * (-2.0 * math.sqrt((1.0 - p) * p) * c2 + 1j * s2)
-        / math.sqrt(quad / p)
-    )
-    return np.array([c1, 0.0, 0.0, c4], dtype=complex)
+    c1 = g * (-2.0 * (-1.0 + p) * math.sqrt(p) * c2 - 1j * math.sqrt(1.0 - p) * s2) / np.sqrt(quad)
+    c4 = g * (-2.0 * math.sqrt((1.0 - p) * p) * c2 + 1j * s2) / np.sqrt(quad / p)
+    return np.stack([c1, np.zeros_like(c1), np.zeros_like(c1), c4], axis=-1)
 
 
-def perp_battery_coupled_printed(t: float) -> np.ndarray:
+def perp_battery_coupled_printed(t) -> np.ndarray:
     """Perpendicular state for the coupled battery (omega=2, Omega=1, j=1)."""
-    num = (
-        2.0
-        - 2.0 * math.cos(2.0 * SQRT5 * t)
-        - 1j * SQRT5 * math.sin(2.0 * SQRT5 * t)
-    )
-    den = 2.0 * abs(math.sin(SQRT5 * t)) * math.sqrt(9.0 + math.cos(2.0 * SQRT5 * t))
+    num = 2.0 - 2.0 * np.cos(2.0 * SQRT5 * t) - 1j * SQRT5 * np.sin(2.0 * SQRT5 * t)
+    den = 2.0 * np.abs(np.sin(SQRT5 * t)) * np.sqrt(9.0 + np.cos(2.0 * SQRT5 * t))
     z = num / den
-    return np.array([0.0, z, z, 0.0], dtype=complex)
+    return np.stack([np.zeros_like(z), z, z, np.zeros_like(z)], axis=-1)

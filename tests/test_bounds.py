@@ -20,6 +20,7 @@ from qslbound.dynamics import TimeGrid, propagator_family, sample_entanglement, 
 from qslbound.linalg import SIGMA_X, SIGMA_Z, spectral_norm, tensor_product
 from qslbound.scenarios import _EMPTY_BATTERY, battery_hamiltonians, entanglement_setup
 from qslbound.states import DegenerateObservableError, _moments, moments
+from qslbound.verify import _SATURATION_RTOL, _hierarchy_fault, _hierarchy_tol, _saturation_gap
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -167,8 +168,8 @@ class TestQslIntegral:
     def test_single_qubit_saturates(self):
         grid, samples = self.single_qubit_inputs()
         curve = qsl_integral(grid, samples)
-        assert np.max(np.abs(curve.t_qslo - grid.points)) <= 1e-6
-        assert np.max(np.abs(curve.t_sqslo - grid.points)) <= 1e-6
+        assert _saturation_gap(grid.points, curve.t_qslo) <= _SATURATION_RTOL
+        assert _saturation_gap(grid.points, curve.t_sqslo) <= _SATURATION_RTOL
         # R vanishes identically here, so the running average stays at zero.
         assert np.max(curve.r_bar[1:]) <= 1e-9
 
@@ -205,11 +206,7 @@ class TestQslIntegral:
         samples = sample_heisenberg(h, obs, psi, grid.points)
         samples = samples._replace(c=propagated_c(h, obs, psi, grid.points))
         curve = qsl_integral(grid, samples)
-        tol = max(1e-6, 2.0 * curve.quad_error)
-        assert np.all(curve.t_sqslo <= grid.points + tol)
-        assert np.all(curve.t_sqslo >= curve.t_qslo - 1e-9)
-        assert np.all(np.diff(curve.t_qslo) >= -1e-9)
-        assert np.all(np.diff(curve.t_sqslo) >= -1e-9)
+        assert _hierarchy_fault(curve, monotone=True) is None
 
     def test_rejects_bad_delta_h(self):
         # The one stationary refusal reads dH off the samples; it catches 0 and NaN.
@@ -264,7 +261,7 @@ def test_random_two_qubit_ratio_form_curves_hold_and_stay_off_the_diagonal():
 
 def mandelstam_tamm_excess(h, psi0, grid, sample=sample_heisenberg) -> tuple[float, float]:
     """The largest excess of MT <= t_qslo <= t_sqslo <= T over the hierarchy
-    gate max(1e-6, 2 quad_error), on every prefix, for O = P0 = |psi0><psi0|,
+    gate ``_hierarchy_tol``, on every prefix, for O = P0 = |psi0><psi0|,
     and MT(0).  MT = arccos(sqrt F) / dH = atan2(sqrt(1 - F), sqrt F) / dH, with
     sqrt F = |<psi0|psi_t>| and 1 - F = ||psi_t - <psi0|psi_t> psi0||^2 from the
     propagator, not the sampler; 1 - |<psi0|psi_t>|^2 leaves a rounding residue of
@@ -275,7 +272,7 @@ def mandelstam_tamm_excess(h, psi0, grid, sample=sample_heisenberg) -> tuple[flo
     perp = np.linalg.norm(psi_t - overlap[:, None] * psi0, axis=1)
     mt = np.arctan2(perp, np.abs(overlap)) / moments(h, psi0).std_dev
     chain = np.stack([mt, curve.t_qslo, curve.t_sqslo, grid.points])
-    return float(np.max(chain[:-1] - chain[1:])) - max(1e-6, 2.0 * curve.quad_error), float(mt[0])
+    return float(np.max(chain[:-1] - chain[1:])) - _hierarchy_tol(curve), float(mt[0])
 
 
 def mandelstam_tamm_inputs() -> list:

@@ -346,9 +346,7 @@ class TestRunEntanglement:
         curve = run_entanglement_scenario(
             EntanglementScenario(p=0.1, theta=1.0, grid=small_grid())
         )
-        ts = curve.grid.points
-        tol = max(1e-6, 2.0 * curve.quad_error)
-        assert np.all(curve.t_sqslo <= ts + tol)
+        assert verify._hierarchy_fault(curve, monotone=False) is None
         assert np.all(curve.t_sqslo[1:] > curve.t_qslo[1:])
         assert curve.t_sqslo[0] == 0.0 and curve.t_qslo[0] == 0.0
 
@@ -357,9 +355,7 @@ class TestRunEntanglement:
             curve = run_entanglement_scenario(
                 EntanglementScenario(p=0.1, theta=theta, grid=small_grid())
             )
-            tol = max(1e-6, 2.0 * curve.quad_error)
-            assert np.all(curve.t_sqslo <= curve.grid.points + tol)
-            assert np.all(curve.t_sqslo >= curve.t_qslo - 1e-9)
+            assert verify._hierarchy_fault(curve, monotone=False) is None
 
     def test_mean_values_are_entropies(self):
         curve = run_entanglement_scenario(
@@ -392,8 +388,7 @@ class TestRunEntanglement:
         )
         warn_times = [t for t, reason in curve.warnings if "zero-variance" in reason]
         assert any(abs(t - math.pi / 4.0) < 1e-12 for t in warn_times)
-        tol = max(1e-6, 2.0 * curve.quad_error)
-        assert np.all(curve.t_sqslo <= grid.points + tol)
+        assert verify._hierarchy_fault(curve, monotone=False) is None
 
 
 class TestRunModular:
@@ -448,9 +443,7 @@ class TestRunBattery:
         curve = run_battery_scenario(
             BatteryScenario(omega=2.0, big_omega=1.0, j=1.0, grid=grid)
         )
-        ts = grid.points
-        mask = ts >= 0.05
-        assert np.max(np.abs(curve.t_sqslo[mask] - ts[mask]) / ts[mask]) <= 1e-10
+        assert verify._saturation_gap(grid.points, curve.t_sqslo) <= verify._SATURATION_RTOL
 
     def test_random_product_states_keep_hierarchy(self):
         # Away from the empty battery the dynamics leaves the effective
@@ -471,12 +464,7 @@ class TestRunBattery:
             grid = small_grid(2.0, n=600)
             samples = sample_heisenberg(h_t, h_b, psi0, grid.points)
             curve = qsl_integral(grid, samples)
-            ts = curve.grid.points
-            tol = max(1e-6, 2.0 * curve.quad_error)
-            assert np.all(curve.t_sqslo <= ts + tol)
-            assert np.all(curve.t_sqslo >= curve.t_qslo - 1e-9)
-            assert np.all(np.diff(curve.t_qslo) >= -1e-9)
-            assert np.all(np.diff(curve.t_sqslo) >= -1e-9)
+            assert verify._hierarchy_fault(curve, monotone=True) is None
 
     def test_every_healthy_sample_saturates_relation(self):
         from qslbound.states import DegenerateObservableError

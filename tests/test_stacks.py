@@ -436,6 +436,12 @@ def preset_mutant(kinds, **columns):
 # The ratio form is the entanglement presets' form.
 ratio_form_mutant = partial(preset_mutant, ("entanglement",))
 
+
+def early_excess(curve):
+    # t_sqslo a relative 1e-9 above T where T < 0.05, which a gap taken over T >= 0.05 misses.
+    return np.where(curve.grid.points < 0.05, (1.0 + 1e-9) * curve.t_sqslo, curve.t_sqslo)
+
+
 MUTANTS = {
     "operator-core/propagator-unitarity": ("propagator_family", cosine_propagator),
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
@@ -460,6 +466,8 @@ MUTANTS = {
     "speed-limits/single-qubit-saturation": ("qsl_integral", bound_mutant(t_qslo=lambda c: 0.99 * c.t_qslo)),
     "scenarios/hierarchy-presets": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: c.t_qslo)),
     "scenarios/hierarchy-presets (warnings)": ("build_preset_curves", preset_mutant(("modular", "battery"), warnings=lambda c: ())),
+    "scenarios/modular-saturation": ("build_preset_curves", preset_mutant(("modular",), t_sqslo=early_excess)),
+    "scenarios/battery-saturation-overlap": ("build_preset_curves", preset_mutant(("battery",), t_sqslo=early_excess)),
     # t_sqslo := t_qslo drops the SQSLO integrand's 1/eta.
     "scenarios/entanglement-rate-bound": ("qsl_integral", bound_mutant(t_sqslo=lambda c: c.t_qslo)),
     "scenarios/closed-forms (t_sqslo)": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: 0.99 * c.t_sqslo)),

@@ -128,7 +128,7 @@ def test_a_broken_recorded_form_fails_the_run(form, name, monkeypatch, capsys):
         (
             "fixtures/battery-coupled-perp",
             "perp_battery_coupled_printed",
-            lambda t: np.full(4, np.nan),
+            lambda t: np.full(np.shape(t) + (4,), np.nan),
         ),
     ],
     ids=["battery-decoupled-r", "battery-coupled-perp"],
