@@ -22,13 +22,13 @@ commutator side ``rhs`` comes from A psi and B psi, not from c.
 
 With B = H, d<O>/dt = 2 dO dH Im c, so the direct-form integrands
 |d<O>/dt| / (2 dH dO [eta]) are |Im c| and |Im c| / eta, both in [0, 1] and
-ordered at every sample: the bounds read c alone, and the sampler's d<O>/dt,
-taken from the commutator, stays an independent witness of c (verify checks
-the identity).  The ratio form integrates dO [eta].  Both go through one
-quadrature seam, ``quadrature._prefix_integrals``.  Samples where c is NaN
-(dO^2 at the variance floor) or eta is at the floor are excluded, take the
-value of the nearest preceding healthy sample (the first healthy one, for a
-leading run) and are recorded as warnings.
+ordered at every sample: the bounds read c alone, and the sampler's d<O>/dt
+witnesses c (verify checks the identity), independently in the Heisenberg
+picture, where it comes from the commutator.  The ratio form integrates
+dO [eta].  Both go through one quadrature seam, ``quadrature._prefix_integrals``.
+Samples where c is NaN (dO^2 at the variance floor) or eta is at the floor
+are excluded, take the value of the nearest preceding healthy sample (the
+first healthy one, for a leading run) and are recorded as warnings.
 """
 
 from __future__ import annotations

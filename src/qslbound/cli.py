@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import cache
@@ -87,13 +86,12 @@ def _load_config_file(path: str, keys: set) -> dict:
 
 
 def _finite(flag: str, value) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"flag --{flag} needs a number, got {value!r}") from exc
-    if not math.isfinite(number):
+    # Flags arrive as floats; a config file's true or "0.3" is no number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"flag --{flag} needs a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an integer past every float
         raise UsageError(f"flag --{flag} must be finite, got {value!r}")
-    return number
+    return float(value)
 
 
 def _text(flag: str, value) -> Optional[str]:

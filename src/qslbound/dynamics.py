@@ -17,17 +17,19 @@ d<O>/dt = <c_t| i[diag(E), V^dag O V] |c_t> from one commutator per curve;
 (Schroedinger picture): for d_A = 2 in closed form, O = alpha I - g rho_A
 from rho_A's two eigenvalues, so O psi_t takes only multiply-adds on the two
 amplitude rows; otherwise by the modular-operator kernel of ``measures`` on
-the stacked d_A x d_A reduced states.  Derivatives come from the commutator
-identity, never from finite differences or from c, so quadrature is the only
-discretization error downstream and each of derivative and c checks the
-other.  The public samplers validate H, O, psi0 and the times once, on
-entry, and then run the core (``_heisenberg``, ``_entanglement``).  The
-scenario runners call the core directly: their operators are Hermitian and
-normalized by construction, from validated parameters and constant Pauli
-products, so the core checks only that H is finite.  A ``TimeGrid`` whose
-step aliases the spectrum, dx * (E_max - E_min) >= pi, is refused
-(``_AliasedGridError``) before any other arithmetic on H: above pi / dx the
-samples alias a frequency E_i - E_j to a slower one.  hbar = 1 throughout.
+the stacked d_A x d_A reduced states.  No derivative comes from finite
+differences, so quadrature is the only discretization error downstream.
+``sample_heisenberg``'s d<O>/dt, from the commutator, and c check each other;
+``sample_entanglement``'s, 2 Im <O psi_t|(H - <H>) psi_t>, reads the rows
+that ``states._correlation`` reads for c, so it checks only that arithmetic.
+The public samplers validate H, O, psi0 and the times once, on entry, and
+then run the core (``_heisenberg``, ``_entanglement``).  The scenario runners
+call the core directly: their operators are Hermitian and normalized by
+construction, from validated parameters and constant Pauli products, so the
+core checks only that H is finite.  A ``TimeGrid`` whose step aliases the
+spectrum, dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``)
+before any other arithmetic on H: above pi / dx the samples alias a frequency
+E_i - E_j to a slower one.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class TimeGrid:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps!r}")
+        if not self.t_max / self.n_steps > 0.0:
+            raise ValueError(f"the step t_max / n_steps = {self.t_max!r} / {self.n_steps} underflows to 0")
         object.__setattr__(self, "n_steps", int(self.n_steps))
         # np.linspace's arithmetic, bit for bit, without its per-call overhead.
         points = np.arange(self.n_steps + 1) * (self.t_max / self.n_steps)

@@ -20,11 +20,11 @@ def test_criterion_2_entanglement_improvement(run):
 
 
 def test_criterion_3_modular_saturation(run):
-    assert_check(run, "scenarios/modular-saturation")
+    assert_check(run, "scenarios/direct-form-saturation")
 
 
 def test_criterion_4_battery_saturation_and_overlap(run):
-    assert_check(run, "scenarios/battery-saturation-overlap")
+    assert_check(run, "scenarios/direct-form-saturation")
     assert_check(run, "scenarios/battery-qslo-parallel-collective")
 
 

@@ -39,6 +39,11 @@ class TestTimeGrid:
             TimeGrid(0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1)
+        # 5e-324 / 2 rounds to 0: every sample but the last would sit at T = 0.
+        for make in (lambda: TimeGrid(5e-324, 2), lambda: TimeGrid.with_resolution(5e-324)):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                make()
+        assert TimeGrid(1e-320, 16).dx > 0.0
 
     def test_resolution_default(self):
         grid = TimeGrid.with_resolution(1.0)
@@ -233,8 +238,10 @@ def test_grid_blocks_reuse_the_first_blocks_phases(picture):
 
 def identity_gaps() -> list:
     """The largest |d<O>/dt - 2 dO dH Im c| of each sampled run, for random
-    (H, O, psi0) of d = 2..8 in both pictures.  The derivative comes from the commutator
-    rows and c from the deviation rows, so each checks the other."""
+    (H, O, psi0) of d = 2..8 in both pictures.  In the Heisenberg picture the derivative
+    comes from the commutator rows and c from the deviation rows, so each checks the other;
+    in the entanglement picture both come from the K psi and deviation rows, and the gap
+    checks only the arithmetic that c's kernel does on them."""
     rng = np.random.default_rng(29)
     ts = np.linspace(0.0, 2.0, 9)
     bipartitions = {4: (2, 2), 6: (2, 3), 8: (4, 2)}

@@ -393,7 +393,7 @@ class TestRunEntanglement:
 
 class TestRunModular:
     def test_saturation(self, run):
-        assert_check(run, "scenarios/modular-saturation")
+        assert_check(run, "scenarios/direct-form-saturation")
 
     def test_uncorrected_bound_is_loose(self):
         curve = run_modular_scenario(
@@ -426,7 +426,7 @@ class TestRunModular:
 
 class TestRunBattery:
     def test_coupled_and_decoupled_saturate_and_overlap(self, run):
-        assert_check(run, "scenarios/battery-saturation-overlap")
+        assert_check(run, "scenarios/direct-form-saturation")
 
     def test_parallel_collective_qslo_overlap(self, run):
         assert_check(run, "scenarios/battery-qslo-parallel-collective")

@@ -4,12 +4,13 @@ The random-draw checks of ``verify`` draw their operators as whole stacks
 and evaluate them.  These tests pin that a single draw is the reference draw,
 that the stacked draws keep their count, dimensions, chunk size, floor and
 span, that every member of a stacked library call has the bits of its single
-call, that a stack with one bad member is refused, that each stacked check
-stays small in memory and that it fails when the function it covers is
-broken.
+call, that a stack with one bad member is refused and that each stacked check
+stays small in memory.  ``MUTANTS`` pairs every check of the registry with a
+plausible mutant that must make it fail on its comparison.
 """
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 from functools import partial
@@ -17,7 +18,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qslbound import bounds, dynamics, verify
+from qslbound import bounds, dynamics, presets, verify
+from qslbound import reference_forms as ref
 from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
 from qslbound.linalg import (
@@ -419,12 +421,12 @@ def variance_scaled_deviation(real):
     return lambda psi, a_psi, dev_b, mb: real(psi, a_psi, dev_b * mb.variance, mb)
 
 
-def preset_mutant(kinds, **columns):
-    # Each named column of every preset curve of the given kinds set to columns[name](curve).
+def preset_mutant(names, **columns):
+    # Each named column of every curve of the named presets set to columns[name](curve).
     def mutate(real):
         def build(preset, n_steps):
             curves = real(preset, n_steps)
-            if preset.kind not in kinds:
+            if preset not in [presets.PRESETS[name] for name in names]:
                 return curves
             return [(label, params, replaced(c, columns)) for label, params, c in curves]
 
@@ -433,8 +435,9 @@ def preset_mutant(kinds, **columns):
     return mutate
 
 
-# The ratio form is the entanglement presets' form.
-ratio_form_mutant = partial(preset_mutant, ("entanglement",))
+# The ratio form is the entanglement presets' form, the direct form every other preset's.
+ratio_form_mutant = partial(preset_mutant, ("fig2", "fig3"))
+MODULAR, BATTERY = ("fig5", "fig6"), ("fig7", "fig8")
 
 
 def early_excess(curve):
@@ -442,10 +445,55 @@ def early_excess(curve):
     return np.where(curve.grid.points < 0.05, (1.0 + 1e-9) * curve.t_sqslo, curve.t_sqslo)
 
 
+def detuned_by_exchange(real):
+    # The exchange J read as a detuning of each cell, omega + J for omega: J now moves the charging.
+    return lambda scn: real(dataclasses.replace(scn, omega=scn.omega + scn.j))
+
+
+def drifting_runner(real):
+    # Each curve's mean 1e-12 further off than the last one built: two builds differ.
+    calls = itertools.count()
+
+    def run(kind, scenario):
+        curve = real(kind, scenario)
+        return dataclasses.replace(curve, mean_values=curve.mean_values + 1e-12 * next(calls))
+
+    return run
+
+
+def shifted_form(real):
+    # A recorded form off by 0.01.
+    return lambda *args: real(*args) + 0.01
+
+
+def first_sample_out_of_range(real):
+    # The pipeline has r at the first sample, but the recorded form offers no in-range branch there.
+    def branches(t):
+        at_first = t == verify._FIXTURE_TIMES[0]
+        return tuple(np.where(at_first, bad, v) for bad, v in zip((2.0, 3.0), real(t)))
+
+    return branches
+
+
+def losing_one_r(real):
+    # A NaN pipeline r (through its c) at the first time where the printed value is in range.
+    def sample(*args):
+        samples = real(*args)
+        c = samples.c.copy()
+        c[np.flatnonzero(ref.in_range(ref.r_entanglement_printed(0.1, 1.0, args[-1])))[0]] = np.nan
+        return samples._replace(c=c)
+
+    return sample
+
+
+# An entry names its check, followed by the mutant where one check has two, and
+# the function it breaks: a name in verify, or one in dynamics, ref or presets.
 MUTANTS = {
     "operator-core/propagator-unitarity": ("propagator_family", cosine_propagator),
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
     "operator-core/tensor-product-trace": ("tensor_product", row_major_kron),
+    # A NaN deviation must fail the check, not drop out of its maximum.
+    "operator-core/tensor-product-trace (all NaN)": ("tensor_product", lambda real: lambda a, b: np.full((6, 6), np.nan)),
     "quantum-state/perpendicular-orthogonality": ("perpendicular_state", unnormalized_perp),
     "quantum-state/moments-density-crosscheck": ("moments", uncentred_moments),
     "quantum-state/two-qubit-schmidt-rank": ("reduced_state", diagonal_reduced),
@@ -464,28 +512,45 @@ MUTANTS = {
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
     "speed-limits/single-qubit-saturation": ("qsl_integral", bound_mutant(t_qslo=lambda c: 0.99 * c.t_qslo)),
-    "scenarios/hierarchy-presets": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: c.t_qslo)),
-    "scenarios/hierarchy-presets (warnings)": ("build_preset_curves", preset_mutant(("modular", "battery"), warnings=lambda c: ())),
-    "scenarios/modular-saturation": ("build_preset_curves", preset_mutant(("modular",), t_sqslo=early_excess)),
-    "scenarios/battery-saturation-overlap": ("build_preset_curves", preset_mutant(("battery",), t_sqslo=early_excess)),
-    # t_sqslo := t_qslo drops the SQSLO integrand's 1/eta.
-    "scenarios/entanglement-rate-bound": ("qsl_integral", bound_mutant(t_sqslo=lambda c: c.t_qslo)),
     "scenarios/closed-forms (t_sqslo)": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: 0.99 * c.t_sqslo)),
     "scenarios/closed-forms (mean_values)": ("build_preset_curves", ratio_form_mutant(mean_values=lambda c: 1.01 * c.mean_values)),
+    "scenarios/hierarchy-presets": ("build_preset_curves", ratio_form_mutant(t_sqslo=lambda c: c.t_qslo)),
+    "scenarios/hierarchy-presets (warnings)": ("build_preset_curves", preset_mutant(MODULAR + BATTERY, warnings=lambda c: ())),
+    "scenarios/direct-form-saturation (modular)": ("build_preset_curves", preset_mutant(MODULAR, t_sqslo=early_excess)),
+    "scenarios/direct-form-saturation (battery)": ("build_preset_curves", preset_mutant(BATTERY, t_sqslo=early_excess)),
+    # fig8 alone: its t_sqslo a relative 1e-9 above T, well inside hierarchy-presets' gate.
+    "scenarios/direct-form-saturation (fig8)": ("build_preset_curves", preset_mutant(("fig8",), t_sqslo=lambda c: (1.0 + 1e-9) * c.t_sqslo)),
+    "scenarios/battery-qslo-parallel-collective": ("run_battery_scenario", detuned_by_exchange),
+    "scenarios/ergotropy-j-independence": ("run_battery_scenario", detuned_by_exchange),
+    # t_sqslo := t_qslo drops the SQSLO integrand's 1/eta.
+    "scenarios/entanglement-rate-bound": ("qsl_integral", bound_mutant(t_sqslo=lambda c: c.t_qslo)),
+    "cli/determinism": ("presets.run_scenario", drifting_runner),
+    "fixtures/battery-coupled-r": ("ref.r_battery_coupled_branches", first_sample_out_of_range),
+    # Every recorded value out of [0, 1], or every recorded state NaN: nothing
+    # is left to compare, which must not read as a match.
+    "fixtures/battery-decoupled-r": ("ref.r_battery_decoupled_printed", lambda real: lambda t: (np.full_like(t, 2.0), np.full_like(t, 3.0))),
+    "fixtures/battery-parallel-r": ("ref.r_battery_parallel_printed", shifted_form),
+    "fixtures/entanglement-r": ("sample_entanglement", losing_one_r),
+    "fixtures/entanglement-perp": ("ref.perp_entanglement_printed", shifted_form),
+    "fixtures/modular-perp": ("ref.perp_modular_printed", shifted_form),
+    "fixtures/battery-coupled-perp": ("ref.perp_battery_coupled_printed", lambda real: lambda t: np.full(np.shape(t) + (4,), np.nan)),
 }
+OWNERS = {"": verify, "dynamics": dynamics, "ref": ref, "presets": presets}
+
+
+def test_every_check_has_a_mutant():
+    assert {name.split(" (")[0] for name in MUTANTS} == {check.name for check in verify.CHECKS}
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_a_broken_covered_function_fails_its_stacked_check(name, monkeypatch):
-    # An entry names its check, followed by the mutant where one check has two,
-    # and the function it breaks: a name in verify, or one in dynamics.
-    attr, mutate = MUTANTS[name]
-    check = name.split(" (")[0]
-    owner, _, attr = attr.rpartition(".")
-    module = dynamics if owner == "dynamics" else verify
-    assert run_named(check).status == "pass"
-    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
-    result = run_named(check)
+def test_a_broken_covered_function_fails_its_stacked_check(name, run, monkeypatch):
+    # The check passes, or reports its known discrepancy, on the session's
+    # unbroken run, and fails on its comparison, not by raising, once broken.
+    check = next(check for check in verify.CHECKS if check.name == name.split(" (")[0])
+    owner, _, attr = MUTANTS[name][0].rpartition(".")
+    assert run.result(check).status != "fail"
+    monkeypatch.setattr(OWNERS[owner], attr, MUTANTS[name][1](getattr(OWNERS[owner], attr)))
+    result = verify.run_check(check, verify.RunContext())
     assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
 
 

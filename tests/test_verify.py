@@ -38,8 +38,7 @@ EXPECTED = {
     "speed-limits/single-qubit-saturation": "pass",
     "scenarios/closed-forms": "pass",
     "scenarios/hierarchy-presets": "pass",
-    "scenarios/modular-saturation": "pass",
-    "scenarios/battery-saturation-overlap": "pass",
+    "scenarios/direct-form-saturation": "pass",
     "scenarios/battery-qslo-parallel-collective": "pass",
     "scenarios/ergotropy-j-independence": "pass",
     "scenarios/entanglement-rate-bound": "pass",
@@ -75,26 +74,13 @@ def test_no_verdict_reads_the_clock(monkeypatch):
     assert all(r.seconds >= 1e3 for r in results)
 
 
-def assert_fails_on_comparison(name):
-    """The check ``name`` fails on its comparison, not on an exception."""
-    check = next(check for check in verify.CHECKS if check.name == name)
-    result = verify.run_check(check, verify.RunContext())
-    assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
-
-
 def test_preset_curves_do_not_outlive_a_run(monkeypatch):
     # A first run builds clean preset curves; a run after the phases lose
-    # their sine must rebuild them and fail the checks that read them.
-    names = ("scenarios/modular-saturation", "scenarios/battery-saturation-overlap")
-    checks = [check for check in verify.CHECKS if check.name in names]
-
-    def statuses():
-        run = verify.RunContext(64)
-        return [verify.run_check(check, run).status for check in checks]
-
-    assert statuses() == ["pass", "pass"]
+    # their sine must rebuild them and fail the check that reads them.
+    check = next(check for check in verify.CHECKS if check.name == "scenarios/direct-form-saturation")
+    assert verify.run_check(check, verify.RunContext(64)).status == "pass"
     monkeypatch.setattr(dynamics, "_phases", real_phases(dynamics._phases))
-    assert statuses() == ["fail", "fail"]
+    assert verify.run_check(check, verify.RunContext(64)).status == "fail"
 
 
 @pytest.mark.parametrize(
@@ -115,64 +101,6 @@ def test_a_broken_recorded_form_fails_the_run(form, name, monkeypatch, capsys):
     assert lines[-1].endswith("1 failed, 1 known discrepancies")
 
 
-@pytest.mark.parametrize(
-    "name, form, broken",
-    [
-        # Every recorded value out of [0, 1], or every recorded state NaN:
-        # nothing is left to compare, which must not read as a match.
-        (
-            "fixtures/battery-decoupled-r",
-            "r_battery_decoupled_printed",
-            lambda t: (np.full_like(t, 2.0), np.full_like(t, 3.0)),
-        ),
-        (
-            "fixtures/battery-coupled-perp",
-            "perp_battery_coupled_printed",
-            lambda t: np.full(np.shape(t) + (4,), np.nan),
-        ),
-    ],
-    ids=["battery-decoupled-r", "battery-coupled-perp"],
-)
-def test_a_recorded_form_with_nothing_to_compare_fails(name, form, broken, monkeypatch):
-    monkeypatch.setattr(ref, form, broken)
-    assert_fails_on_comparison(name)
-
-
-def test_a_coupled_sample_without_an_in_range_branch_fails(monkeypatch):
-    # One sample where the pipeline has r but the recorded form offers no
-    # in-range branch must fail the check, not drop out of the comparison.
-    original = ref.r_battery_coupled_branches
-
-    def first_sample_out_of_range(t):
-        at_first = t == verify._FIXTURE_TIMES[0]
-        return tuple(np.where(at_first, bad, v) for bad, v in zip((2.0, 3.0), original(t)))
-
-    monkeypatch.setattr(ref, "r_battery_coupled_branches", first_sample_out_of_range)
-    assert_fails_on_comparison("fixtures/battery-coupled-r")
-
-
-def test_an_entanglement_sample_without_a_pipeline_r_fails(monkeypatch):
-    # A NaN pipeline r where the printed value is in range must fail the
-    # check, not drop out of the comparison.
-    original = verify.sample_entanglement
-
-    def losing_one(*args):
-        samples = original(*args)
-        c = samples.c.copy()
-        in_range = ref.in_range(ref.r_entanglement_printed(0.1, 1.0, args[-1]))
-        c[np.flatnonzero(in_range)[0]] = np.nan
-        return samples._replace(c=c)
-
-    monkeypatch.setattr(verify, "sample_entanglement", losing_one)
-    assert_fails_on_comparison("fixtures/entanglement-r")
-
-
-def test_an_all_nan_tensor_product_fails_its_check(monkeypatch):
-    # A NaN deviation must fail the check, not drop out of its maximum.
-    monkeypatch.setattr(verify, "tensor_product", lambda a, b: np.full((6, 6), np.nan))
-    assert_fails_on_comparison("operator-core/tensor-product-trace")
-
-
 def test_a_one_percent_shrink_of_the_sqslo_fails_the_run(monkeypatch, capsys):
     # t_sqslo = max(t_qslo, 0.99 t_sqslo) in qsl_integral: every
     # direct-integral curve drops 1% below the diagonal it saturates,
@@ -188,11 +116,7 @@ def test_a_one_percent_shrink_of_the_sqslo_fails_the_run(monkeypatch, capsys):
     assert main(["verify"]) == 2
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[1] for line in lines if line.startswith("FAIL ")}
-    assert failed == {
-        "scenarios/modular-saturation",
-        "scenarios/battery-saturation-overlap",
-        "scenarios/entanglement-rate-bound",
-    }
+    assert failed == {"scenarios/direct-form-saturation", "scenarios/entanglement-rate-bound"}
 
 
 def test_a_loose_entanglement_rate_bound_fails_its_check(monkeypatch):
