@@ -106,6 +106,18 @@ class TestSameDraws:
             kept, seen = kept + len(t), seen | {d}
         assert kept == n and seen == set(dims)
 
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 8), (4,)], ids=["choice", "one-dim"])
+    def test_the_floor_keeps_exactly_the_draws_the_public_filter_keeps(self, dims):
+        # The floor reads unvalidated moments; a filter through the public,
+        # validating moments must keep and drop the same draws, bit for bit.
+        n, floor = 2 * verify._DRAW_CHUNK + 100, 0.1
+        kinds = (verify._hermitian, verify._hermitian, verify._state)
+        mine = list(verify._draws(np.random.default_rng(7), n, dims, kinds, floor))
+        public = list(public_floor_draws(np.random.default_rng(7), n, dims, kinds, floor))
+        assert len(mine) == len(public)
+        for (d, stacks), (d_ref, stacks_ref) in zip(mine, public):
+            assert d == d_ref and all(np.array_equal(a, b) for a, b in zip(stacks, stacks_ref, strict=True))
+
     def test_a_floored_draw_is_dropped_until_n_are_kept(self):
         # A floor most two-level draws miss; every draw takes one index.
         floor, n, dims = 0.5, 400, (2, 3)
@@ -125,6 +137,20 @@ class TestSameDraws:
         assert len(kept) == n
         assert all(moments(obs, psi).variance > floor for obs, psi in kept)
         assert sum(drawn) - n > 50
+
+
+def public_floor_draws(rng, n, dims, kinds, floor):
+    # verify._draws with a floor, filtered through the public moments.
+    while n > 0:
+        which = rng.integers(len(dims), size=min(n, verify._DRAW_CHUNK))
+        for d, picked in zip(dims, np.arange(len(dims))[:, None] == which):
+            if not picked.any():
+                continue
+            stacks = [verify._random(k, rng, d, int(picked.sum())) for k in kinds]
+            mask = np.all([moments(obs, stacks[-1]).variance > floor for obs in stacks[:-1]], axis=0)
+            n -= int(mask.sum())
+            if mask.any():
+                yield d, [s[mask] for s in stacks]
 
 
 def stack(rng, make, d, n=4):
@@ -461,6 +487,20 @@ def drifting_runner(real):
     return run
 
 
+def shifted_derivative(real):
+    # Every d<O>/dt 1e-6 off: the means, and so the drift of <H>, stay as they are.
+    def sample(*args):
+        samples = real(*args)
+        return samples._replace(derivatives=samples.derivatives + 1e-6)
+
+    return sample
+
+
+def shrunk_norm_cap(real):
+    # The cap ||H|| log d at a tenth of its size, below |dS/dt|; the rate bound and its tightness stay.
+    return lambda h, d: 0.1 * real(h, d)
+
+
 def shifted_form(real):
     # A recorded form off by 0.01.
     return lambda *args: real(*args) + 0.01
@@ -487,7 +527,8 @@ def losing_one_r(real):
 
 
 # An entry names its check, followed by the mutant where one check has two, and
-# the function it breaks: a name in verify, or one in dynamics, ref or presets.
+# the function it breaks: a name in verify, or one in dynamics, ref or presets;
+# then the mutant, and any text that the failing detail must hold.
 MUTANTS = {
     "operator-core/propagator-unitarity": ("propagator_family", cosine_propagator),
     "operator-core/partial-trace-density": ("partial_trace", wrong_axes_trace),
@@ -509,6 +550,7 @@ MUTANTS = {
     "dynamics/derivative-consistency (conjugated c)": ("dynamics._correlation", conjugated_c),
     "dynamics/derivative-consistency (scaled deviation row)": ("dynamics._correlation", variance_scaled_deviation),
     "dynamics/energy-conservation": ("dynamics._phases", real_phases),
+    "dynamics/energy-conservation (derivative)": ("sample_heisenberg", shifted_derivative),
     "speed-limits/uncertainty-fuzz-holds": ("correction_r", plus_im_c),
     "speed-limits/optimal-branch-saturation": ("correction_r", flipped_sign),
     "speed-limits/single-qubit-saturation": ("qsl_integral", bound_mutant(t_qslo=lambda c: 0.99 * c.t_qslo)),
@@ -524,11 +566,16 @@ MUTANTS = {
     "scenarios/ergotropy-j-independence": ("run_battery_scenario", detuned_by_exchange),
     # t_sqslo := t_qslo drops the SQSLO integrand's 1/eta.
     "scenarios/entanglement-rate-bound": ("qsl_integral", bound_mutant(t_sqslo=lambda c: c.t_qslo)),
+    "scenarios/entanglement-rate-bound (norm cap)": ("norm_rate_comparison", shrunk_norm_cap),
     "cli/determinism": ("presets.run_scenario", drifting_runner),
     "fixtures/battery-coupled-r": ("ref.r_battery_coupled_branches", first_sample_out_of_range),
     # Every recorded value out of [0, 1], or every recorded state NaN: nothing
     # is left to compare, which must not read as a match.
-    "fixtures/battery-decoupled-r": ("ref.r_battery_decoupled_printed", lambda real: lambda t: (np.full_like(t, 2.0), np.full_like(t, 3.0))),
+    "fixtures/battery-decoupled-r": (
+        "ref.r_battery_decoupled_printed",
+        lambda real: lambda t: (np.full_like(t, 2.0), np.full_like(t, 3.0)),
+        "max deviation inf over 0 and 0 in-range samples",
+    ),
     "fixtures/battery-parallel-r": ("ref.r_battery_parallel_printed", shifted_form),
     "fixtures/entanglement-r": ("sample_entanglement", losing_one_r),
     "fixtures/entanglement-perp": ("ref.perp_entanglement_printed", shifted_form),
@@ -545,13 +592,17 @@ def test_every_check_has_a_mutant():
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_a_broken_covered_function_fails_its_stacked_check(name, run, monkeypatch):
     # The check passes, or reports its known discrepancy, on the session's
-    # unbroken run, and fails on its comparison, not by raising, once broken.
+    # unbroken run, and fails on its comparison, not by raising, once broken,
+    # with a detail that differs from the unbroken one.
     check = next(check for check in verify.CHECKS if check.name == name.split(" (")[0])
-    owner, _, attr = MUTANTS[name][0].rpartition(".")
-    assert run.result(check).status != "fail"
-    monkeypatch.setattr(OWNERS[owner], attr, MUTANTS[name][1](getattr(OWNERS[owner], attr)))
+    target, mutant, *texts = MUTANTS[name]
+    owner, _, attr = target.rpartition(".")
+    unbroken = run.result(check)
+    assert unbroken.status != "fail"
+    monkeypatch.setattr(OWNERS[owner], attr, mutant(getattr(OWNERS[owner], attr)))
     result = verify.run_check(check, verify.RunContext())
     assert result.status == "fail" and not result.detail.startswith("raised "), result.detail
+    assert result.detail != unbroken.detail and all(text in result.detail for text in texts), result.detail
 
 
 def unconjugated_correlation(psi, a_psi, dev_b, mb):

@@ -74,13 +74,27 @@ def test_no_verdict_reads_the_clock(monkeypatch):
     assert all(r.seconds >= 1e3 for r in results)
 
 
-def test_preset_curves_do_not_outlive_a_run(monkeypatch):
-    # A first run builds clean preset curves; a run after the phases lose
-    # their sine must rebuild them and fail the check that reads them.
-    check = next(check for check in verify.CHECKS if check.name == "scenarios/direct-form-saturation")
+@pytest.mark.parametrize("name", ["scenarios/direct-form-saturation", "scenarios/closed-forms"])
+def test_preset_curves_do_not_outlive_a_run(name, monkeypatch):
+    # A first run builds clean preset curves and battery runs; a run after
+    # the phases lose their sine must rebuild them and fail the check that
+    # reads them.
+    check = next(check for check in verify.CHECKS if check.name == name)
     assert verify.run_check(check, verify.RunContext(64)).status == "pass"
     monkeypatch.setattr(dynamics, "_phases", real_phases(dynamics._phases))
     assert verify.run_check(check, verify.RunContext(64)).status == "fail"
+
+
+def test_each_battery_run_is_built_once_per_run(monkeypatch):
+    # Four runs, (Omega, J) = (1, 1), (4, 1) and (1, 0) on grid(2) and the
+    # coupled one on grid(t*), each built by the first check that asks and
+    # read by the others; a second run builds its own.
+    built = []
+    real = verify.run_battery_scenario
+    monkeypatch.setattr(verify, "run_battery_scenario", lambda scn: built.append(scn) or real(scn))
+    for runs in (1, 2):
+        verify.run_verify(n_steps=64)
+        assert len(built) == 4 * runs
 
 
 @pytest.mark.parametrize(
