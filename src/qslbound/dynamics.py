@@ -23,13 +23,15 @@ differences, so quadrature is the only discretization error downstream.
 ``sample_entanglement``'s, 2 Im <O psi_t|(H - <H>) psi_t>, reads the rows
 that ``states._correlation`` reads for c, so it checks only that arithmetic.
 The public samplers validate H, O, psi0 and the times once, on entry, and
-then run the core (``_heisenberg``, ``_entanglement``).  The scenario runners
-call the core directly: their operators are Hermitian and normalized by
-construction, from validated parameters and constant Pauli products, so the
-core checks only that H is finite.  A ``TimeGrid`` whose step aliases the
-spectrum, dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``)
-before any other arithmetic on H: above pi / dx the samples alias a frequency
-E_i - E_j to a slower one.  hbar = 1 throughout.
+then run the core (``_heisenberg``, ``_entanglement``).  The scenario runners,
+whose operators are Hermitian and normalized by construction, call the core
+directly; it checks only that H is finite.  The core is a set-up
+(``_prepare_*``), which ends in E, V^dag psi0, H's moments and the picture's
+row kernel, then ``_sample``, the one evaluation kernel, at a grid or at any
+finite times.  A ``TimeGrid`` whose step aliases the spectrum,
+dx * (E_max - E_min) >= pi, is refused (``_AliasedGridError``) by the set-up
+right after ``eigh`` and by ``_sample``: above pi / dx the samples alias a
+frequency E_i - E_j to a slower one.  hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -137,22 +139,27 @@ def _validated(h, psi0, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hm, v, t
 
 
-def _eigen_start(h, psi0, times) -> tuple[np.ndarray, np.ndarray, np.ndarray, ObservableMoments]:
-    """(E, V, V^dag psi0) of a Hermitian H and a normalized psi0, and the
-    mean and spread of H in psi0 by ``states.moments``' arithmetic, constants
-    of the motion.  Only H's finiteness is checked: the runners build H from
-    finite parameters, and a product of them may still overflow.  A TimeGrid
-    ``times`` that aliases E is refused first, before H's moments can overflow."""
+def _eigen_start(h, psi0, times) -> tuple[np.ndarray, np.ndarray, np.ndarray, ObservableMoments, np.ndarray]:
+    """The set-up both pictures share: E, V and V^dag psi0 of a Hermitian H and a
+    normalized psi0, H's mean and spread in psi0 by ``states.moments``' arithmetic, and
+    E - <H>.  Only H's finiteness is checked: a product of the runners' finite parameters
+    may overflow.  A TimeGrid ``times`` that aliases E is refused right after ``eigh``;
+    each picture's set-up then ends in the core that ``_sample`` evaluates."""
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     vals, vecs = np.linalg.eigh(h)
-    # In Python floats a spread or phase past the float range is inf, refused without a warning.
+    _refuse_aliasing(times, vals)
+    m_h = _moments(psi0, h @ psi0)[1]
+    return vals, vecs, vecs.conj().T @ psi0, m_h, vals - m_h.mean
+
+
+def _refuse_aliasing(times, vals) -> None:
+    """Refuse a TimeGrid that aliases ``vals``; a phase past the float range is inf, refused without a warning."""
     if isinstance(times, TimeGrid) and (phase := times.dx * (float(vals[-1]) - float(vals[0]))) >= math.pi:
         raise _AliasedGridError(
             f"the grid aliases the spectrum: dx * (E_max - E_min) = {phase:.3g} >= pi"
             f" at dx = {times.dx:.6g}; take more steps or a shorter t_max"
         )
-    return vals, vecs, vecs.conj().T @ psi0, _moments(psi0, h @ psi0)[1]
 
 
 def _phases(t, vals) -> np.ndarray:
@@ -164,13 +171,13 @@ def _phases(t, vals) -> np.ndarray:
     return out
 
 
-def _sample(times, vals, c0, m_h, rows) -> Samples:
-    """Run ``rows`` over blocks of eigen-amplitudes c_t at ``times``, a
-    ``TimeGrid`` (checked against the spectrum ``vals`` by ``_eigen_start``) or
-    a finite 1-D array; ``m_h`` holds H's mean and spread in psi0.
-
-    ``rows(c)`` returns (psi, O psi, (H - <H>) psi, d<O>/dt) for a block of c_t.
-    """
+def _sample(core, times) -> Samples:
+    """Evaluate a set-up's ``core`` = (E, V^dag psi0, H's moments in psi0, rows) at
+    ``times``, a ``TimeGrid`` (refused if it aliases E) or a finite 1-D array, as
+    often as needed: ``rows(c)`` returns (psi, O psi, (H - <H>) psi, d<O>/dt) for
+    each block of eigen-amplitudes c_t."""
+    vals, c0, m_h, rows = core
+    _refuse_aliasing(times, vals)
     on_grid = isinstance(times, TimeGrid)
     t = times.points if on_grid else times
     table = _phases(t[:SAMPLE_BLOCK], vals) * c0
@@ -199,16 +206,20 @@ def sample_heisenberg(h, obs0, psi0, times) -> Samples:
 
 
 def _heisenberg(h, obs0, psi0, times) -> Samples:
-    """``sample_heisenberg`` of operands valid by construction."""
-    vals, vecs, c0, m_h = _eigen_start(h, psi0, times)
+    """``sample_heisenberg`` of operands valid by construction: set-up, then ``_sample``."""
+    return _sample(_prepare_heisenberg(h, obs0, psi0, times), times)
+
+
+def _prepare_heisenberg(h, obs0, psi0, times) -> tuple:
+    """The Heisenberg core, whose rows hold V^dag O V and i[E, V^dag O V]."""
+    vals, vecs, c0, m_h, shifted = _eigen_start(h, psi0, times)
     o_eig = vecs.conj().T @ obs0 @ vecs
     rate = 1j * commutator(np.diag(vals), o_eig)
-    shifted = vals - m_h.mean
 
     def rows(c):
         return c, c @ o_eig.T, c * shifted, _vdot(c, c @ rate.T).real
 
-    return _sample(times, vals, c0, m_h, rows)
+    return vals, c0, m_h, rows
 
 
 def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
@@ -221,9 +232,13 @@ def sample_entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
 
 
 def _entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
-    """``sample_entanglement`` of operands valid by construction."""
-    vals, vecs, c0, m_h = _eigen_start(h, psi0, times)
-    shifted = vals - m_h.mean
+    """``sample_entanglement`` of operands valid by construction: set-up, then ``_sample``."""
+    return _sample(_prepare_entanglement(h, psi0, dims, times), times)
+
+
+def _prepare_entanglement(h, psi0, dims: tuple[int, int], times) -> tuple:
+    """The Schroedinger-picture core, whose rows rebuild O at every sample."""
+    vals, vecs, c0, m_h, shifted = _eigen_start(h, psi0, times)
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1 or d_a * d_b != vals.size:
         raise ValueError(f"dims {dims} inconsistent with state size {vals.size}")
@@ -235,7 +250,7 @@ def _entanglement(h, psi0, dims: tuple[int, int], times) -> Samples:
         k_psi = k_rows(psi.reshape(-1, d_a, d_b)).reshape(psi.shape)
         return psi, k_psi, dev_h, 2.0 * (k_psi.conj() * dev_h).sum(axis=1).imag
 
-    return _sample(times, vals, c0, m_h, rows)
+    return vals, c0, m_h, rows
 
 
 def _two_level_k_psi(amps) -> np.ndarray:

@@ -16,9 +16,11 @@ at import; the battery starts in the constant |11>, and the t = 0 modular
 Hamiltonian K0 is written down from rho_A(0) = diag(p, 1 - p).  These
 operators are Hermitian and normalized by construction, so each runner
 passes them straight to the sampler core (``dynamics._heisenberg`` /
-``_entanglement``) with the scenario's ``TimeGrid``, which checks only that
-H is finite; its ``Samples`` carry the energy spread dH to the bound form,
-which refuses a stationary initial state, whichever parameter makes it so.
+``_entanglement``) with the scenario's ``TimeGrid``: one set-up per curve,
+which checks only that H is finite and refuses a grid that aliases H, then
+one evaluation at the grid.  Its ``Samples`` carry the energy spread dH to the
+bound form, which refuses a stationary initial state, whichever parameter
+makes it so.
 
 The closed forms below (capacity and entropy, modular variance and energy,
 stored energy) are numpy expressions in a scalar or array t.  No runner

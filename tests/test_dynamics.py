@@ -236,6 +236,50 @@ def test_grid_blocks_reuse_the_first_blocks_phases(picture):
     assert np.array(core(one_block)[:-1]).tobytes() == np.array(public(one_block.points)[:-1]).tobytes()
 
 
+def picture_calls(picture, seed):
+    """The set-up, the core and the public sampler of a random 4-level case in
+    ``picture``, each waiting for its times."""
+    rng = np.random.default_rng(seed)
+    h, obs, psi0 = random_hermitian(rng, 4), random_hermitian(rng, 4), random_state(rng, 4)
+    if picture == "heisenberg":
+        calls, args = (dynamics._prepare_heisenberg, dynamics._heisenberg, sample_heisenberg), (h, obs, psi0)
+    else:
+        calls, args = (dynamics._prepare_entanglement, dynamics._entanglement, sample_entanglement), (h, psi0, (2, 2))
+    return [partial(call, *args) for call in calls]
+
+
+def same_bytes(a, b) -> bool:
+    return a.delta_h == b.delta_h and all(x.tobytes() == y.tobytes() for x, y in zip(a[:-1], b[:-1]))
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "entanglement"])
+class TestPreparedCore:
+    """One set-up per curve; ``_sample`` then evaluates it at any times, as often as needed."""
+
+    def test_evaluations_match_the_core_and_the_public_sampler(self, picture):
+        prepare, core, public = picture_calls(picture, 43)
+        grid, ts = TimeGrid(3.0, SAMPLE_BLOCK + 100), np.array([0.0, 0.37, 1.9, 2.5, 7.0])
+        prepared = prepare(grid)
+        first, at_times, again = (dynamics._sample(prepared, times) for times in (grid, ts, grid))
+        assert same_bytes(first, again) and same_bytes(first, core(grid))
+        assert same_bytes(at_times, public(ts))
+
+    def test_one_eigendecomposition_per_set_up(self, picture, monkeypatch):
+        prepare = picture_calls(picture, 47)[0]
+        calls, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or real(a, *args))
+        grid = TimeGrid(3.0, SAMPLE_BLOCK + 100)
+        prepared = prepare(grid)
+        for times in (grid, np.linspace(0.0, 1.0, 9), TimeGrid(1.0, 40), grid):
+            dynamics._sample(prepared, times)
+        assert len(calls) == 1
+
+    def test_an_aliased_grid_is_refused_at_evaluation(self, picture):
+        prepared = picture_calls(picture, 53)[0](TimeGrid(1.0, 400))
+        with pytest.raises(dynamics._AliasedGridError, match="aliases the spectrum"):
+            dynamics._sample(prepared, TimeGrid(1000.0, 16))
+
+
 def identity_gaps() -> list:
     """The largest |d<O>/dt - 2 dO dH Im c| of each sampled run, for random
     (H, O, psi0) of d = 2..8 in both pictures.  In the Heisenberg picture the derivative
