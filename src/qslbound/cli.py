@@ -163,8 +163,8 @@ def emit_curves(
     curve: BoundCurve, cfg: RunConfig, label: Optional[str], params: dict
 ) -> list[Path]:
     """Write the CSV (and optional SVG) for one curve; returns the paths.
-    On the default grid the CSV holds every ``_csv_stride``-th sample; the
-    SVG always draws every sample."""
+    On the default grid the CSV holds every ``_csv_stride``-th sample (1,001
+    rows for each preset); the SVG always draws every sample."""
     if label:
         path = cfg.out.with_name(f"{cfg.out.stem}_{label}{cfg.out.suffix or '.csv'}")
     else:

@@ -16,8 +16,8 @@ field's text from those words, its sign, '0' and '.'.  The warnings_count
 column is one lookup in a table of 0..9999 when every count of a block is
 below 10**4, and otherwise the float kernel's text of the counts: '%.17g'
 of an integer below 10**17 is its '%d'.  A CSV may hold every s-th grid
-point only (``_csv_stride`` gives the default grid's s, from the SVG's
-frame); each row it writes is the row it would write at s = 1.
+point only (``_csv_stride`` gives the default grid's s, at least 1,000
+written intervals); each row it writes is the row it would write at s = 1.
 
 An SVG draws each bound as the envelope of its pixel columns: the first,
 lowest, highest and last sample of every column of the plot, in time
@@ -48,10 +48,10 @@ _FRAME = 640, 480, 60  # an SVG's width, height and plot margin, in pixels
 
 
 def _csv_stride(n_steps: int) -> int:
-    """The largest divisor s of n_steps with n_steps / s >= 1,040, two written
-    samples per pixel column of the plot; 1 below 2,080 steps."""
-    width, _, margin = _FRAME
-    most = n_steps // (2 * (width - 2 * margin))
+    """The largest divisor s of n_steps with n_steps / s >= 1,000, about two
+    written samples per pixel column of the 520-px plot; 1 below 2,000 steps.
+    A preset's 1,001 rows then fit one SAMPLE_BLOCK of render_csv."""
+    most = n_steps // 1000
     return max((s for s in range(1, most + 1) if n_steps % s == 0), default=1)
 
 

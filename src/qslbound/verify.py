@@ -632,9 +632,10 @@ def _curve_of(columns, warnings=()):
 
 
 def _emit_mismatches(curves) -> list[str]:
-    """What of render_csv and render_svg differs from its reference on ``curves``
-    and the edge probes; envelopes also of the bounds rounded to 0.1, with a NaN,
-    on columns a quarter of the run wide, so that extremes tie in many samples."""
+    """What of render_csv, at stride 1 and 2, and render_svg differs from its
+    reference on ``curves`` and the edge probes; envelopes also of the bounds
+    rounded to 0.1, with a NaN, on columns a quarter of the run wide, so that
+    extremes tie in many samples."""
     drawn = []
     for curve in curves:
         ts = curve.grid.points
@@ -649,9 +650,10 @@ def _emit_mismatches(curves) -> list[str]:
         warned = sum((((t, "w"),) * n for t, n in zip(ts.tolist(), np.diff(counts, prepend=0).tolist())), ())
         probes.append(_curve_of([np.roll(ts, k) for k in range(5)], warned))
     polylines = [np.column_stack((_POINT_PROBES, _POINT_PROBES[::-1])), *(xy for c in curves for xy in emit._polylines(c))]
+    rows = [(c, _rows_by_field(c).splitlines(True)) for c in [*curves, *probes]]
     return [text for ok, text in (
-        (all(emit.render_csv(c, []).partition("\n")[2] == _rows_by_field(c) for c in [*curves, *probes]),
-         "byte-identical render, differs from a field-by-field one"),
+        (all(emit.render_csv(c, [], s).partition("\n")[2] == "".join(by_field[::s])
+             for c, by_field in rows for s in (1, 2)), "byte-identical render, differs from a field-by-field one"),
         (all(emit._points(xy) == _points_by_field(xy) for xy in polylines), "SVG points differ from a '%.2f,%.2f' join"),
         (all(emit._column_envelope(x, y).tolist() == _envelope_by_column(x, y) for x, y in drawn),
          "SVG envelopes differ from a per-column reference"),

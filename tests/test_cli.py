@@ -673,20 +673,21 @@ class TestEmission:
 
 # The `#` header of every preset file at default resolution and of plain runs
 # at 64 steps: every key and value in order, except the value of quad_error.
-# fig7 and fig8 write every 2nd and 10th sample of their quadrature grids.
+# Every preset writes 1,001 rows: every 2nd (fig2-fig6), 4th (fig7) and 12th
+# (fig8) sample of its quadrature grid.
 PINNED_HEADERS = {
-    "fig2.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
-    "fig3_theta0.5.csv": "scenario: entanglement; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
-    "fig3_theta1.csv": "scenario: entanglement; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
-    "fig3_theta1.5.csv": "scenario: entanglement; curve: theta1.5; mu3: 0.0; p: 0.1; theta: 1.5; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
-    "fig3_theta2.csv": "scenario: entanglement; curve: theta2; mu3: 0.0; p: 0.1; theta: 2.0; t_max: 1; steps: 2000; warnings: 0; quadrature_steps: 2000",
-    "fig5.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1; quadrature_steps: 2000",
-    "fig6_theta0.5.csv": "scenario: modular; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 2000; warnings: 1; quadrature_steps: 2000",
-    "fig6_theta1.csv": "scenario: modular; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 2000; warnings: 1; quadrature_steps: 2000",
-    "fig7_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 2; steps: 2000; warnings: 1; quadrature_steps: 4000",
-    "fig7_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 2; steps: 2000; warnings: 1; quadrature_steps: 4000",
-    "fig8_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 6; steps: 1200; warnings: 1; quadrature_steps: 12000",
-    "fig8_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 6; steps: 1200; warnings: 1; quadrature_steps: 12000",
+    "fig2.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 1000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta0.5.csv": "scenario: entanglement; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 1000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta1.csv": "scenario: entanglement; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 1000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta1.5.csv": "scenario: entanglement; curve: theta1.5; mu3: 0.0; p: 0.1; theta: 1.5; t_max: 1; steps: 1000; warnings: 0; quadrature_steps: 2000",
+    "fig3_theta2.csv": "scenario: entanglement; curve: theta2; mu3: 0.0; p: 0.1; theta: 2.0; t_max: 1; steps: 1000; warnings: 0; quadrature_steps: 2000",
+    "fig5.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 1000; warnings: 1; quadrature_steps: 2000",
+    "fig6_theta0.5.csv": "scenario: modular; curve: theta0.5; mu3: 0.0; p: 0.1; theta: 0.5; t_max: 1; steps: 1000; warnings: 1; quadrature_steps: 2000",
+    "fig6_theta1.csv": "scenario: modular; curve: theta1; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 1000; warnings: 1; quadrature_steps: 2000",
+    "fig7_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 2; steps: 1000; warnings: 1; quadrature_steps: 4000",
+    "fig7_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 2; steps: 1000; warnings: 1; quadrature_steps: 4000",
+    "fig8_coupled.csv": "scenario: battery; curve: coupled; J: 1.0; Omega: 1.0; mode: coupled; omega: 2.0; t_max: 6; steps: 1000; warnings: 1; quadrature_steps: 12000",
+    "fig8_decoupled.csv": "scenario: battery; curve: decoupled; J: 1.0; Omega: 4.0; mode: decoupled; omega: 2.0; t_max: 6; steps: 1000; warnings: 1; quadrature_steps: 12000",
     "entanglement.csv": "scenario: entanglement; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 0; quadrature_steps: 64",
     "modular.csv": "scenario: modular; mu3: 0.0; p: 0.1; theta: 1.0; t_max: 1; steps: 64; warnings: 1; quadrature_steps: 64",
     "battery.csv": "scenario: battery; J: 1.0; Omega: 1.0; mode: collective; omega: 2.0; t_max: 1; steps: 64; warnings: 1; quadrature_steps: 64",
@@ -721,12 +722,16 @@ def _rows_and_header(path):
 @pytest.mark.parametrize(
     "argv, n_steps, stride, curves",
     [
-        ("battery --preset fig7", 4000, 2, ("run_coupled", "run_decoupled")),
-        ("battery --preset fig8", 12000, 10, ("run_coupled", "run_decoupled")),
+        ("entanglement --preset fig2", 2000, 2, ("run",)),
+        ("entanglement --preset fig3", 2000, 2, ("run_theta0.5", "run_theta1", "run_theta1.5", "run_theta2")),
+        ("modular --preset fig5", 2000, 2, ("run",)),
+        ("modular --preset fig6", 2000, 2, ("run_theta0.5", "run_theta1")),
+        ("battery --preset fig7", 4000, 4, ("run_coupled", "run_decoupled")),
+        ("battery --preset fig8", 12000, 12, ("run_coupled", "run_decoupled")),
         # TimeGrid(3.3, 1100).points differs from these written points in 986 last bits.
         ("modular --t-max 3.3", 6600, 6, ("run",)),
     ],
-    ids=["fig7", "fig8", "modular-t3.3"],
+    ids=["fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "modular-t3.3"],
 )
 def test_the_default_grid_writes_every_stride_th_row_of_an_explicit_run(argv, n_steps, stride, curves, tmp_path):
     for grid, steps in (("default", []), ("explicit", ["--steps", str(n_steps)])):
@@ -744,25 +749,14 @@ def test_the_default_grid_writes_every_stride_th_row_of_an_explicit_run(argv, n_
         assert (tmp_path / "default" / svg).read_bytes() == (tmp_path / "explicit" / svg).read_bytes()
 
 
-def test_unit_window_presets_write_every_row_on_the_default_grid(tmp_path):
-    for name in ("fig2", "fig3", "fig5", "fig6"):
-        kind = PRESETS[name].kind
-        for grid, steps in (("default", []), ("explicit", ["--steps", "2000"])):
-            (tmp_path / grid).mkdir(exist_ok=True)
-            assert run_cli([kind, "--preset", name, *steps, "--out", str(tmp_path / grid / f"{name}.csv")]) == 0
-    default = {f.name: f.read_bytes() for f in (tmp_path / "default").iterdir()}
-    assert len(default) == 8
-    assert default == {f.name: f.read_bytes() for f in (tmp_path / "explicit").iterdir()}
-
-
 @pytest.mark.parametrize(
     "n_steps, stride",
-    [(16, 1), (1040, 1), (2000, 1), (2078, 1), (2080, 2), (2098, 2), (3120, 3), (4000, 2), (12000, 10)],
+    [(16, 1), (1998, 1), (2000, 2), (2098, 2), (6600, 6), (12000, 12)],
 )
 def test_csv_stride_keeps_two_rows_per_plot_pixel(n_steps, stride):
     assert emit._csv_stride(n_steps) == stride
-    # 1,040 = two per pixel column of the SVG's 520-px plot.
-    assert n_steps % stride == 0 and n_steps // stride >= min(n_steps, 1040)
+    # 1,000 is about two per pixel column of the SVG's 520-px plot.
+    assert n_steps % stride == 0 and n_steps // stride >= min(n_steps, 1000)
     assert emit._FRAME[0] - 2 * emit._FRAME[2] == 520
 
 

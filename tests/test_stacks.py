@@ -14,11 +14,12 @@ import itertools
 import re
 import tracemalloc
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qslbound import bounds, dynamics, presets, verify
+from qslbound import bounds, dynamics, emit, presets, verify
 from qslbound import reference_forms as ref
 from qslbound.bounds import correction_r
 from qslbound.dynamics import propagator_family
@@ -487,6 +488,16 @@ def drifting_runner(real):
     return run
 
 
+def late_strided_r_bar(real):
+    # At a stride above 1, r_bar read one sample late, from the rows the stride skips; stride-1 renders stay right.
+    def render(curve, metadata, stride=1):
+        if stride > 1:
+            curve = SimpleNamespace(**{**vars(curve), "r_bar": np.roll(curve.r_bar, -1)})
+        return real(curve, metadata, stride)
+
+    return render
+
+
 def shifted_derivative(real):
     # Every d<O>/dt 1e-6 off: the means, and so the drift of <H>, stay as they are.
     def sample(*args):
@@ -527,7 +538,7 @@ def losing_one_r(real):
 
 
 # An entry names its check, followed by the mutant where one check has two, and
-# the function it breaks: a name in verify, or one in dynamics, ref or presets;
+# the function it breaks: a name in verify, or one in dynamics, emit, ref or presets;
 # then the mutant, and any text that the failing detail must hold.
 MUTANTS = {
     "operator-core/propagator-unitarity": ("propagator_family", cosine_propagator),
@@ -568,6 +579,8 @@ MUTANTS = {
     "scenarios/entanglement-rate-bound": ("qsl_integral", bound_mutant(t_sqslo=lambda c: c.t_qslo)),
     "scenarios/entanglement-rate-bound (norm cap)": ("norm_rate_comparison", shrunk_norm_cap),
     "cli/determinism": ("presets.run_scenario", drifting_runner),
+    # The path of every preset's CSV on the default grid, which the unstrided render never takes.
+    "cli/determinism (strided render)": ("emit.render_csv", late_strided_r_bar),
     "fixtures/battery-coupled-r": ("ref.r_battery_coupled_branches", first_sample_out_of_range),
     # Every recorded value out of [0, 1], or every recorded state NaN: nothing
     # is left to compare, which must not read as a match.
@@ -582,7 +595,7 @@ MUTANTS = {
     "fixtures/modular-perp": ("ref.perp_modular_printed", shifted_form),
     "fixtures/battery-coupled-perp": ("ref.perp_battery_coupled_printed", lambda real: lambda t: np.full(np.shape(t) + (4,), np.nan)),
 }
-OWNERS = {"": verify, "dynamics": dynamics, "ref": ref, "presets": presets}
+OWNERS = {"": verify, "dynamics": dynamics, "emit": emit, "ref": ref, "presets": presets}
 
 
 def test_every_check_has_a_mutant():
